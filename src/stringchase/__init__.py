@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .grid import (
     BoundaryFace,
     DimensionExceeded,
-    Face,
     GridPoint,
     GridSpec,
     NotAString,

@@ -14,7 +14,6 @@ import datetime
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .functions import builtin, parse
@@ -126,50 +125,18 @@ def trace_payload(trace: PathTrace) -> dict:
     }
 
 
-@dataclass
-class RunRecord:
-    """Provenance wrapper written by --record: inputs, time, payload."""
-
-    command: str
-    arguments: list[str]
-    timestamp: str
-    version: str
-    payload: dict
-
-    def to_json(self) -> str:
-        return dump_json(
-            {
-                "command": self.command,
-                "arguments": self.arguments,
-                "timestamp": self.timestamp,
-                "version": self.version,
-                "payload": self.payload,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunRecord":
-        data = json.loads(text)
-        return cls(
-            command=data["command"],
-            arguments=list(data["arguments"]),
-            timestamp=data["timestamp"],
-            version=data["version"],
-            payload=data["payload"],
-        )
-
-
 def _write_record(args, payload: dict) -> None:
+    """--record: the payload with its provenance (inputs, UTC time, version)."""
     if getattr(args, "record", None):
-        record = RunRecord(
-            command=args.command,
-            arguments=list(args._argv),
-            timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            version=__version__,
-            payload=payload,
-        )
+        record = {
+            "command": args.command,
+            "arguments": list(args._argv),
+            "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            "version": __version__,
+            "payload": payload,
+        }
         with open(args.record, "w", encoding="utf-8") as fh:
-            fh.write(record.to_json() + "\n")
+            fh.write(dump_json(record) + "\n")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -210,21 +177,21 @@ def build_parser() -> _Parser:
     fmt.add_argument("--csv", dest="format", action="store_const", const="csv",
                      help="print the per-resolution history as CSV instead of JSON")
     _add_budget_argument(sp)
-    sp.add_argument("--record", help="write a RunRecord JSON file with provenance")
+    sp.add_argument("--record", help="write a JSON record with provenance")
     sp.set_defaults(handler=cmd_solve)
 
     sp = sub.add_parser("verify-parity", help="exhaustively check oddness and the double count")
     _add_map_arguments(sp)
     sp.add_argument("--m", type=int, required=True, help="grid resolution")
     _add_budget_argument(sp)
-    sp.add_argument("--record", help="write a RunRecord JSON file with provenance")
+    sp.add_argument("--record", help="write a JSON record with provenance")
     sp.set_defaults(handler=cmd_verify_parity)
 
     sp = sub.add_parser("trace", help="emit the door-in/door-out walk at a fixed resolution")
     _add_map_arguments(sp)
     sp.add_argument("--m", type=int, required=True, help="grid resolution")
     sp.add_argument("--svg", help="also render the walk to this SVG file (n=2 only)")
-    sp.add_argument("--record", help="write a RunRecord JSON file with provenance")
+    sp.add_argument("--record", help="write a JSON record with provenance")
     sp.set_defaults(handler=cmd_trace)
 
     sp = sub.add_parser("labels", help="dump every grid point's label as CSV")
@@ -248,15 +215,18 @@ def _resolve_map(args) -> MapFn:
 
 
 def _resolve_budget(args) -> int:
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get(BUDGET_ENV)
-    if env is not None:
+    budget, source = args.budget, "--budget"
+    if budget is None:
+        env = os.environ.get(BUDGET_ENV)
+        if env is None:
+            return DEFAULT_BUDGET
         try:
-            return int(env)
+            budget, source = int(env), f"${BUDGET_ENV}"
         except ValueError:
             raise UsageError(f"${BUDGET_ENV} must be an integer, got {env!r}") from None
-    return DEFAULT_BUDGET
+    if budget <= 0:
+        raise UsageError(f"{source} must be positive, got {budget}")
+    return budget
 
 
 def cmd_solve(args) -> int:
@@ -320,12 +290,12 @@ def cmd_labels(args) -> int:
     lab = Labeling(spec, g)
     n = spec.n
     header = [f"i{j}" for j in range(1, n + 1)] + [f"x{j}" for j in range(1, n + 1)] + ["label"]
-    lines = [",".join(header)]
+    write = sys.stdout.write
+    write(",".join(header) + "\n")
     for p in spec.points():
         real = spec.to_real(p)
         cells = [str(c) for c in p] + [fmt_float(x) for x in real] + [str(lab.label(p))]
-        lines.append(",".join(cells))
-    print("\n".join(lines))
+        write(",".join(cells) + "\n")
     return EXIT_OK
 
 

@@ -13,6 +13,9 @@ Grammar (whitespace-insensitive)::
 
 NUMBER is a nonnegative decimal with optional fraction (no exponents).
 Unary minus binds tighter than "^", so ``-x1^2`` means ``(-x1)^2``.
+Expressions nest at most MAX_DEPTH (100) levels deep, counting every
+operator, function call and parenthesized group; deeper input is an
+ExprSyntaxError.
 Division is deliberately absent and sqrt is totalized as sqrt(max(t, 0)),
 so evaluation never faults on [0,1]^n; outputs are clamped into [0,1]
 componentwise, which keeps every parseable map usable as a labeling source.
@@ -21,7 +24,9 @@ componentwise, which keeps every parseable map usable as a labeling source.
 from __future__ import annotations
 
 import math
+import operator
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Union
@@ -75,13 +80,13 @@ class Var:
 
 @dataclass(frozen=True)
 class Unary:
-    op: str  # neg | sin | cos | expneg | sqrt | abs
+    op: str  # a key of UNARY_OPS
     arg: "ExprNode"
 
 
 @dataclass(frozen=True)
 class Binary:
-    op: str  # add | sub | mul | min2 | max2
+    op: str  # a key of BINARY_OPS
     left: "ExprNode"
     right: "ExprNode"
 
@@ -94,47 +99,38 @@ class Pow:
 
 ExprNode = Union[Const, Var, Unary, Binary, Pow]
 
-UNARY_FUNCS = ("sin", "cos", "expneg", "sqrt", "abs")
-BINARY_FUNCS = ("min2", "max2")
+# Operator tables: node op -> float function.  A compiled tree calls these
+# directly.  The ops outside _INFIX are also the grammar's FUNC names;
+# sqrt is totalized as sqrt(max(t, 0)).
+UNARY_OPS = {"neg": operator.neg, "sin": math.sin, "cos": math.cos,
+             "expneg": lambda t: math.exp(-t), "sqrt": lambda t: math.sqrt(max(t, 0.0)),
+             "abs": abs}
+BINARY_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+              "min2": min, "max2": max}
+_INFIX = frozenset({"neg", "add", "sub", "mul"})  # spelled -, +, -, *
+
+# Deepest allowed nesting: every operator, function call and parenthesized
+# group counts one level.  The parser, the printer and compiled trees all
+# recurse once or a few times per level, so this keeps them far below
+# Python's recursion limit.
+MAX_DEPTH = 100
 
 
-def eval_expr(node: ExprNode, p: tuple[float, ...]) -> float:
+def _compile(node: ExprNode) -> Callable[[tuple[float, ...]], float]:
+    """The tree as nested closures over the operator tables."""
     if isinstance(node, Const):
-        return node.value
+        value = node.value
+        return lambda p: value
     if isinstance(node, Var):
-        return p[node.index - 1]
-    if isinstance(node, Unary):
-        v = eval_expr(node.arg, p)
-        if node.op == "neg":
-            return -v
-        if node.op == "sin":
-            return math.sin(v)
-        if node.op == "cos":
-            return math.cos(v)
-        if node.op == "expneg":
-            return math.exp(-v)
-        if node.op == "sqrt":
-            return math.sqrt(max(v, 0.0))
-        if node.op == "abs":
-            return abs(v)
-        raise ValueError(f"unknown unary op {node.op!r}")
-    if isinstance(node, Binary):
-        a = eval_expr(node.left, p)
-        b = eval_expr(node.right, p)
-        if node.op == "add":
-            return a + b
-        if node.op == "sub":
-            return a - b
-        if node.op == "mul":
-            return a * b
-        if node.op == "min2":
-            return min(a, b)
-        if node.op == "max2":
-            return max(a, b)
-        raise ValueError(f"unknown binary op {node.op!r}")
+        return operator.itemgetter(node.index - 1)
     if isinstance(node, Pow):
-        return eval_expr(node.base, p) ** node.exponent
-    raise TypeError(f"not an expression node: {node!r}")
+        base, exponent = _compile(node.base), node.exponent
+        return lambda p: base(p) ** exponent
+    if isinstance(node, Unary):
+        op, arg = UNARY_OPS[node.op], _compile(node.arg)
+        return lambda p: op(arg(p))
+    op, left, right = BINARY_OPS[node.op], _compile(node.left), _compile(node.right)
+    return lambda p: op(left(p), right(p))
 
 
 @dataclass(frozen=True)
@@ -144,17 +140,12 @@ class MapSpec:
     n: int
     components: tuple[ExprNode, ...]
 
-    def eval(self, p) -> tuple[float, ...]:
-        """Componentwise tree evaluation, clamped into [0,1]^n."""
-        pt = tuple(float(c) for c in p)
-        raw = (eval_expr(c, pt) for c in self.components)
-        return tuple(0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in raw)
-
     def as_map_fn(self, name: str = "expr") -> MapFn:
-        raw = self.components
+        """The map compiled once, behind MapFn's clamp and checks."""
+        compiled = tuple(_compile(c) for c in self.components)
         return MapFn(
             n=self.n,
-            fn=lambda p, _c=raw: [eval_expr(node, p) for node in _c],
+            fn=lambda p: [f(p) for f in compiled],
             name=name,
             description=format_map(self),
         )
@@ -183,11 +174,15 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
+    """Recursive descent.  The parse_* methods return (node, depth), the
+    depth counted as MAX_DEPTH describes."""
+
     def __init__(self, text: str, n: int):
         self.text = text
         self.n = n
         self.tokens = _tokenize(text)
         self.i = 0
+        self.nesting = 0  # open parenthesized groups and calls
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
@@ -206,11 +201,24 @@ class _Parser:
         kind, value, _ = self.peek()
         return kind == "op" and value in symbols
 
+    def bounded(self, depth: int, pos: int) -> int:
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", pos)
+        return depth
+
+    def parse_nested(self, pos: int) -> tuple[ExprNode, int]:
+        """An expression one group or call deeper.  Checking on the way in
+        stops runaway parentheses before the parser's own recursion does."""
+        self.nesting = self.bounded(self.nesting + 1, pos)
+        node, depth = self.parse_expr()
+        self.nesting -= 1
+        return node, depth
+
     def parse_map(self) -> MapSpec:
-        components = [self.parse_expr()]
+        components = [self.parse_expr()[0]]
         while self.at_op(";"):
             self.take()
-            components.append(self.parse_expr())
+            components.append(self.parse_expr()[0])
         kind, value, pos = self.peek()
         if kind is not None:
             raise ExprSyntaxError(f"trailing input {value!r}", pos)
@@ -220,46 +228,50 @@ class _Parser:
             )
         return MapSpec(self.n, tuple(components))
 
-    def parse_expr(self) -> ExprNode:
-        node = self.parse_term()
+    def parse_expr(self) -> tuple[ExprNode, int]:
+        node, depth = self.parse_term()
         while self.at_op("+", "-"):
-            _, op, _ = self.take()
-            node = Binary("add" if op == "+" else "sub", node, self.parse_term())
-        return node
+            _, op, pos = self.take()
+            right, right_depth = self.parse_term()
+            node = Binary("add" if op == "+" else "sub", node, right)
+            depth = self.bounded(max(depth, right_depth) + 1, pos)
+        return node, depth
 
-    def parse_term(self) -> ExprNode:
-        node = self.parse_factor()
+    def parse_term(self) -> tuple[ExprNode, int]:
+        node, depth = self.parse_factor()
         while self.at_op("*"):
-            self.take()
-            node = Binary("mul", node, self.parse_factor())
-        return node
+            _, _, pos = self.take()
+            right, right_depth = self.parse_factor()
+            node = Binary("mul", node, right)
+            depth = self.bounded(max(depth, right_depth) + 1, pos)
+        return node, depth
 
-    def parse_factor(self) -> ExprNode:
-        negate = False
-        if self.at_op("-"):
-            self.take()
-            negate = True
-        node = self.parse_atom()
+    def parse_factor(self) -> tuple[ExprNode, int]:
+        _, _, pos = self.peek()
+        negate = self.at_op("-")
         if negate:
-            node = Unary("neg", node)
+            self.take()
+        node, depth = self.parse_atom()
+        if negate:
+            node, depth = Unary("neg", node), self.bounded(depth + 1, pos)
         if self.at_op("^"):
             self.take()
             kind, value, pos = self.take()
             if kind != "number" or "." in value:
                 raise ExprSyntaxError("exponent must be a nonnegative integer", pos)
-            node = Pow(node, int(value))
-        return node
+            node, depth = Pow(node, int(value)), self.bounded(depth + 1, pos)
+        return node, depth
 
-    def parse_atom(self) -> ExprNode:
+    def parse_atom(self) -> tuple[ExprNode, int]:
         kind, value, pos = self.take()
         if kind == "number":
-            return Const(float(value))
+            return Const(float(value)), 0
         if kind == "op" and value == "(":
-            node = self.parse_expr()
+            node, depth = self.parse_nested(pos)
             self.expect_op(")")
-            return node
+            return node, self.bounded(depth + 1, pos)
         if kind == "ident":
-            if value in UNARY_FUNCS or value in BINARY_FUNCS:
+            if value not in _INFIX and (value in UNARY_OPS or value in BINARY_OPS):
                 return self.parse_call(value, pos)
             m = re.fullmatch(r"x(\d+)", value)
             if m:
@@ -268,24 +280,24 @@ class _Parser:
                     raise IndexOutOfRange(
                         f"variable x{index} out of range for dimension {self.n}", pos
                     )
-                return Var(index)
+                return Var(index), 0
             raise UnknownIdentifier(f"unknown identifier {value!r}", pos)
         raise ExprSyntaxError(f"expected a number, variable or '(', found {value!r}", pos)
 
-    def parse_call(self, func: str, pos: int) -> ExprNode:
+    def parse_call(self, func: str, pos: int) -> tuple[ExprNode, int]:
         self.expect_op("(")
-        first = self.parse_expr()
+        first, depth = self.parse_nested(pos)
         if self.at_op(","):
-            if func in UNARY_FUNCS:
+            if func in UNARY_OPS:
                 raise ArityError(f"{func} takes one argument", pos)
             self.take()
-            second = self.parse_expr()
+            second, second_depth = self.parse_nested(pos)
             self.expect_op(")")
-            return Binary(func, first, second)
-        if func in BINARY_FUNCS:
+            return Binary(func, first, second), self.bounded(max(depth, second_depth) + 1, pos)
+        if func in BINARY_OPS:
             raise ArityError(f"{func} takes two comma-separated arguments", pos)
         self.expect_op(")")
-        return Unary(func, first)
+        return Unary(func, first), self.bounded(depth + 1, pos)
 
 
 def parse(text: str, n: int) -> MapSpec:
@@ -326,7 +338,7 @@ def _raw(node: ExprNode) -> str:
             return "-" + _fmt(node.arg, 4)
         return f"{node.op}({_raw(node.arg)})"
     if isinstance(node, Binary):
-        if node.op in ("min2", "max2"):
+        if node.op not in _INFIX:
             return f"{node.op}({_raw(node.left)}, {_raw(node.right)})"
         if node.op == "mul":
             return f"{_fmt(node.left, 2)} * {_fmt(node.right, 3)}"

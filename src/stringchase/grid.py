@@ -93,21 +93,6 @@ class StringK:
         return len(self.base)
 
 
-@dataclass(frozen=True)
-class Face:
-    """A k-string minus one vertex, identified by the omitted position."""
-
-    parent: StringK
-    omitted: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.omitted <= self.parent.k:
-            raise ValueError(f"omitted index {self.omitted} outside 0..{self.parent.k}")
-
-    def vertex_set(self) -> frozenset[GridPoint]:
-        return face_vertices(self.parent, self.omitted)
-
-
 def vertices(s: StringK) -> list[GridPoint]:
     """The k+1 vertices of ``s``, from the base up."""
     out = [s.base]

@@ -13,7 +13,7 @@ with converged=False.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .grid import GridSpec, StringK, vertices
 from .labeling import Labeling, MapFn, labels_of
@@ -45,8 +45,6 @@ class SolveConfig:
             raise ConfigInvalid(f"max_m {self.max_m} below initial_m {self.initial_m}")
         if not self.tol > 0:
             raise ConfigInvalid(f"tol must be positive, got {self.tol}")
-        if self.engine == "path-follow":
-            object.__setattr__(self, "engine", ENGINE_PATH)
         if self.engine not in (ENGINE_PATH, ENGINE_ORACLE):
             raise ConfigInvalid(f"engine must be 'path' or 'oracle', got {self.engine!r}")
 
@@ -86,9 +84,9 @@ def residual(g: MapFn, p) -> float:
     return max(abs(qi - pi) for qi, pi in zip(q, pt))
 
 
-def select_witness(g: MapFn, spec: GridSpec, s: StringK) -> tuple[float, ...]:
-    """The vertex of ``s`` (as a real point) with the smallest residual;
-    ties go to the earlier vertex."""
+def select_witness(g: MapFn, spec: GridSpec, s: StringK) -> tuple[tuple[float, ...], float]:
+    """The vertex of ``s`` (as a real point) with the smallest residual, and
+    that residual; ties go to the earlier vertex."""
     best_p = None
     best_r = math.inf
     for v in vertices(s):
@@ -96,19 +94,7 @@ def select_witness(g: MapFn, spec: GridSpec, s: StringK) -> tuple[float, ...]:
         r = residual(g, p)
         if r < best_r:
             best_p, best_r = p, r
-    return best_p
-
-
-class _CountingFn:
-    """Wraps a map's raw evaluator to count calls."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.calls = 0
-
-    def __call__(self, p):
-        self.calls += 1
-        return self.fn(p)
+    return best_p, best_r
 
 
 def solve(g: MapFn, cfg: SolveConfig | None = None) -> SolveReport:
@@ -117,7 +103,8 @@ def solve(g: MapFn, cfg: SolveConfig | None = None) -> SolveReport:
     Each resolution gets a fresh labeling (cache keys depend on m, and
     points of successive grids only partially coincide).  The chosen
     engine locates a fully labeled n-string; the best vertex becomes the
-    witness.  Engine errors propagate.
+    witness.  A resolution's evals are its labelling evaluations plus one
+    per certificate vertex for the witness.  Engine errors propagate.
     """
     cfg = cfg or SolveConfig()
     n = g.n
@@ -127,9 +114,7 @@ def solve(g: MapFn, cfg: SolveConfig | None = None) -> SolveReport:
     m = cfg.initial_m
     while m <= cfg.max_m:
         spec = GridSpec(n, m)
-        counter = _CountingFn(g.fn)
-        probe = replace(g, fn=counter)
-        lab = Labeling(spec, probe)
+        lab = Labeling(spec, g)
 
         if cfg.engine == ENGINE_ORACLE:
             found = exhaustive_fully_labeled(spec, lab, n, budget=cfg.budget)
@@ -140,15 +125,14 @@ def solve(g: MapFn, cfg: SolveConfig | None = None) -> SolveReport:
             cert_string, _ = path_follow(spec, lab)
 
         cert = Certificate(m, cert_string, tuple(labels_of(lab, cert_string)))
-        z = select_witness(probe, spec, cert_string)
-        r = residual(probe, z)
-        history.append(ResolutionRecord(m, r, math.sqrt(n) / m, counter.calls))
+        z, r = select_witness(g, spec, cert_string)
+        history.append(ResolutionRecord(m, r, math.sqrt(n) / m, lab.evals + n + 1))
 
         if best is None or r < best[0]:
             best = (r, z, cert)
         if r <= cfg.tol:
-            return SolveReport(n, z, residual(g, z), m, True, cert, tuple(history))
+            return SolveReport(n, z, r, m, True, cert, tuple(history))
         m *= cfg.growth
 
-    _, z, cert = best
-    return SolveReport(n, z, residual(g, z), cert.m, False, cert, tuple(history))
+    r, z, cert = best
+    return SolveReport(n, z, r, cert.m, False, cert, tuple(history))

@@ -1,12 +1,15 @@
 """CLI behaviour: exit codes, payload schemas, byte determinism."""
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from stringchase.cli import EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, RunRecord, main
+from stringchase import __version__
+from stringchase.cli import EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 
 
 def run_cli(capsys, *argv):
@@ -213,16 +216,51 @@ def test_labels_budget(capsys):
 
 def test_record_round_trip(capsys, tmp_path):
     record_path = tmp_path / "run.json"
-    code, out, _ = run_cli(
-        capsys,
-        "solve", "--builtin", "reflect1d", "--tol", "1e-9", "--record", str(record_path),
-    )
+    argv = ["solve", "--builtin", "reflect1d", "--tol", "1e-9", "--record", str(record_path)]
+    code, out, _ = run_cli(capsys, *argv)
     assert code == EXIT_OK
-    record = RunRecord.from_json(record_path.read_text())
-    assert record.command == "solve"
-    assert record.arguments[0] == "solve"
-    assert record.payload == json.loads(out)
-    assert json.loads(record.to_json()) == json.loads(record_path.read_text())
+    record = json.loads(record_path.read_text())
+    assert list(record) == ["command", "arguments", "timestamp", "version", "payload"]
+    assert record["command"] == "solve"
+    assert record["arguments"] == argv
+    assert record["version"] == __version__
+    assert record["payload"] == json.loads(out)
+
+
+def test_readme_solve_example_matches_cli(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"`solve` → SolveReport:\s*```json\n(.*?)```", readme, re.S)
+    code, out, _ = run_cli(capsys, "solve", "--builtin", "reflect1d", "--tol", "1e-9")
+    assert code == EXIT_OK
+    assert " ".join(example.group(1).split()) == out.strip()
+
+
+@pytest.mark.parametrize("via_env", [False, True])
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_nonpositive_budget_is_usage_error(capsys, monkeypatch, budget, via_env):
+    argv = ["verify-parity", "--builtin", "avg-0.5", "--m", "4"]
+    if via_env:
+        monkeypatch.setenv("STRINGCHASE_BUDGET", budget)
+    else:
+        argv += ["--budget", budget]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "positive" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(" * 2000 + "x1" + ")" * 2000, " + ".join(["0.0001*x1"] * 600)],
+    ids=["parentheses", "sum"],
+)
+def test_overdeep_map_is_usage_error(capsys, text):
+    code, out, err = run_cli(capsys, "solve", "--map", text, "--n", "1")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "deeper than" in err
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from stringchase import (
     format_map,
     parse,
 )
-from stringchase.functions import Binary, Const, Pow, Unary, Var
+from stringchase.functions import MAX_DEPTH, Binary, Const, Pow, Unary, Var
 from stringchase.solver import residual
 
 
@@ -86,16 +86,37 @@ def test_syntax_error_reports_position():
     assert err.value.position == 5
 
 
+def test_depth_bound():
+    d = MAX_DEPTH
+    nested_sin = "sin(" * d + "x1" + ")" * d
+    long_sum = " + ".join(["0.001*x1"] * d)  # d - 1 additions over products
+    groups = "(" * (d - 1) + "-x1" + ")" * (d - 1)
+    for text in (nested_sin, long_sum, groups):
+        spec = parse(text, 1)
+        assert parse(format_map(spec), 1) == spec
+    value = 0.5
+    for _ in range(d):
+        value = math.sin(value)
+    assert parse(nested_sin, 1).as_map_fn()((0.5,)) == (value,)
+    assert parse(long_sum, 1).as_map_fn()((0.5,)) == (sum([0.001 * 0.5] * d),)
+    assert parse(groups, 1).as_map_fn()((0.5,)) == (0.0,)
+
+    for text in ("sin(" + nested_sin + ")", long_sum + " + x1", "(" + groups + ")",
+                 nested_sin[:-d] + "^2" + ")" * d):
+        with pytest.raises(ExprSyntaxError, match="deeper than"):
+            parse(text, 1)
+
+
 def test_eval_examples():
-    assert parse("1 - x1", 1).eval((0.25,)) == (0.75,)
-    assert parse("cos(x1)", 1).eval((0.0,)) == (1.0,)
-    assert parse("x1 + 1", 1).eval((0.5,)) == (1.0,)  # clamped
-    assert parse("x1 - 1", 1).eval((0.5,)) == (0.0,)  # clamped
-    assert parse("sqrt(x1 - 1)", 1).eval((0.0,)) == (0.0,)  # sqrt totalized
-    assert parse("expneg(x1)", 1).eval((0.0,)) == (1.0,)
-    assert parse("abs(0 - x1)", 1).eval((0.25,)) == (0.25,)
-    assert parse("x1^0", 1).eval((0.3,)) == (1.0,)
-    assert parse("max2(x1, 0.9)", 1).eval((0.2,)) == (0.9,)
+    assert parse("1 - x1", 1).as_map_fn()((0.25,)) == (0.75,)
+    assert parse("cos(x1)", 1).as_map_fn()((0.0,)) == (1.0,)
+    assert parse("x1 + 1", 1).as_map_fn()((0.5,)) == (1.0,)  # clamped
+    assert parse("x1 - 1", 1).as_map_fn()((0.5,)) == (0.0,)  # clamped
+    assert parse("sqrt(x1 - 1)", 1).as_map_fn()((0.0,)) == (0.0,)  # sqrt totalized
+    assert parse("expneg(x1)", 1).as_map_fn()((0.0,)) == (1.0,)
+    assert parse("abs(0 - x1)", 1).as_map_fn()((0.25,)) == (0.25,)
+    assert parse("x1^0", 1).as_map_fn()((0.3,)) == (1.0,)
+    assert parse("max2(x1, 0.9)", 1).as_map_fn()((0.2,)) == (0.9,)
 
 
 def test_eval_stays_in_cube_at_random_points():
@@ -106,9 +127,10 @@ def test_eval_stays_in_cube_at_random_points():
         parse("1 - x1*3", 1),
     ]
     for spec in specs:
+        g = spec.as_map_fn()
         for _ in range(10_000):
             p = tuple(rng.random() for _ in range(spec.n))
-            out = spec.eval(p)
+            out = g(p)
             assert all(0.0 <= v <= 1.0 for v in out)
 
 

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from stringchase import (
     BoundaryFace,
     DimensionExceeded,
-    Face,
     GridSpec,
     NotAString,
     StringK,
@@ -243,14 +242,6 @@ def test_pivot_exactly_two_strings_share_interior_face():
             shared = face_vertices(b, h)
             containers = [s for s in by_level[b.k] if shared <= set(vertices(s))]
             assert sorted(containers, key=str) == sorted([b, other], key=str)
-
-
-def test_face_vertex_set():
-    s = StringK(2, (0, 0), (1, 2))
-    f = Face(s, 1)
-    assert f.vertex_set() == frozenset({(0, 0), (1, 1)})
-    with pytest.raises(ValueError):
-        Face(s, 3)
 
 
 def test_grid_spec_validation():

@@ -30,12 +30,12 @@ def test_select_witness_prefers_smallest_residual():
     g = builtin("reflect1d")
     spec = GridSpec(1, 4)
     s = StringK(1, (1,), (1,))  # vertices 1/4 and 1/2
-    assert select_witness(g, spec, s) == (0.5,)
+    assert select_witness(g, spec, s) == ((0.5,), 0.0)
 
     g2 = builtin("const-0.5,0.5")
     spec2 = GridSpec(2, 2)
     s2 = StringK(2, (0, 0), (1, 2))
-    assert select_witness(g2, spec2, s2) == (0.5, 0.5)
+    assert select_witness(g2, spec2, s2) == ((0.5, 0.5), 0.0)
 
 
 def test_config_validation():
@@ -49,7 +49,8 @@ def test_config_validation():
         SolveConfig(initial_m=8, max_m=4)
     with pytest.raises(ConfigInvalid):
         SolveConfig(engine="magic")
-    assert SolveConfig(engine="path-follow").engine == "path"
+    with pytest.raises(ConfigInvalid):
+        SolveConfig(engine="path-follow")
 
 
 def test_reflect_converges_immediately():
