@@ -17,7 +17,6 @@ from .grid import (
     StringK,
     enumerate_strings,
     face_vertices,
-    in_grid,
     lift,
     pivot,
     pivot_entry_index,
@@ -48,8 +47,6 @@ from .functions import (
     UnknownBuiltin,
     UnknownIdentifier,
     builtin,
-    format_expr,
-    format_map,
     parse,
 )
 from .search import (

@@ -18,7 +18,7 @@ import sys
 from . import __version__
 from .functions import builtin, parse
 from .grid import GridSpec
-from .labeling import Labeling, MapEvaluationFailed, MapFn
+from .labeling import Labeling, MapEvaluationFailed, MapFn, induced_label
 from .search import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -41,10 +41,6 @@ BUDGET_ENV = "STRINGCHASE_BUDGET"
 
 
 class UsageError(Exception):
-    pass
-
-
-class SvgUnsupportedDimension(Exception):
     pass
 
 
@@ -268,7 +264,7 @@ def cmd_verify_parity(args) -> int:
 def cmd_trace(args) -> int:
     g = _resolve_map(args)
     if args.svg is not None and g.n != 2:
-        raise SvgUnsupportedDimension(f"--svg requires n=2, got n={g.n}")
+        raise UsageError(f"--svg requires n=2, got n={g.n}")
     spec = GridSpec(g.n, args.m)
     lab = Labeling(spec, g)
     _, trace = path_follow(spec, lab)
@@ -287,14 +283,14 @@ def cmd_labels(args) -> int:
     budget = _resolve_budget(args)
     if spec.point_count > budget:
         raise BudgetExceeded(spec.point_count, budget)
-    lab = Labeling(spec, g)
     n = spec.n
     header = [f"i{j}" for j in range(1, n + 1)] + [f"x{j}" for j in range(1, n + 1)] + ["label"]
     write = sys.stdout.write
     write(",".join(header) + "\n")
     for p in spec.points():
         real = spec.to_real(p)
-        cells = [str(c) for c in p] + [fmt_float(x) for x in real] + [str(lab.label(p))]
+        cells = [str(c) for c in p] + [fmt_float(x) for x in real]
+        cells.append(str(induced_label(spec, g, p)))
         write(",".join(cells) + "\n")
     return EXIT_OK
 
@@ -309,7 +305,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SvgUnsupportedDimension, ValueError) as exc:
+    except ValueError as exc:
         # parse errors, unknown builtins, bad configs and grid shapes
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -15,7 +15,8 @@ NUMBER is a nonnegative decimal with optional fraction (no exponents).
 Unary minus binds tighter than "^", so ``-x1^2`` means ``(-x1)^2``.
 Expressions nest at most MAX_DEPTH (100) levels deep, counting every
 operator, function call and parenthesized group; deeper input is an
-ExprSyntaxError.
+ExprSyntaxError.  The bound keeps the parser's recursion, and the bracket
+nesting of the Python source each map is compiled to, within Python's limits.
 Division is deliberately absent and sqrt is totalized as sqrt(max(t, 0)),
 so evaluation never faults on [0,1]^n; outputs are clamped into [0,1]
 componentwise, which keeps every parseable map usable as a labeling source.
@@ -26,9 +27,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from collections.abc import Callable
 from dataclasses import dataclass
-from decimal import Decimal
 from typing import Union
 
 from .labeling import MapFn
@@ -110,27 +109,33 @@ BINARY_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
 _INFIX = frozenset({"neg", "add", "sub", "mul"})  # spelled -, +, -, *
 
 # Deepest allowed nesting: every operator, function call and parenthesized
-# group counts one level.  The parser, the printer and compiled trees all
-# recurse once or a few times per level, so this keeps them far below
-# Python's recursion limit.
+# group counts one level.  The parser and the emitter recurse a few times per
+# level, which this keeps far below Python's recursion limit, and the emitted
+# source nests one bracket per level, where CPython's parser stops at 200.
 MAX_DEPTH = 100
 
 
-def _compile(node: ExprNode) -> Callable[[tuple[float, ...]], float]:
-    """The tree as nested closures over the operator tables."""
+def _emit(node: ExprNode, names: dict[str, object]) -> str:
+    """The tree as one Python expression over the point ``p``.
+
+    Every op is a call of its table function and every power is bracketed,
+    so the source needs no precedence rules.  Constants and functions are
+    bound in ``names``, and an op is named only after its table lookup, so
+    no text from the input reaches the source.
+    """
     if isinstance(node, Const):
-        value = node.value
-        return lambda p: value
+        key = f"c{len(names)}"  # fresh, since names only grows
+        names[key] = node.value
+        return key
     if isinstance(node, Var):
-        return operator.itemgetter(node.index - 1)
+        return f"p[{node.index - 1:d}]"
     if isinstance(node, Pow):
-        base, exponent = _compile(node.base), node.exponent
-        return lambda p: base(p) ** exponent
+        return f"({_emit(node.base, names)} ** {node.exponent:d})"
     if isinstance(node, Unary):
-        op, arg = UNARY_OPS[node.op], _compile(node.arg)
-        return lambda p: op(arg(p))
-    op, left, right = BINARY_OPS[node.op], _compile(node.left), _compile(node.right)
-    return lambda p: op(left(p), right(p))
+        names[node.op] = UNARY_OPS[node.op]
+        return f"{node.op}({_emit(node.arg, names)})"
+    names[node.op] = BINARY_OPS[node.op]
+    return f"{node.op}({_emit(node.left, names)}, {_emit(node.right, names)})"
 
 
 @dataclass(frozen=True)
@@ -142,13 +147,9 @@ class MapSpec:
 
     def as_map_fn(self, name: str = "expr") -> MapFn:
         """The map compiled once, behind MapFn's clamp and checks."""
-        compiled = tuple(_compile(c) for c in self.components)
-        return MapFn(
-            n=self.n,
-            fn=lambda p: [f(p) for f in compiled],
-            name=name,
-            description=format_map(self),
-        )
+        names: dict[str, object] = {"__builtins__": {}}
+        body = "".join(_emit(c, names) + ", " for c in self.components)
+        return MapFn(n=self.n, fn=eval(f"lambda p: ({body})", names), name=name)
 
 
 _TOKEN = re.compile(
@@ -307,65 +308,6 @@ def parse(text: str, n: int) -> MapSpec:
     return _Parser(text, n).parse_map()
 
 
-# Formatting.  Levels: 1 expr (+/-), 2 term (*), 3 factor (neg, ^), 4 atom.
-
-def _level(node: ExprNode) -> int:
-    if isinstance(node, Binary):
-        if node.op in ("add", "sub"):
-            return 1
-        if node.op == "mul":
-            return 2
-        return 4  # min2/max2 calls are atoms
-    if isinstance(node, Unary):
-        return 4 if node.op != "neg" else 3
-    if isinstance(node, Pow):
-        return 3
-    return 4
-
-
-def _fmt(node: ExprNode, floor: int) -> str:
-    text = _raw(node)
-    return f"({text})" if _level(node) < floor else text
-
-
-def _raw(node: ExprNode) -> str:
-    if isinstance(node, Const):
-        return format_number(node.value)
-    if isinstance(node, Var):
-        return f"x{node.index}"
-    if isinstance(node, Unary):
-        if node.op == "neg":
-            return "-" + _fmt(node.arg, 4)
-        return f"{node.op}({_raw(node.arg)})"
-    if isinstance(node, Binary):
-        if node.op not in _INFIX:
-            return f"{node.op}({_raw(node.left)}, {_raw(node.right)})"
-        if node.op == "mul":
-            return f"{_fmt(node.left, 2)} * {_fmt(node.right, 3)}"
-        symbol = "+" if node.op == "add" else "-"
-        return f"{_fmt(node.left, 1)} {symbol} {_fmt(node.right, 2)}"
-    if isinstance(node, Pow):
-        return f"{_fmt(node.base, 4)}^{node.exponent}"
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def format_number(v: float) -> str:
-    """Decimal text for a nonnegative float, grammar-compatible (no exponent)."""
-    text = repr(float(v))
-    if "e" in text or "E" in text:
-        text = format(Decimal(text), "f")
-    return text
-
-
-def format_expr(node: ExprNode) -> str:
-    """Grammar-compatible text; reparsing yields a structurally equal tree."""
-    return _raw(node)
-
-
-def format_map(spec: MapSpec) -> str:
-    return "; ".join(_raw(c) for c in spec.components)
-
-
 # Builtin catalog.  Parameterized entries take their constants in the name,
 # e.g. "const-0.5,0.5" or "avg-0.8".
 
@@ -394,28 +336,24 @@ def builtin(name: str) -> MapFn:
     """
     if name == "reflect1d":
         return MapFn(1, lambda p: (1.0 - p[0],), name=name,
-                     description="1 - x", lipschitz=1.0, fixed_points=((0.5,),))
+                     lipschitz=1.0, fixed_points=((0.5,),))
     if name == "dottie":
         return MapFn(1, lambda p: (math.cos(p[0]),), name=name,
-                     description="cos x", lipschitz=math.sin(1.0),
-                     fixed_points=((DOTTIE,),))
+                     lipschitz=math.sin(1.0), fixed_points=((DOTTIE,),))
     if name == "rot90":
         return MapFn(2, lambda p: (1.0 - p[1], p[0]), name=name,
-                     description="(1 - y, x)", lipschitz=1.0,
-                     fixed_points=((0.5, 0.5),))
+                     lipschitz=1.0, fixed_points=((0.5, 0.5),))
     if name == "squeeze":
         return MapFn(1, lambda p: (p[0] * p[0],), name=name,
-                     description="x^2", lipschitz=2.0,
-                     fixed_points=((0.0,), (1.0,)))
+                     lipschitz=2.0, fixed_points=((0.0,), (1.0,)))
     if name.startswith("const-"):
         c = _parse_params(name[len("const-"):], "const")
         return MapFn(len(c), lambda p, _c=c: _c, name=name,
-                     description=f"constant {c}", lipschitz=0.0, fixed_points=(c,))
+                     lipschitz=0.0, fixed_points=(c,))
     if name.startswith("avg-"):
         c = _parse_params(name[len("avg-"):], "avg")
         return MapFn(len(c), lambda p, _c=c: tuple((x + ci) / 2.0 for x, ci in zip(p, _c)),
-                     name=name, description=f"midpoint toward {c}",
-                     lipschitz=0.5, fixed_points=(c,))
+                     name=name, lipschitz=0.5, fixed_points=(c,))
     raise UnknownBuiltin(
         f"unknown builtin {name!r}; available: reflect1d, dottie, rot90, squeeze, "
         f"const-<c,...>, avg-<c,...>"

@@ -224,11 +224,6 @@ def string_count(spec: GridSpec, k: int) -> int:
     return count
 
 
-def in_grid(spec: GridSpec, s: StringK) -> bool:
-    """Whether every vertex of ``s`` lies inside the grid."""
-    return s.n == spec.n and all(spec.contains(v) for v in vertices(s))
-
-
 def _bump(p: GridPoint, axis: int, delta: int) -> GridPoint:
     cur = list(p)
     cur[axis - 1] += delta

@@ -50,7 +50,6 @@ class MapFn:
     n: int
     fn: Callable[[tuple[float, ...]], Sequence[float]]
     name: str = "map"
-    description: str = ""
     lipschitz: float | None = None
     fixed_points: tuple[tuple[float, ...], ...] = ()
 
@@ -73,6 +72,18 @@ class MapFn:
         return tuple(out)
 
 
+def induced_label(spec: GridSpec, g: MapFn, x: GridPoint) -> int:
+    """The label of grid point ``x`` induced by ``g`` (one evaluation)."""
+    if not spec.contains(x):
+        raise ValueError(f"{x} is not a point of {spec}")
+    real = spec.to_real(x)
+    gx = g(real)
+    for k in range(spec.n, 0, -1):
+        if x[k - 1] > 0 and gx[k - 1] <= real[k - 1]:
+            return k
+    return 0
+
+
 class Labeling:
     """Memoized induced labeling of a grid by a map.
 
@@ -91,19 +102,9 @@ class Labeling:
 
     def label(self, x: GridPoint) -> int:
         x = tuple(x)
-        hit = self._cache.get(x)
-        if hit is not None:
-            return hit
-        if not self.spec.contains(x):
-            raise ValueError(f"{x} is not a point of {self.spec}")
-        real = self.spec.to_real(x)
-        g = self.source(real)
-        lab = 0
-        for k in range(self.spec.n, 0, -1):
-            if x[k - 1] > 0 and g[k - 1] <= real[k - 1]:
-                lab = k
-                break
-        self._cache[x] = lab
+        lab = self._cache.get(x)
+        if lab is None:
+            lab = self._cache[x] = induced_label(self.spec, self.source, x)
         return lab
 
     @property

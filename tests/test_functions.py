@@ -1,5 +1,6 @@
-"""Expression parsing, evaluation, printing, builtin catalog."""
+"""Expression parsing, compiled evaluation, builtin catalog."""
 
+import json
 import math
 import random
 
@@ -10,16 +11,30 @@ from stringchase import (
     ArityError,
     ComponentCountMismatch,
     ExprSyntaxError,
+    GridSpec,
     IndexOutOfRange,
+    Labeling,
+    MapEvaluationFailed,
+    MapFn,
     MapParseError,
+    MapSpec,
     UnknownBuiltin,
     UnknownIdentifier,
     builtin,
-    format_expr,
-    format_map,
     parse,
 )
-from stringchase.functions import MAX_DEPTH, Binary, Const, Pow, Unary, Var
+from stringchase.cli import main
+from stringchase.functions import (
+    BINARY_OPS,
+    MAX_DEPTH,
+    UNARY_OPS,
+    Binary,
+    Const,
+    Pow,
+    Unary,
+    Var,
+)
+from stringchase.labeling import induced_label
 from stringchase.solver import residual
 
 
@@ -87,21 +102,28 @@ def test_syntax_error_reports_position():
 
 
 def test_depth_bound():
-    d = MAX_DEPTH
+    """Each node kind nested exactly MAX_DEPTH deep parses, compiles (one
+    bracket of emitted source per level) and evaluates; deeper is rejected."""
+    d, half = MAX_DEPTH, MAX_DEPTH // 2
     nested_sin = "sin(" * d + "x1" + ")" * d
-    long_sum = " + ".join(["0.001*x1"] * d)  # d - 1 additions over products
-    groups = "(" * (d - 1) + "-x1" + ")" * (d - 1)
-    for text in (nested_sin, long_sum, groups):
-        spec = parse(text, 1)
-        assert parse(format_map(spec), 1) == spec
-    value = 0.5
+    sin_value = 0.5
     for _ in range(d):
-        value = math.sin(value)
-    assert parse(nested_sin, 1).as_map_fn()((0.5,)) == (value,)
-    assert parse(long_sum, 1).as_map_fn()((0.5,)) == (sum([0.001 * 0.5] * d),)
-    assert parse(groups, 1).as_map_fn()((0.5,)) == (0.0,)
+        sin_value = math.sin(sin_value)
+    long_sum = " + ".join(["0.001*x1"] * d)  # d - 1 additions over products
+    cases = [  # (text, x1, value)
+        ("-(" * half + "x1" + ")" * half, 0.5, 0.5),  # neg and group per pair
+        (nested_sin, 0.5, sin_value),
+        ("min2(" * d + "x1" + ", 0.25)" * d, 0.5, 0.25),
+        ("(" * half + "x1" + "^1)" * half, 0.5, 0.5),  # ((x1^1)^1)...
+        (" + ".join(["x1"] * (d + 1)), 0.001, sum([0.001] * (d + 1))),
+        (long_sum, 0.5, sum([0.001 * 0.5] * d)),
+    ]
+    for text, x, value in cases:
+        assert parse(text, 1).as_map_fn()((x,)) == (value,)
+        with pytest.raises(ExprSyntaxError, match="deeper than"):
+            parse("(" + text + ")", 1)
 
-    for text in ("sin(" + nested_sin + ")", long_sum + " + x1", "(" + groups + ")",
+    for text in ("sin(" + nested_sin + ")", long_sum + " + x1",
                  nested_sin[:-d] + "^2" + ")" * d):
         with pytest.raises(ExprSyntaxError, match="deeper than"):
             parse(text, 1)
@@ -134,7 +156,7 @@ def test_eval_stays_in_cube_at_random_points():
             assert all(0.0 <= v <= 1.0 for v in out)
 
 
-# print / reparse round trip
+# compiled maps against a reference evaluator
 
 def expr_trees(n: int):
     leaves = st.one_of(
@@ -155,28 +177,52 @@ def expr_trees(n: int):
     return st.recursive(leaves, extend, max_leaves=12)
 
 
-@given(st.lists(expr_trees(3), min_size=3, max_size=3))
+def reference_eval(node, p):
+    """Direct recursive evaluation of a tree over the op tables."""
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Var):
+        return p[node.index - 1]
+    if isinstance(node, Pow):
+        return reference_eval(node.base, p) ** node.exponent
+    if isinstance(node, Unary):
+        return UNARY_OPS[node.op](reference_eval(node.arg, p))
+    return BINARY_OPS[node.op](reference_eval(node.left, p), reference_eval(node.right, p))
+
+
+def outcome(g, p):
+    try:
+        return g(p)
+    except MapEvaluationFailed as exc:
+        return str(exc)
+
+
+unit = st.floats(min_value=0.0, max_value=1.0)
+
+
+@given(st.lists(expr_trees(3), min_size=3, max_size=3),
+       st.lists(st.tuples(unit, unit, unit), min_size=1, max_size=4))
 @settings(max_examples=400)
-def test_format_then_parse_is_identity(trees):
-    from stringchase import MapSpec
-
-    spec = MapSpec(3, tuple(trees))
-    assert parse(format_map(spec), 3) == spec
-    for tree in trees:
-        assert format_expr(tree)  # printable on its own as well
+def test_compiled_map_matches_reference(trees, points):
+    compiled = MapSpec(3, tuple(trees)).as_map_fn()
+    reference = MapFn(3, lambda p: [reference_eval(t, p) for t in trees])
+    for p in points:
+        assert outcome(compiled, p) == outcome(reference, p)
 
 
-def test_format_map_round_trip():
-    spec = parse("1 - x2*x1; min2(x1, x2)^3 + 0.25", 2)
-    assert parse(format_map(spec), 2) == spec
+def test_huge_literal_is_a_constant_not_source(capsys):
+    digits = "9" * 400  # parses to inf
+    assert main(["solve", "--map", digits, "--n", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["z"] == [1]
+    assert main(["solve", "--map", digits + "*x1", "--n", "1"]) == 1
+    assert capsys.readouterr().err == (
+        "error: map evaluation failed at (0.0,): evaluator produced NaN\n")
 
 
-def test_number_formatting_has_no_exponent():
-    tree = Const(1e-05)
-    text = format_expr(tree)
-    assert "e" not in text and "E" not in text
-    (reparsed,) = parse(text, 1).components
-    assert reparsed == tree
+def test_unknown_op_fails_at_compile_time():
+    spec = MapSpec(1, (Unary("__import__('os').getcwd() or sin", Var(1)),))
+    with pytest.raises(KeyError):
+        spec.as_map_fn()
 
 
 # builtins
@@ -217,6 +263,16 @@ def test_unknown_builtin():
         builtin("const-abc")
     with pytest.raises(UnknownBuiltin):
         builtin("avg-1.5")  # parameter outside the cube
+
+
+def test_induced_label_matches_labeling():
+    for name in ("reflect1d", "dottie", "rot90", "squeeze", "const-0.3,0.7", "avg-0.8"):
+        g = builtin(name)
+        for m in range(1, 5):
+            spec = GridSpec(g.n, m)
+            lab = Labeling(spec, g)
+            for x in spec.points():
+                assert induced_label(spec, g, x) == lab.label(x)
 
 
 def test_builtin_metadata():

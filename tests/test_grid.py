@@ -13,7 +13,6 @@ from stringchase import (
     StringK,
     enumerate_strings,
     face_vertices,
-    in_grid,
     lift,
     pivot,
     pivot_entry_index,
@@ -120,7 +119,7 @@ def test_enumeration_counts():
             listed = list(enumerate_strings(spec, k))
             assert len(listed) == string_count(spec, k)
             assert len(set(listed)) == len(listed)
-            assert all(in_grid(spec, s) for s in listed)
+            assert all(spec.contains(v) for s in listed for v in vertices(s))
 
 
 def test_enumeration_1d_m4():
@@ -207,7 +206,7 @@ def test_pivot_preserves_face_and_changes_one_vertex():
             assert shared < new_set
             (fresh,) = new_set - set(shared)
             assert fresh != old[h]
-            assert in_grid(spec, other)
+            assert all(spec.contains(v) for v in vertices(other))
             assert other != b
 
 
