@@ -65,6 +65,7 @@ from .search import (
     verify_trace,
 )
 from .solver import (
+    BoxLabeling,
     Certificate,
     ConfigInvalid,
     ResolutionRecord,

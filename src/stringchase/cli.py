@@ -4,7 +4,9 @@ Outputs are machine-readable and byte-deterministic: JSON objects use a
 fixed key order and floats are printed with 17 significant digits, so the
 same invocation always produces identical stdout.  Exit codes: 0 success
 (or converged), 1 usage or evaluation errors, 2 checks failed or not
-converged, 3 enumeration budget exceeded.
+converged, 3 enumeration budget exceeded, 4 internal error (a walk broke
+an invariant that induced labellings guarantee).  Each error is one line
+on stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import os
 import sys
 
 from . import __version__
-from .functions import builtin, parse
+from .functions import MapParseError, UnknownBuiltin, builtin, parse
 from .grid import GridSpec
 from .labeling import Labeling, MapEvaluationFailed, MapFn, induced_label
 from .search import (
@@ -30,12 +32,13 @@ from .search import (
     path_follow,
 )
 from .render import trace_svg
-from .solver import SolveConfig, SolveReport, solve
+from .solver import ConfigInvalid, SolveConfig, SolveReport, solve
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CHECK_FAILED = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 BUDGET_ENV = "STRINGCHASE_BUDGET"
 
@@ -163,10 +166,14 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("solve", help="refine the grid until a fixed-point residual is met")
     _add_map_arguments(sp)
-    sp.add_argument("--tol", type=float, default=1e-6, help="residual tolerance (sup norm)")
-    sp.add_argument("--initial-m", type=int, default=2, help="starting resolution")
-    sp.add_argument("--growth", type=int, default=2, help="resolution multiplier")
-    sp.add_argument("--max-m", type=int, default=2 ** 16, help="resolution cap")
+    sp.add_argument("--tol", type=float, default=SolveConfig.tol,
+                    help="residual tolerance (sup norm)")
+    sp.add_argument("--initial-m", type=int, default=SolveConfig.initial_m,
+                    help="starting resolution")
+    sp.add_argument("--growth", type=int, default=SolveConfig.growth,
+                    help="resolution multiplier")
+    sp.add_argument("--max-m", type=int, default=SolveConfig.max_m,
+                    help="resolution cap (at most 2^52)")
     sp.add_argument("--engine", choices=["path", "oracle"], default="path")
     fmt = sp.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="format", action="store_const", const="json", default="json")
@@ -207,7 +214,15 @@ def _resolve_map(args) -> MapFn:
         return g
     if args.n is None:
         raise UsageError("--n is required with --map")
+    if args.n < 1:
+        raise UsageError(f"--n: dimension must be >= 1, got {args.n}")
     return parse(args.map, args.n).as_map_fn(name=args.map)
+
+
+def _grid(args, g: MapFn) -> GridSpec:
+    if args.m < 1:
+        raise UsageError(f"--m: resolution must be >= 1, got {args.m}")
+    return GridSpec(g.n, args.m)
 
 
 def _resolve_budget(args) -> int:
@@ -252,7 +267,7 @@ def cmd_solve(args) -> int:
 
 def cmd_verify_parity(args) -> int:
     g = _resolve_map(args)
-    spec = GridSpec(g.n, args.m)
+    spec = _grid(args, g)
     lab = Labeling(spec, g)
     report = parity_check(spec, lab, budget=_resolve_budget(args))
     payload = parity_payload(report)
@@ -265,7 +280,7 @@ def cmd_trace(args) -> int:
     g = _resolve_map(args)
     if args.svg is not None and g.n != 2:
         raise UsageError(f"--svg requires n=2, got n={g.n}")
-    spec = GridSpec(g.n, args.m)
+    spec = _grid(args, g)
     lab = Labeling(spec, g)
     _, trace = path_follow(spec, lab)
     payload = trace_payload(trace)
@@ -279,7 +294,7 @@ def cmd_trace(args) -> int:
 
 def cmd_labels(args) -> int:
     g = _resolve_map(args)
-    spec = GridSpec(g.n, args.m)
+    spec = _grid(args, g)
     budget = _resolve_budget(args)
     if spec.point_count > budget:
         raise BudgetExceeded(spec.point_count, budget)
@@ -302,19 +317,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         args._argv = argv
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        # parse errors, unknown builtins, bad configs and grid shapes
+    except (UsageError, MapParseError, UnknownBuiltin, ConfigInvalid, MapEvaluationFailed,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (LabelingInvalid, StepLimitExceeded, MapEvaluationFailed) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (LabelingInvalid, StepLimitExceeded) as exc:
+        # every labelling the CLI walks is induced, so these are bugs
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -212,3 +212,15 @@ def test_criterion_7_cli_byte_determinism(capsys):
         if "labels" != argv[0] and "--csv" not in argv:
             json.loads(outputs[0][1])  # stdout is well-formed JSON
     print("criterion 7 (byte-identical stdout across runs): PASS")
+
+
+def test_default_solve_converges_on_the_catalog(capsys):
+    # `solve` with no tuning flags meets the default tolerance on every
+    # catalog entry, the parameterized ones at several parameters
+    names = ["reflect1d", "dottie", "rot90", "squeeze", "const-0.3", "const-0.5,0.5",
+             "const-0.25,0.75,0.1", "avg-0.8", "avg-0.3,0.6", "avg-0.2,0.9,0.4"]
+    for name in names:
+        code = cli_main(["solve", "--builtin", name])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0 and payload["converged"], name
+        assert payload["residual"] <= 1e-6, name

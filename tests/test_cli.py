@@ -8,8 +8,16 @@ from pathlib import Path
 
 import pytest
 
-from stringchase import __version__
-from stringchase.cli import EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
+from stringchase import __version__, cli, solver
+from stringchase.cli import (
+    EXIT_BUDGET,
+    EXIT_CHECK_FAILED,
+    EXIT_INTERNAL,
+    EXIT_OK,
+    EXIT_USAGE,
+    main,
+)
+from stringchase.search import LabelingInvalid, StepLimitExceeded
 
 
 def run_cli(capsys, *argv):
@@ -205,6 +213,44 @@ def test_bad_grid_resolution_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "labels", "--builtin", "rot90", "--m", "0")
     assert code == EXIT_USAGE
     assert "resolution" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("trace", "--builtin", "rot90", "--m", "0"),
+        ("verify-parity", "--builtin", "rot90", "--m", "-3"),
+        ("trace", "--map", "x1", "--n", "0", "--m", "3"),
+        ("solve", "--builtin", "dottie", "--max-m", str(2 ** 52 + 1)),
+        ("solve", "--builtin", "dottie", "--tol", "nan"),
+        ("solve", "--builtin", "reflect1d", "--record", "missing-dir/run.json"),
+    ],
+    ids=["m-zero", "m-negative", "n-zero", "max-m-above-2^52", "tol-nan", "record-unwritable"],
+)
+def test_bad_arguments_are_usage_errors(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "owner, argv, exc",
+    [
+        (solver, ("solve", "--builtin", "dottie"), StepLimitExceeded),
+        (cli, ("trace", "--builtin", "rot90", "--m", "4"), LabelingInvalid),
+    ],
+    ids=["solve-step-limit", "trace-invalid"],
+)
+def test_walk_failure_is_internal_error(capsys, monkeypatch, owner, argv, exc):
+    def broken_walk(spec, lab):
+        raise exc("walk broke")
+
+    monkeypatch.setattr(owner, "path_follow", broken_walk)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_INTERNAL == 4
+    assert out == ""
+    assert err == "error: internal: walk broke\n"
 
 
 def test_labels_budget(capsys):

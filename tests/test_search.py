@@ -1,6 +1,8 @@
 """Oracle enumeration, parity bookkeeping, and the door-in/door-out walk."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stringchase import (
     BudgetExceeded,
@@ -239,3 +241,23 @@ def test_downward_door_reconstructs_as_string():
         if step.entry is None and step.level > 0:
             rebuilt = string_from_vertices(vertices(step.string))
             assert rebuilt == step.string
+
+
+def _legal_labels(p, m, n):
+    """Labels the boundary rules allow at grid point p: at least every axis
+    whose coordinate is m, and never an axis whose coordinate is 0."""
+    floor = max((k for k in range(1, n + 1) if p[k - 1] == m), default=0)
+    return [k for k in range(floor, n + 1) if k == 0 or p[k - 1] > 0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.randoms(use_true_random=False))
+def test_walk_on_random_boundary_rule_labelings(n, m, rnd):
+    # a wider class than induced labellings (box labellings belong to it)
+    spec = GridSpec(n, m)
+    table = {p: rnd.choice(_legal_labels(p, m, n)) for p in spec.points()}
+    lab = ExplicitLabeling(spec, table)
+    s, trace = path_follow(spec, lab)
+    assert s in exhaustive_fully_labeled(spec, lab, n)
+    verify_trace(lab, trace)
+    assert parity_check(spec, lab).ok

@@ -1,22 +1,34 @@
 """Refinement loop: witnesses, residuals, certificates, convergence."""
 
+import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stringchase import (
+    BoxLabeling,
     Certificate,
     ConfigInvalid,
     GridSpec,
     Labeling,
+    MapFn,
     SolveConfig,
     StringK,
     builtin,
     labels_of,
+    parity_check,
+    path_follow,
     residual,
     select_witness,
     solve,
+    validate_brouwer,
+    verify_trace,
+    vertices,
 )
+from stringchase.functions import DOTTIE
+from stringchase.solver import MAX_M, solve_at
 
 
 def test_residual_examples():
@@ -28,14 +40,18 @@ def test_residual_examples():
 
 def test_select_witness_prefers_smallest_residual():
     g = builtin("reflect1d")
-    spec = GridSpec(1, 4)
+    lab = BoxLabeling(g, GridSpec(1, 4), (0,), 4)
     s = StringK(1, (1,), (1,))  # vertices 1/4 and 1/2
-    assert select_witness(g, spec, s) == ((0.5,), 0.0)
+    assert select_witness(lab, s) == ((0.5,), 0.0)
 
     g2 = builtin("const-0.5,0.5")
-    spec2 = GridSpec(2, 2)
+    lab2 = BoxLabeling(g2, GridSpec(2, 2), (0, 0), 2)
     s2 = StringK(2, (0, 0), (1, 2))
-    assert select_witness(g2, spec2, s2) == ((0.5, 0.5), 0.0)
+    assert select_witness(lab2, s2) == ((0.5, 0.5), 0.0)
+
+    # in a box, vertices are box coordinates and the witness a grid point
+    box = BoxLabeling(g, GridSpec(1, 64), (28,), 8)
+    assert select_witness(box, StringK(1, (3,), (1,))) == ((0.5,), 0.0)
 
 
 def test_config_validation():
@@ -51,6 +67,9 @@ def test_config_validation():
         SolveConfig(engine="magic")
     with pytest.raises(ConfigInvalid):
         SolveConfig(engine="path-follow")
+    with pytest.raises(ConfigInvalid):
+        SolveConfig(max_m=2 ** 52 + 1)
+    assert SolveConfig().max_m == MAX_M == 2 ** 52
 
 
 def test_reflect_converges_immediately():
@@ -151,3 +170,113 @@ def test_fresh_labeling_per_resolution():
     # evals are per-resolution, so later (denser) grids may not be cheaper
     assert all(h.evals >= 2 for h in report.history)
     assert len({h.m for h in report.history}) == len(report.history)
+
+
+def _counted(g: MapFn):
+    calls = [0]
+
+    def fn(p):
+        calls[0] += 1
+        return g.fn(p)
+
+    return dataclasses.replace(g, fn=fn), calls
+
+
+def test_witness_costs_no_evaluations():
+    # every map call of a solve is a labelling evaluation of some resolution
+    for name in ("dottie", "rot90", "avg-0.3,0.6", "const-0.25,0.75,0.5"):
+        g, calls = _counted(builtin(name))
+        for engine in ("path", "oracle"):
+            calls[0] = 0
+            report = solve(g, SolveConfig(tol=1e-4, max_m=256, engine=engine))
+            assert calls[0] == sum(h.evals for h in report.history)
+
+
+def test_box_walk_falls_back_to_the_full_walk():
+    # at m = 64 a box at lo = 0 spans [0, 1/8]; its forced top label 1 at
+    # c = 8 is label 0 in the grid (cos(1/8) > 1/8), so the box certificate
+    # is not genuine and the whole grid must be walked
+    g, calls = _counted(builtin("dottie"))
+    spec = GridSpec(1, 64)
+    box = BoxLabeling(g, spec, (0,), 8)
+    s, trace = path_follow(box.spec, box)
+    verify_trace(box, trace)
+    assert box.label((8,)) == 1 and not box.is_genuine((8,))
+    assert not all(box.is_genuine(v) for v in vertices(s))
+
+    calls[0] = 0
+    cert, z, record = solve_at(g, spec, SolveConfig(), near=(0.0,))
+    assert record.fallback
+    assert calls[0] == record.evals
+    fresh = Labeling(spec, g)
+    assert labels_of(fresh, cert.string) == list(cert.labels) == [0, 1]
+    assert min(spec.to_real(v)[0] for v in vertices(cert.string)) <= DOTTIE
+    assert max(spec.to_real(v)[0] for v in vertices(cert.string)) >= DOTTIE
+    assert (z, record.residual) == min(
+        ((spec.to_real(v), residual(g, spec.to_real(v))) for v in vertices(cert.string)),
+        key=lambda zr: zr[1],
+    )
+
+
+def test_default_solve_takes_no_fallbacks_on_the_catalog():
+    for name in ("dottie", "rot90", "squeeze", "avg-0.3,0.6", "const-0.3,0.7,0.1"):
+        report = solve(builtin(name))
+        assert report.converged
+        assert not any(h.fallback for h in report.history)
+
+
+@st.composite
+def smooth_contractions(draw):
+    """g_i(x) = b_i + sum_j a_ij sin(f_ij x_j + p_ij) with sum_j |a_ij f_ij| < 1."""
+    n = draw(st.integers(1, 3))
+    unit = st.floats(-1.0, 1.0)
+    rows = []
+    for _ in range(n):
+        a = [draw(unit) for _ in range(n)]
+        f = [draw(st.floats(0.5, 4.0)) for _ in range(n)]
+        p = [draw(st.floats(0.0, 6.3)) for _ in range(n)]
+        lip = max(sum(abs(ai * fi) for ai, fi in zip(a, f)), 1e-3)
+        scale = draw(st.floats(0.1, 0.95)) / lip
+        rows.append((draw(st.floats(0.2, 0.8)), [ai * scale for ai in a], f, p))
+
+    def fn(x):
+        return tuple(
+            b + sum(ai * math.sin(fi * xj + pi) for ai, fi, pi, xj in zip(a, f, p, x))
+            for b, a, f, p in rows
+        )
+
+    return MapFn(n, fn)
+
+
+@settings(max_examples=40, deadline=None)
+@given(smooth_contractions(), st.sampled_from([1e-3, 1e-6, 1e-9]))
+def test_certificates_of_box_walks_are_genuine(g, tol):
+    report = solve(g, SolveConfig(tol=tol))
+    spec = GridSpec(g.n, report.m_final)
+    fresh = Labeling(spec, g)
+    cert = report.certificate
+    assert labels_of(fresh, cert.string) == list(cert.labels)
+    assert sorted(cert.labels) == list(range(g.n + 1))
+    for label, point in _certificate_vertices(cert, spec):
+        image = g(point)
+        if label == 0:
+            assert all(gi >= xi for gi, xi in zip(image, point))
+        else:
+            assert image[label - 1] <= point[label - 1]
+    assert report.residual == residual(g, report.z)
+
+
+@settings(max_examples=40, deadline=None)
+@given(smooth_contractions(), st.integers(1, 6), st.data())
+def test_box_labelling_obeys_the_boundary_rules(g, w, data):
+    # any box of any grid: the walk and the parity argument need nothing else
+    m = data.draw(st.integers(w, 40))
+    lo = tuple(data.draw(st.integers(0, m - w)) for _ in range(g.n))
+    box = BoxLabeling(g, GridSpec(g.n, m), lo, w)
+    assert validate_brouwer(box).ok
+    s, trace = path_follow(box.spec, box)
+    verify_trace(box, trace)
+    assert parity_check(box.spec, box).ok
+    if lo == (0,) * g.n and w == m:
+        whole = Labeling(box.spec, g)
+        assert all(box.label(p) == whole.label(p) for p in box.spec.points())
