@@ -83,9 +83,9 @@ class StringK:
             raise ValueError(f"perm {self.perm} is not a permutation of 1..{self.k}")
         if self.k > len(self.base):
             raise ValueError(f"k={self.k} exceeds dimension {len(self.base)}")
-        if any(c < 0 for c in self.base):
+        if self.base and min(self.base) < 0:
             raise ValueError(f"negative coordinate in base {self.base}")
-        if any(self.base[j] != 0 for j in range(self.k, len(self.base))):
+        if any(self.base[self.k:]):
             raise ValueError(f"base {self.base} has nonzero coordinate beyond axis {self.k}")
 
     @property

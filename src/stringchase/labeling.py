@@ -143,18 +143,40 @@ def is_fully_labeled(lab, s: StringK) -> bool:
     return set(labels_of(lab, s)) == set(range(s.k + 1))
 
 
+def doors_of(labels: Sequence[int], k: int) -> list[int]:
+    """Omitted indices, ascending, of the faces labeled exactly {0, ..., k-1}.
+
+    ``labels`` are the k+1 vertex labels of a k-string, of any values.  In
+    O(k): the k labels 0..k-1 fill k of the k+1 places, so there are doors
+    only when each occurs and one entry is left over.  A leftover that
+    repeats a label l < k makes the two places holding l the doors; any
+    other leftover is the single door.  The string is fully labeled exactly
+    when it has one door and that door's label is k.
+    """
+    first = [-1] * k
+    extra = -1
+    for i, value in enumerate(labels):
+        if 0 <= value < k and first[value] < 0:
+            first[value] = i
+        elif extra < 0:
+            extra = i
+        else:
+            return []  # two leftovers: some label below k is missing
+    value = labels[extra]
+    return [first[value], extra] if 0 <= value < k else [extra]
+
+
 def count_fully_labeled_faces(lab, s: StringK) -> tuple[int, list[int]]:
     """Faces of ``s`` carrying the label set {0, ..., k-1}.
 
-    Returns (count, omitted indices).  When the labels of ``s`` lie within
-    0..k the count is 0, 1 or 2, and it is 1 exactly when ``s`` itself is
-    fully labeled.
+    Returns (count, omitted indices in ascending order), from one label
+    pass over the vertices and the O(k) rule of ``doors_of``.  The count
+    is 0, 1 or 2 for any labels, and it is 1 with the door labeled k
+    exactly when ``s`` itself is fully labeled.
     """
     if s.k < 1:
         raise ValueError("faces are defined for strings of dimension >= 1")
-    labels = labels_of(lab, s)
-    want = set(range(s.k))
-    doors = [h for h in range(s.k + 1) if set(labels[:h] + labels[h + 1:]) == want]
+    doors = doors_of(labels_of(lab, s), s.k)
     return len(doors), doors
 
 

@@ -27,7 +27,16 @@ from .grid import (
     string_count,
     vertices,
 )
-from .labeling import count_fully_labeled_faces, is_fully_labeled, label_set
+# count_fully_labeled_faces is not called here (the walk and the parity
+# check take doors from the label vector they hold), but bench/tracer.py
+# looks it up in this module.
+from .labeling import (  # noqa: F401
+    count_fully_labeled_faces,
+    doors_of,
+    is_fully_labeled,
+    label_set,
+    labels_of,
+)
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -127,6 +136,11 @@ def exhaustive_fully_labeled(
 def parity_check(spec: GridSpec, lab, budget: int = DEFAULT_BUDGET) -> ParityReport:
     """Count doors and door-bearing strings at every level 1..n.
 
+    Each k-string is labeled once; its doors and whether it is fully
+    labeled follow from that label vector in O(k) (``labeling.doors_of``).
+    A door is counted under its vertex tuple in string order, which is
+    canonical because coordinate sums rise along a string.
+
     For a labeling obeying the Brouwer boundary rules every level passes
     both the double-count identity and the oddness check; a failed level
     is reported, not raised.
@@ -135,20 +149,23 @@ def parity_check(spec: GridSpec, lab, budget: int = DEFAULT_BUDGET) -> ParityRep
     if required > budget:
         raise BudgetExceeded(required, budget)
 
+    label = lab.label
     levels = []
     for k in range(1, spec.n + 1):
         s1 = s2 = fully = 0
-        containment: Counter[frozenset] = Counter()
+        containment: Counter[tuple] = Counter()
         for b in enumerate_strings(spec, k):
-            count, doors = count_fully_labeled_faces(lab, b)
-            if count == 1:
+            verts = tuple(vertices(b))
+            labels = [label(v) for v in verts]
+            doors = doors_of(labels, k)
+            if len(doors) == 1:
                 s1 += 1
-            elif count == 2:
+                if labels[doors[0]] == k:
+                    fully += 1
+            elif doors:
                 s2 += 1
-            if is_fully_labeled(lab, b):
-                fully += 1
             for h in doors:
-                containment[face_vertices(b, h)] += 1
+                containment[verts[:h] + verts[h + 1:]] += 1
         t1 = sum(1 for c in containment.values() if c == 1)
         t2 = sum(1 for c in containment.values() if c == 2)
         levels.append(LevelParity(k, s1, s2, t1, t2, fully))
@@ -195,19 +212,22 @@ def path_follow(spec: GridSpec, lab) -> tuple[StringK, PathTrace]:
             current, entry, descended = lift(current), 1, False
             continue
 
-        count, doors = count_fully_labeled_faces(lab, current)
+        labels = labels_of(lab, current)
+        doors = doors_of(labels, k)
+        count = len(doors)
+        fully = count == 1 and labels[doors[0]] == k
 
         if descended:
             # current is the downward door of the level above: a fully
             # labeled string whose single door leads onward.
-            if count != 1 or not is_fully_labeled(lab, current):
+            if not fully:
                 raise LabelingInvalid(
                     f"downward door {current} is not fully labeled with a single door"
                 )
             exit_h = doors[0]
             steps.append(TraceStep(k, current, None, exit_h))
         elif count == 1:
-            if not is_fully_labeled(lab, current):
+            if not fully:
                 raise LabelingInvalid(
                     f"{current} has one door but is not fully labeled; "
                     "labels exceed the level"
@@ -251,11 +271,12 @@ def path_follow(spec: GridSpec, lab) -> tuple[StringK, PathTrace]:
 def verify_trace(lab, trace: PathTrace) -> None:
     """Check a trace's structural invariants; raise TraceInvalid if broken.
 
-    Works from the trace alone: consecutive strings must share exactly
-    max(level, next level) vertices whose labels are exactly the set below
-    that level, recorded exit faces must match the shared set, no string
-    may repeat, and the walk must run from the origin seed to a fully
-    labeled string of the top dimension.
+    Works from the trace alone: every string must lie in the labeling's
+    grid, consecutive strings must share exactly max(level, next level)
+    vertices whose labels are exactly the set below that level, recorded
+    exit faces must match the shared set, no string may repeat, and the
+    walk must run from the origin seed to a fully labeled string of the top
+    dimension.
     """
     steps = trace.steps
     if not steps:
@@ -264,6 +285,8 @@ def verify_trace(lab, trace: PathTrace) -> None:
     for step in steps:
         if step.string.k != step.level:
             raise TraceInvalid(f"step level {step.level} != string dimension {step.string.k}")
+        if not all(lab.spec.contains(v) for v in vertices(step.string)):
+            raise TraceInvalid(f"string {step.string} leaves the grid {lab.spec}")
 
     first, last = steps[0], steps[-1]
     if first.level != 0 or any(c != 0 for c in first.string.base):

@@ -254,3 +254,24 @@ def test_grid_spec_validation():
     assert not spec.contains((4, 0))
     assert spec.to_real((1, 3)) == (1 / 3, 1.0)
     assert len(list(spec.points())) == 16
+
+
+@pytest.mark.parametrize(
+    "k, base, perm, message",
+    [
+        (2, (0, 0), (1,), "k=2 but perm has 1 entries"),
+        (2, (0, 0), (1, 1), "perm (1, 1) is not a permutation of 1..2"),
+        (2, (0,), (2, 1), "k=2 exceeds dimension 1"),
+        (1, (0, -1), (1,), "negative coordinate in base (0, -1)"),
+        (1, (0, 2), (1,), "base (0, 2) has nonzero coordinate beyond axis 1"),
+        (0, (0, 0, 1), (), "base (0, 0, 1) has nonzero coordinate beyond axis 0"),
+    ],
+)
+def test_string_validation(k, base, perm, message):
+    with pytest.raises(ValueError) as err:
+        StringK(k, base, perm)
+    assert str(err.value) == message
+
+
+def test_string_with_empty_base_is_accepted():
+    assert vertices(StringK(0, (), ())) == [()]

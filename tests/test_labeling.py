@@ -158,20 +158,36 @@ def test_count_fully_labeled_faces_cases(labels, expected_count):
         assert doors == [2]
 
 
+@pytest.mark.parametrize(
+    "labels, expected_doors",
+    [
+        ((1, 3, 0), [1]),   # a label above k is the single door
+        ((-1, 0, 1), [0]),  # so is a negative one
+        ((0, -1, 3), []),   # two leftovers: label 1 is missing
+    ],
+)
+def test_doors_with_labels_outside_the_level(labels, expected_doors):
+    s = StringK(2, (1, 0), (1, 2))
+    lab = _explicit_for_string(s, labels)
+    assert count_fully_labeled_faces(lab, s) == (len(expected_doors), expected_doors)
+
+
 def test_count_faces_requires_positive_dimension():
     _, lab = induced(REFLECT, 2)
     with pytest.raises(ValueError):
         count_fully_labeled_faces(lab, StringK(0, (0,), ()))
 
 
-def brute_force_door_count(lab, s):
+def brute_force_doors(lab, s):
+    """Omitted indices, ascending, of the k-subsets labeled {0..k-1}."""
     verts = vertices(s)
     want = set(range(s.k))
-    count = 0
-    for subset in itertools.combinations(verts, s.k):
-        if {lab.label(v) for v in subset} == want:
-            count += 1
-    return count
+    doors = []
+    for subset in itertools.combinations(range(s.k + 1), s.k):
+        if {lab.label(verts[i]) for i in subset} == want:
+            (omitted,) = set(range(s.k + 1)) - set(subset)
+            doors.append(omitted)
+    return sorted(doors)
 
 
 def test_count_agrees_with_brute_force_on_induced_labelings():
@@ -181,27 +197,31 @@ def test_count_agrees_with_brute_force_on_induced_labelings():
             for k in range(1, spec.n + 1):
                 for s in enumerate_strings(spec, k):
                     count, doors = count_fully_labeled_faces(lab, s)
-                    assert count == brute_force_door_count(lab, s)
+                    assert doors == brute_force_doors(lab, s)
                     assert len(doors) == count
 
 
 @given(
-    k=st.integers(1, 3),
+    k=st.integers(1, 4),
     seed=st.integers(0, 2 ** 20),
 )
 @settings(max_examples=300)
 def test_door_count_iff_fully_labeled_random_labels(k, seed):
-    # labels drawn from 0..k: at most two doors, exactly one iff fully labeled
+    # labels drawn from -1..k+2, so some break every rule: at most two
+    # doors, the same ones the subset enumeration finds, and exactly one
+    # door labeled k iff fully labeled
     import random
 
     rng = random.Random(seed)
     s = StringK(k, (1,) * k, tuple(range(1, k + 1)))
-    labels = [rng.randint(0, k) for _ in range(k + 1)]
+    labels = [rng.randint(-1, k + 2) for _ in range(k + 1)]
     lab = _explicit_for_string(s, labels)
-    count, _ = count_fully_labeled_faces(lab, s)
-    assert count in (0, 1, 2)
-    assert (count == 1) == (set(labels) == set(range(k + 1)))
-    assert count == brute_force_door_count(lab, s)
+    count, doors = count_fully_labeled_faces(lab, s)
+    assert count == len(doors) <= 2
+    assert doors == brute_force_doors(lab, s)
+    one_door_labeled_k = count == 1 and labels[doors[0]] == k
+    assert one_door_labeled_k == is_fully_labeled(lab, s)
+    assert is_fully_labeled(lab, s) == (set(labels) == set(range(k + 1)))
 
 
 # Brouwer validation

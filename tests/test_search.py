@@ -1,5 +1,8 @@
 """Oracle enumeration, parity bookkeeping, and the door-in/door-out walk."""
 
+import dataclasses
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +18,7 @@ from stringchase import (
     enumerate_strings,
     exhaustive_fully_labeled,
     is_fully_labeled,
+    face_vertices,
     labels_of,
     parity_check,
     path_follow,
@@ -173,7 +177,7 @@ def test_path_rejects_labels_above_level():
     table[(1, 2)] = 2
     table[(2, 2)] = 2
     lab = ExplicitLabeling(spec, table)
-    with pytest.raises(LabelingInvalid):
+    with pytest.raises(LabelingInvalid, match="labels exceed the level"):
         path_follow(spec, lab)
 
 
@@ -201,6 +205,14 @@ def test_verify_trace_rejects_tampering():
         verify_trace(lab, broken)
     broken = type(trace)(steps=trace.steps[:-1], outcome=trace.outcome)
     with pytest.raises(TraceInvalid):
+        verify_trace(lab, broken)
+    # a step moved off the grid is reported, not left to fail in labelling
+    spec, lab = induced(builtin("rot90"), 3)
+    _, trace = path_follow(spec, lab)
+    last = trace.steps[-1]
+    moved = dataclasses.replace(last, string=StringK(2, (3, 3), last.string.perm))
+    broken = type(trace)(steps=trace.steps[:-1] + (moved,), outcome=trace.outcome)
+    with pytest.raises(TraceInvalid, match="leaves the grid"):
         verify_trace(lab, broken)
 
 
@@ -261,3 +273,41 @@ def test_walk_on_random_boundary_rule_labelings(n, m, rnd):
     assert s in exhaustive_fully_labeled(spec, lab, n)
     verify_trace(lab, trace)
     assert parity_check(spec, lab).ok
+
+
+def reference_parity(spec, lab):
+    """Per-level (s1, s2, t1, t2, fully labeled) the long way: doors by
+    dropping each vertex in turn, faces keyed by their vertex sets, and the
+    fully labeled test on every string."""
+    levels = []
+    for k in range(1, spec.n + 1):
+        s1 = s2 = fully = 0
+        containment = Counter()
+        for b in enumerate_strings(spec, k):
+            labels = labels_of(lab, b)
+            doors = [h for h in range(k + 1)
+                     if set(labels[:h] + labels[h + 1:]) == set(range(k))]
+            s1 += len(doors) == 1
+            s2 += len(doors) == 2
+            fully += is_fully_labeled(lab, b)
+            for h in doors:
+                containment[face_vertices(b, h)] += 1
+        t1 = sum(1 for c in containment.values() if c == 1)
+        t2 = sum(1 for c in containment.values() if c == 2)
+        levels.append((k, s1, s2, t1, t2, fully))
+    return levels
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.booleans(), st.randoms(use_true_random=False))
+def test_parity_check_matches_reference_on_random_labelings(n, m, brouwer, rnd):
+    # with or without the boundary rules, labels in 0..n
+    spec = GridSpec(n, m)
+    if brouwer:
+        table = {p: rnd.choice(_legal_labels(p, m, n)) for p in spec.points()}
+    else:
+        table = {p: rnd.randint(0, n) for p in spec.points()}
+    lab = ExplicitLabeling(spec, table)
+    got = [(lv.k, lv.s1, lv.s2, lv.t1, lv.t2, lv.fully_labeled)
+           for lv in parity_check(spec, lab).levels]
+    assert got == reference_parity(spec, lab)
