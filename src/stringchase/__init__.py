@@ -65,7 +65,6 @@ from .search import (
     verify_trace,
 )
 from .solver import (
-    BoxLabeling,
     Certificate,
     ConfigInvalid,
     ResolutionRecord,

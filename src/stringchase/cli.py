@@ -305,7 +305,7 @@ def cmd_labels(args) -> int:
     for p in spec.points():
         real = spec.to_real(p)
         cells = [str(c) for c in p] + [fmt_float(x) for x in real]
-        cells.append(str(induced_label(spec, g, p)))
+        cells.append(str(induced_label(p, spec.m, real, g(real))))
         write(",".join(cells) + "\n")
     return EXIT_OK
 

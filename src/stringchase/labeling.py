@@ -12,6 +12,11 @@ Map outputs are clamped componentwise into [0,1] before comparison, so a
 map that drifts epsilon outside the cube through floating-point roundoff
 cannot break the one-face rule.  The comparison itself is an exact float
 ``<=`` with no tolerance band.
+
+A labeling may also cover a box of w cells per axis inside a finer grid,
+as the solver's restarts do.  The rule (``induced_label``) then forces the
+box's own top faces, so both rules hold on the box, and a box label is
+genuine when it equals the point's label in the whole grid.
 """
 
 from __future__ import annotations
@@ -72,39 +77,70 @@ class MapFn:
         return tuple(out)
 
 
-def induced_label(spec: GridSpec, g: MapFn, x: GridPoint) -> int:
-    """The label of grid point ``x`` induced by ``g`` (one evaluation)."""
-    if not spec.contains(x):
-        raise ValueError(f"{x} is not a point of {spec}")
-    real = spec.to_real(x)
-    gx = g(real)
-    for k in range(spec.n, 0, -1):
-        if x[k - 1] > 0 and gx[k - 1] <= real[k - 1]:
+def induced_label(c: GridPoint, top: int, x: Sequence[float], gx: Sequence[float]) -> int:
+    """The label of point ``c`` of a box {0..top}^n at real point ``x``.
+
+    The largest k with c_k > 0 and either c_k == top or g_k(x) <= x_k, else
+    0; ``gx`` is g(x), already clamped.  On a whole grid (top = m, x = c/m)
+    the c_k == top alternative changes nothing, since g_k(x) <= 1 = x_k
+    there; on a smaller box it forces the box's top faces.
+    """
+    for k in range(len(c), 0, -1):
+        if c[k - 1] > 0 and (c[k - 1] == top or gx[k - 1] <= x[k - 1]):
             return k
     return 0
 
 
 class Labeling:
-    """Memoized induced labeling of a grid by a map.
+    """Memoized induced labeling of a box of a grid by a map.
 
-    Each grid point is labeled at most once; the map is evaluated exactly
-    once per labeled point.  Instances may be queried concurrently (label
-    computation is idempotent), and the cache is never invalidated within
-    a resolution.
+    The box ``spec`` = {0..w}^n sits at offset ``lo`` in the enclosing
+    ``grid``; both default to the whole grid.  Box point c stands for grid
+    point lo + c at the real point ``grid.to_real(lo + c)`` and gets
+    ``induced_label(c, w, x, g(x))``, so both boundary rules hold on the
+    box.  Each point is labeled at most once; the map is evaluated exactly
+    once per labeled point.  With ``keep_images`` each g(x) is kept in
+    ``images``, keyed by box point.  Instances may be queried concurrently
+    (label computation is idempotent), and the cache is never invalidated
+    within a resolution.
     """
 
-    def __init__(self, spec: GridSpec, source: MapFn):
+    def __init__(
+        self,
+        spec: GridSpec,
+        source: MapFn,
+        grid: GridSpec | None = None,
+        lo: GridPoint | None = None,
+        keep_images: bool = False,
+    ):
         if spec.n != source.n:
             raise ValueError(f"grid dimension {spec.n} != map dimension {source.n}")
         self.spec = spec
         self.source = source
+        self.grid = spec if grid is None else grid
+        self.lo = (0,) * spec.n if lo is None else tuple(lo)
+        corner = self.grid_point((spec.m,) * spec.n)
+        if not (self.grid.contains(self.lo) and self.grid.contains(corner)):
+            raise ValueError(f"box {spec} at {self.lo} does not fit in {self.grid}")
+        self._shifted = any(self.lo)  # the whole-grid miss path skips the offset
+        self.images: dict[GridPoint, tuple[float, ...]] | None = {} if keep_images else None
         self._cache: dict[GridPoint, int] = {}
 
-    def label(self, x: GridPoint) -> int:
-        x = tuple(x)
-        lab = self._cache.get(x)
+    def grid_point(self, c: GridPoint) -> GridPoint:
+        """The grid point that box point ``c`` stands for."""
+        return tuple(a + b for a, b in zip(self.lo, c))
+
+    def label(self, c: GridPoint) -> int:
+        c = tuple(c)
+        lab = self._cache.get(c)
         if lab is None:
-            lab = self._cache[x] = induced_label(self.spec, self.source, x)
+            if not self.spec.contains(c):
+                raise ValueError(f"{c} is not a point of {self.spec}")
+            x = self.grid.to_real(self.grid_point(c) if self._shifted else c)
+            gx = self.source(x)
+            if self.images is not None:
+                self.images[c] = gx
+            lab = self._cache[c] = induced_label(c, self.spec.m, x, gx)
         return lab
 
     @property

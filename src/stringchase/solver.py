@@ -14,9 +14,11 @@ walk in a box of BOX_WIDTH cells per axis around the previous witness
 (Merrill's restart), with the box's own top faces forced into the labels so
 that the walk's boundary rules hold inside it.  The box's certificate is
 kept only when every vertex's box label is its label in the whole grid;
-then it is a fully labeled string of the whole grid.  Otherwise the whole
-grid is walked.  A walk's labelling keeps g(x) next to each label, so the
-witness costs no map evaluations.
+then it is a fully labeled string of the whole grid.  Otherwise the box
+doubles in width around the same centre and is walked again, so the whole
+grid is walked only as the last doubling, where every label is genuine.
+The solver's labellings keep g(x) next to each label, so the witness costs
+no map evaluations.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .grid import GridPoint, GridSpec, StringK, vertices
-from .labeling import MapFn, labels_of
+from .labeling import Labeling, MapFn, induced_label, labels_of
 from .search import DEFAULT_BUDGET, LabelingInvalid, exhaustive_fully_labeled, path_follow
 
 ENGINE_PATH = "path"
@@ -78,7 +80,7 @@ class ResolutionRecord:
     residual: float
     diameter: float  # sqrt(n)/m, the certificate string's diameter
     evals: int       # map evaluations spent at this resolution
-    fallback: bool = False  # the box walk's certificate was not genuine
+    fallback: bool = False  # the first box's certificate was not genuine
 
 
 @dataclass(frozen=True)
@@ -92,64 +94,11 @@ class SolveReport:
     history: tuple[ResolutionRecord, ...]
 
 
-class BoxLabeling:
-    """Labelling of the box ``lo + {0..w}^n`` of ``grid``, in box coordinates.
-
-    Box point c stands for grid point lo + c at the real point
-    ``grid.to_real(lo + c)``, the one the whole grid's labelling uses.  Its
-    label is the largest k with c_k > 0 and either c_k == w or
-    g_k(x) <= x_k, else 0, so both boundary rules hold on the box.  With
-    lo = 0 and w = m this is the induced labelling of the grid, since
-    g_k(x) <= 1 = x_k on the top faces anyway.  Each label is kept with
-    g(x); the map is evaluated once per labelled point.
-    """
-
-    def __init__(self, g: MapFn, grid: GridSpec, lo: GridPoint, w: int):
-        if grid.n != g.n:
-            raise ValueError(f"grid dimension {grid.n} != map dimension {g.n}")
-        self.spec = GridSpec(grid.n, w)
-        self.grid = grid
-        self.lo = lo
-        self.source = g
-        self._cache: dict[GridPoint, tuple[int, tuple[float, ...]]] = {}
-
-    def grid_point(self, c: GridPoint) -> GridPoint:
-        return tuple(a + b for a, b in zip(self.lo, c))
-
-    def _entry(self, c: GridPoint) -> tuple[int, tuple[float, ...]]:
-        entry = self._cache.get(c)
-        if entry is None:
-            x = self.grid.to_real(self.grid_point(c))
-            gx = self.source(x)
-            entry = self._cache[c] = (_top_forced_label(c, self.spec.m, x, gx), gx)
-        return entry
-
-    def label(self, c: GridPoint) -> int:
-        return self._entry(tuple(c))[0]
-
-    def image(self, c: GridPoint) -> tuple[float, ...]:
-        """g at the real point of box point ``c`` (labelling it if needed)."""
-        return self._entry(tuple(c))[1]
-
-    def is_genuine(self, c: GridPoint) -> bool:
-        """True iff the box label of ``c`` is its induced label in the grid."""
-        label, gx = self._entry(tuple(c))
-        p = self.grid_point(c)
-        return label == _top_forced_label(p, self.grid.m, self.grid.to_real(p), gx)
-
-    @property
-    def evals(self) -> int:
-        """Number of distinct points labeled so far (= map evaluations)."""
-        return len(self._cache)
-
-
-def _top_forced_label(c: GridPoint, top: int, x: tuple[float, ...], gx: tuple[float, ...]) -> int:
-    """The largest k with c_k > 0 and either c_k == top or g_k(x) <= x_k,
-    else 0.  With top = m, the grid's top faces, it is the induced label."""
-    for k in range(len(c), 0, -1):
-        if c[k - 1] > 0 and (c[k - 1] == top or gx[k - 1] <= x[k - 1]):
-            return k
-    return 0
+def is_genuine(lab: Labeling, c: GridPoint) -> bool:
+    """True iff the box label of ``c`` is its induced label in the grid,
+    from the image ``lab`` kept when it labelled ``c``."""
+    p = lab.grid_point(c)
+    return lab.label(c) == induced_label(p, lab.grid.m, lab.grid.to_real(p), lab.images[c])
 
 
 def residual(g: MapFn, p) -> float:
@@ -159,15 +108,16 @@ def residual(g: MapFn, p) -> float:
     return max(abs(qi - pi) for qi, pi in zip(q, pt))
 
 
-def select_witness(lab: BoxLabeling, s: StringK) -> tuple[tuple[float, ...], float]:
+def select_witness(lab: Labeling, s: StringK) -> tuple[tuple[float, ...], float]:
     """The vertex of ``s`` (as a real point of the grid) with the smallest
     residual, and that residual; ties go to the earlier vertex.  The
-    residuals come from the images ``lab`` kept when it labelled ``s``."""
+    residuals come from the images ``lab`` keeps for the points it labels."""
     best_p = None
     best_r = math.inf
     for c in vertices(s):
+        lab.label(c)
         p = lab.grid.to_real(lab.grid_point(c))
-        r = max(abs(qi - pi) for qi, pi in zip(lab.image(c), p))
+        r = max(abs(qi - pi) for qi, pi in zip(lab.images[c], p))
         if r < best_r:
             best_p, best_r = p, r
     return best_p, best_r
@@ -178,39 +128,35 @@ def solve_at(
 ) -> tuple[Certificate, tuple[float, ...], ResolutionRecord]:
     """One resolution: a fully labeled n-string of ``spec`` and its witness.
 
-    Given the previous witness ``near``, the path engine first walks the
-    BOX_WIDTH box around it, clamped into the grid, and keeps that
-    certificate when all its labels are genuine.  Otherwise, and for the
-    oracle engine, the whole grid is searched.  The record's evals count
-    every map evaluation of the resolution, both walks included.
+    Given the previous witness ``near``, the path engine walks the box of
+    BOX_WIDTH cells per axis around it, clamped into the grid, and keeps
+    that certificate when all its labels are genuine.  Otherwise it doubles
+    the width around the same centre and walks again.  At width m the box
+    is the whole grid, where every label is genuine; without ``near``, and
+    for the oracle engine, that is the first box.  The record's evals count
+    every map evaluation of the resolution, all walks included.
     """
     n, m = spec.n, spec.m
+    w = m if near is None or cfg.engine == ENGINE_ORACLE else min(BOX_WIDTH, m)
     spent, fallback = 0, False
-    if near is not None and cfg.engine == ENGINE_PATH:
-        w = min(BOX_WIDTH, m)
-        lo = tuple(min(max(round(zi * m) - w // 2, 0), m - w) for zi in near)
-        lab = BoxLabeling(g, spec, lo, w)
-        s, _ = path_follow(lab.spec, lab)
-        if all(lab.is_genuine(v) for v in vertices(s)):
-            return _resolution(lab, s, 0, False)
-        spent, fallback = lab.evals, True
+    while True:
+        lo = None if w == m else tuple(min(max(round(zi * m) - w // 2, 0), m - w) for zi in near)
+        lab = Labeling(GridSpec(n, w), g, spec, lo, keep_images=True)
+        if cfg.engine == ENGINE_ORACLE:
+            found = exhaustive_fully_labeled(spec, lab, n, budget=cfg.budget)
+            if not found:
+                raise LabelingInvalid(f"no fully labeled string at m={m}")
+            s = found[0]
+        else:
+            s, _ = path_follow(lab.spec, lab)
+        spent += lab.evals
+        if w == m or all(is_genuine(lab, v) for v in vertices(s)):
+            break
+        w, fallback = min(2 * w, m), True
 
-    lab = BoxLabeling(g, spec, (0,) * n, m)
-    if cfg.engine == ENGINE_ORACLE:
-        found = exhaustive_fully_labeled(spec, lab, n, budget=cfg.budget)
-        if not found:
-            raise LabelingInvalid(f"no fully labeled string at m={m}")
-        s = found[0]
-    else:
-        s, _ = path_follow(lab.spec, lab)
-    return _resolution(lab, s, spent, fallback)
-
-
-def _resolution(lab: BoxLabeling, s: StringK, spent: int, fallback: bool):
-    n, m = lab.grid.n, lab.grid.m
     cert = Certificate(m, StringK(n, lab.grid_point(s.base), s.perm), tuple(labels_of(lab, s)))
     z, r = select_witness(lab, s)
-    return cert, z, ResolutionRecord(m, r, math.sqrt(n) / m, spent + lab.evals, fallback)
+    return cert, z, ResolutionRecord(m, r, math.sqrt(n) / m, spent, fallback)
 
 
 def solve(g: MapFn, cfg: SolveConfig | None = None) -> SolveReport:

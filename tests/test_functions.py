@@ -272,7 +272,10 @@ def test_induced_label_matches_labeling():
             spec = GridSpec(g.n, m)
             lab = Labeling(spec, g)
             for x in spec.points():
-                assert induced_label(spec, g, x) == lab.label(x)
+                real = spec.to_real(x)
+                # forcing the top faces changes no label of a whole grid
+                forced = induced_label(x, m, real, g(real))
+                assert forced == induced_label(x, m + 1, real, g(real)) == lab.label(x)
 
 
 def test_builtin_metadata():

@@ -88,6 +88,14 @@ def test_label_rejects_points_outside_grid():
     _, lab = induced(REFLECT, 4)
     with pytest.raises(ValueError):
         lab.label((5,))
+    # a box of 8 cells at 28 in a grid of 64: its points are 0..8
+    box = Labeling(GridSpec(1, 8), builtin("dottie"), GridSpec(1, 64), (28,))
+    for c in ((9,), (-3,), (1, 1)):
+        with pytest.raises(ValueError):
+            box.label(c)
+    assert box.evals == 0
+    with pytest.raises(ValueError):
+        Labeling(GridSpec(1, 8), REFLECT, GridSpec(1, 64), (57,))
 
 
 def test_map_evaluation_failure_carries_point():

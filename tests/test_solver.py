@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stringchase import (
-    BoxLabeling,
     Certificate,
     ConfigInvalid,
     GridSpec,
@@ -18,6 +17,7 @@ from stringchase import (
     StringK,
     builtin,
     labels_of,
+    parse,
     parity_check,
     path_follow,
     residual,
@@ -28,7 +28,7 @@ from stringchase import (
     vertices,
 )
 from stringchase.functions import DOTTIE
-from stringchase.solver import MAX_M, solve_at
+from stringchase.solver import MAX_M, is_genuine, solve_at
 
 
 def test_residual_examples():
@@ -40,17 +40,17 @@ def test_residual_examples():
 
 def test_select_witness_prefers_smallest_residual():
     g = builtin("reflect1d")
-    lab = BoxLabeling(g, GridSpec(1, 4), (0,), 4)
+    lab = Labeling(GridSpec(1, 4), g, keep_images=True)
     s = StringK(1, (1,), (1,))  # vertices 1/4 and 1/2
     assert select_witness(lab, s) == ((0.5,), 0.0)
 
     g2 = builtin("const-0.5,0.5")
-    lab2 = BoxLabeling(g2, GridSpec(2, 2), (0, 0), 2)
+    lab2 = Labeling(GridSpec(2, 2), g2, keep_images=True)
     s2 = StringK(2, (0, 0), (1, 2))
     assert select_witness(lab2, s2) == ((0.5, 0.5), 0.0)
 
     # in a box, vertices are box coordinates and the witness a grid point
-    box = BoxLabeling(g, GridSpec(1, 64), (28,), 8)
+    box = Labeling(GridSpec(1, 8), g, GridSpec(1, 64), (28,), keep_images=True)
     assert select_witness(box, StringK(1, (3,), (1,))) == ((0.5,), 0.0)
 
 
@@ -198,11 +198,11 @@ def test_box_walk_falls_back_to_the_full_walk():
     # is not genuine and the whole grid must be walked
     g, calls = _counted(builtin("dottie"))
     spec = GridSpec(1, 64)
-    box = BoxLabeling(g, spec, (0,), 8)
+    box = Labeling(GridSpec(1, 8), g, spec, (0,), keep_images=True)
     s, trace = path_follow(box.spec, box)
     verify_trace(box, trace)
-    assert box.label((8,)) == 1 and not box.is_genuine((8,))
-    assert not all(box.is_genuine(v) for v in vertices(s))
+    assert box.label((8,)) == 1 and not is_genuine(box, (8,))
+    assert not all(is_genuine(box, v) for v in vertices(s))
 
     calls[0] = 0
     cert, z, record = solve_at(g, spec, SolveConfig(), near=(0.0,))
@@ -248,10 +248,28 @@ def smooth_contractions(draw):
     return MapFn(n, fn)
 
 
-@settings(max_examples=40, deadline=None)
-@given(smooth_contractions(), st.sampled_from([1e-3, 1e-6, 1e-9]))
-def test_certificates_of_box_walks_are_genuine(g, tol):
-    report = solve(g, SolveConfig(tol=tol))
+TERMS = ("{i}", "{i}^2", "sin(3*{i})", "cos(5*{j})", "{i}*{j}", "abs({i}-0.5)",
+         "max2({i},{j})", "expneg(4*{j})")
+
+
+@st.composite
+def clamped_sums(draw):
+    """Each component a constant plus 1-3 weighted terms, clamped into the
+    cube: mostly not contractions, so boxes often have to grow."""
+    n = draw(st.integers(1, 3))
+    var = st.integers(1, n).map(lambda i: f"x{i}")
+    components = []
+    for _ in range(n):
+        terms = [
+            f"{draw(st.sampled_from([0.3, 0.5, 0.9, 1.5, 2]))}*"
+            + draw(st.sampled_from(TERMS)).format(i=draw(var), j=draw(var))
+            for _ in range(draw(st.integers(1, 3)))
+        ]
+        components.append(" + ".join(terms + [str(draw(st.sampled_from([0, 0.1, 0.2])))]))
+    return parse("; ".join(components), n).as_map_fn()
+
+
+def _assert_genuine_certificate(g: MapFn, report) -> None:
     spec = GridSpec(g.n, report.m_final)
     fresh = Labeling(spec, g)
     cert = report.certificate
@@ -267,12 +285,39 @@ def test_certificates_of_box_walks_are_genuine(g, tol):
 
 
 @settings(max_examples=40, deadline=None)
+@given(smooth_contractions(), st.sampled_from([1e-3, 1e-6, 1e-9]))
+def test_certificates_of_box_walks_are_genuine(g, tol):
+    _assert_genuine_certificate(g, solve(g, SolveConfig(tol=tol)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(clamped_sums())
+def test_growing_boxes_on_clamped_sums(g):
+    g, calls = _counted(g)
+    report = solve(g, SolveConfig(tol=1e-6))
+    assert report.converged
+    assert calls[0] == sum(h.evals for h in report.history)
+    _assert_genuine_certificate(g, report)
+
+
+def test_growing_box_converges_where_the_whole_grid_is_slow():
+    # the first box fails the genuineness check at many resolutions; a
+    # whole-grid walk at m = 2^19 alone costs about 10^6 evals
+    text = "0.9*x2 + 2*cos(5*x2) + 0.2; 0.3*x2^2 + 0.5*cos(5*x2) + 0.2"
+    g, calls = _counted(parse(text, 2).as_map_fn())
+    report = solve(g, SolveConfig(tol=1e-6))
+    assert report.converged and report.residual <= 1e-6
+    assert any(h.fallback for h in report.history)
+    assert calls[0] == sum(h.evals for h in report.history) <= 5_000
+
+
+@settings(max_examples=40, deadline=None)
 @given(smooth_contractions(), st.integers(1, 6), st.data())
 def test_box_labelling_obeys_the_boundary_rules(g, w, data):
     # any box of any grid: the walk and the parity argument need nothing else
     m = data.draw(st.integers(w, 40))
     lo = tuple(data.draw(st.integers(0, m - w)) for _ in range(g.n))
-    box = BoxLabeling(g, GridSpec(g.n, m), lo, w)
+    box = Labeling(GridSpec(g.n, w), g, GridSpec(g.n, m), lo)
     assert validate_brouwer(box).ok
     s, trace = path_follow(box.spec, box)
     verify_trace(box, trace)
