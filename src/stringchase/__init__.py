@@ -33,7 +33,6 @@ from .labeling import (
     RuleViolation,
     count_fully_labeled_faces,
     is_fully_labeled,
-    label_set,
     labels_of,
     validate_brouwer,
 )

@@ -169,11 +169,6 @@ def labels_of(lab, s: StringK) -> list[int]:
     return [lab.label(v) for v in vertices(s)]
 
 
-def label_set(lab, pts) -> set[int]:
-    """Set of labels over an arbitrary collection of grid points."""
-    return {lab.label(p) for p in pts}
-
-
 def is_fully_labeled(lab, s: StringK) -> bool:
     """True iff the labels of ``s`` are exactly {0, ..., k}."""
     return set(labels_of(lab, s)) == set(range(s.k + 1))

@@ -8,9 +8,11 @@ from .search import PathTrace
 # stroke per level: 0 = seed dot, 1 = edge walk, 2 = square walk
 _LEVEL_COLORS = ("#888888", "#1f77b4", "#2ca02c")
 _CERT_COLOR = "#d62728"
+_CELL = 48  # pixels per grid step
+_MARGIN = 36  # pixels around the grid
 
 
-def trace_svg(spec: GridSpec, lab, trace: PathTrace, *, cell: int = 48, margin: int = 36) -> str:
+def trace_svg(spec: GridSpec, lab, trace: PathTrace) -> str:
     """Render a trace over a 2-D grid; the final string is highlighted.
 
     Vertices carry their labels as small text.  Intended for n=2 only;
@@ -19,10 +21,10 @@ def trace_svg(spec: GridSpec, lab, trace: PathTrace, *, cell: int = 48, margin: 
     if spec.n != 2:
         raise ValueError(f"SVG rendering needs a 2-D grid, got n={spec.n}")
     m = spec.m
-    size = 2 * margin + m * cell
+    size = 2 * _MARGIN + m * _CELL
 
     def px(v) -> tuple[float, float]:
-        return margin + v[0] * cell, margin + (m - v[1]) * cell
+        return _MARGIN + v[0] * _CELL, _MARGIN + (m - v[1]) * _CELL
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
@@ -30,13 +32,13 @@ def trace_svg(spec: GridSpec, lab, trace: PathTrace, *, cell: int = 48, margin: 
         f'<rect width="{size}" height="{size}" fill="white"/>',
     ]
     for i in range(m + 1):
-        a = margin + i * cell
+        a = _MARGIN + i * _CELL
         parts.append(
-            f'<line x1="{a}" y1="{margin}" x2="{a}" y2="{size - margin}" '
+            f'<line x1="{a}" y1="{_MARGIN}" x2="{a}" y2="{size - _MARGIN}" '
             f'stroke="#dddddd" stroke-width="1"/>'
         )
         parts.append(
-            f'<line x1="{margin}" y1="{a}" x2="{size - margin}" y2="{a}" '
+            f'<line x1="{_MARGIN}" y1="{a}" x2="{size - _MARGIN}" y2="{a}" '
             f'stroke="#dddddd" stroke-width="1"/>'
         )
 

@@ -3,11 +3,13 @@
 Two independent routes to the same certificates.  The exhaustive route
 enumerates every k-string and filters; it also verifies the parity
 structure that makes the fast route work.  The fast route walks a single
-door-in/door-out path: fully labeled faces are the doors, every string has
-at most two of them, and the only dead ends of the resulting path graph
-are the 0-string at the origin and the fully labeled strings of the top
-dimension.  Starting at the origin therefore always terminates at a fully
-labeled n-string, without enumerating anything.
+door-in/door-out path.  A k-string's links are its doors (faces labeled
+{0, ..., k-1}) plus, when it is fully labeled, the lift to the level
+above.  Under the boundary rules every string has two links except the
+0-string at the origin and the fully labeled strings of the top
+dimension, which have one, so the walk leaves each string by the link it
+did not enter by.  Starting at the origin it therefore always terminates
+at a fully labeled n-string, without enumerating anything.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .labeling import (  # noqa: F401
     count_fully_labeled_faces,
     doors_of,
     is_fully_labeled,
-    label_set,
     labels_of,
 )
 
@@ -175,15 +176,16 @@ def parity_check(spec: GridSpec, lab, budget: int = DEFAULT_BUDGET) -> ParityRep
 def path_follow(spec: GridSpec, lab) -> tuple[StringK, PathTrace]:
     """Walk door-in/door-out from the origin to a fully labeled n-string.
 
-    The walk keeps one current string.  A fully labeled k-string below the
-    top dimension has exactly one door plus the lift that contains it, so
-    it is passed through: entered through its door it is lifted, entered
-    from above it exits through its door.  A string with two doors is
-    crossed from one to the other, pivoting when the exit door is shared
-    with a neighbor and descending when the exit door lies flat in the
-    zero slab of its level (the only boundary case the rules permit).
-    Since every string on the path has at most two connections, the walk
-    is a simple path and can only end at a fully labeled n-string.
+    A k-string's links are its doors (``doors_of``) plus, when it is fully
+    labeled, the lift to the k+1-string containing it, encoded None.  Under
+    the boundary rules every string has two links except the origin
+    0-string and a fully labeled n-string, which have one, so the walk
+    leaves each string by the link it did not enter by.  Exit None lifts,
+    or stops at k = n; any other exit pivots through that face, except the
+    floor door in the zero slab of level k, where the walk descends to the
+    face, which it enters through that face's lift (None).  Since no string
+    has more than two links, the walk is a simple path and can only end at
+    a fully labeled n-string.
 
     Raises LabelingInvalid as soon as the labeling breaks one of the
     boundary rules the walk relies on, and StepLimitExceeded if more
@@ -191,13 +193,13 @@ def path_follow(spec: GridSpec, lab) -> tuple[StringK, PathTrace]:
     cycles are impossible when the degree bound holds).
     """
     n = spec.n
+    origin = StringK(0, (0,) * n, ())
+    if lab.label(origin.base) != 0:
+        raise LabelingInvalid("the origin must carry label 0")
+    steps = [TraceStep(0, origin, None, None)]
     limits = [string_count(spec, k) + 1 for k in range(n + 1)]
     visits = [0] * (n + 1)
-    steps: list[TraceStep] = []
-
-    current = StringK(0, (0,) * n, ())
-    entry: int | None = None
-    descended = False
+    current, entry = lift(origin), 1
 
     while True:
         k = current.k
@@ -205,50 +207,27 @@ def path_follow(spec: GridSpec, lab) -> tuple[StringK, PathTrace]:
         if visits[k] > limits[k]:
             raise StepLimitExceeded(f"more than {limits[k]} strings visited at level {k}")
 
-        if k == 0:
-            if lab.label(current.base) != 0:
-                raise LabelingInvalid("the origin must carry label 0")
-            steps.append(TraceStep(0, current, None, None))
-            current, entry, descended = lift(current), 1, False
-            continue
-
         labels = labels_of(lab, current)
-        doors = doors_of(labels, k)
-        count = len(doors)
-        fully = count == 1 and labels[doors[0]] == k
-
-        if descended:
-            # current is the downward door of the level above: a fully
-            # labeled string whose single door leads onward.
-            if not fully:
-                raise LabelingInvalid(
-                    f"downward door {current} is not fully labeled with a single door"
-                )
-            exit_h = doors[0]
-            steps.append(TraceStep(k, current, None, exit_h))
-        elif count == 1:
-            if not fully:
+        links: list[int | None] = doors_of(labels, k)
+        if len(links) == 1:
+            if labels[links[0]] != k:
                 raise LabelingInvalid(
                     f"{current} has one door but is not fully labeled; "
                     "labels exceed the level"
                 )
-            if entry not in doors:
-                raise LabelingInvalid(f"entry face {entry} of {current} is not a door")
-            steps.append(TraceStep(k, current, entry, None))
+            links.append(None)
+        if entry not in links:
+            raise LabelingInvalid(f"entry {entry} of {current} is not one of its links {links}")
+        exit_h = links[1] if links[0] == entry else links[0]
+        steps.append(TraceStep(k, current, entry, exit_h))
+
+        if exit_h is None:
             if k == n:
                 return current, PathTrace(tuple(steps), OUTCOME_FOUND)
-            current, entry, descended = lift(current), k + 1, False
+            current, entry = lift(current), k + 1
             continue
-        elif count == 2:
-            if entry not in doors:
-                raise LabelingInvalid(f"entry face {entry} of {current} is not a door")
-            exit_h = doors[1] if doors[0] == entry else doors[0]
-            steps.append(TraceStep(k, current, entry, exit_h))
-        else:
-            raise LabelingInvalid(f"{count} doors at {current}; must be 1 or 2")
-
         try:
-            nxt = pivot(spec, current, exit_h)
+            current, entry = pivot(spec, current, exit_h), pivot_entry_index(exit_h, k)
         except BoundaryFace:
             floor_door = (
                 exit_h == k and current.perm[-1] == k and current.base[k - 1] == 0
@@ -262,10 +241,7 @@ def path_follow(spec: GridSpec, lab) -> tuple[StringK, PathTrace]:
                 raise LabelingInvalid(
                     "walk descended back to the origin; labeling is not Brouwer"
                 ) from None
-            current = StringK(k - 1, current.base, current.perm[:-1])
-            entry, descended = None, True
-        else:
-            current, entry, descended = nxt, pivot_entry_index(exit_h, k), False
+            current, entry = StringK(k - 1, current.base, current.perm[:-1]), None
 
 
 def verify_trace(lab, trace: PathTrace) -> None:
@@ -274,8 +250,9 @@ def verify_trace(lab, trace: PathTrace) -> None:
     Works from the trace alone: every string must lie in the labeling's
     grid, consecutive strings must share exactly max(level, next level)
     vertices whose labels are exactly the set below that level, recorded
-    exit faces must match the shared set, no string may repeat, and the
-    walk must run from the origin seed to a fully labeled string of the top
+    exit and entry faces must match the shared set (None only where levels
+    rise and fall respectively), no string may repeat, and the walk must
+    run from the origin seed to a fully labeled string of the top
     dimension.
     """
     steps = trace.steps
@@ -291,6 +268,8 @@ def verify_trace(lab, trace: PathTrace) -> None:
     first, last = steps[0], steps[-1]
     if first.level != 0 or any(c != 0 for c in first.string.base):
         raise TraceInvalid("trace does not start at the origin 0-string")
+    if first.entry is not None:
+        raise TraceInvalid("first step records an entry face")
     if last.level != lab.spec.n:
         raise TraceInvalid(f"trace ends at level {last.level}, not {lab.spec.n}")
     if last.exit is not None:
@@ -308,12 +287,16 @@ def verify_trace(lab, trace: PathTrace) -> None:
             raise TraceInvalid(
                 f"consecutive strings share {len(shared)} vertices, expected {level}"
             )
-        if label_set(lab, shared) != set(range(level)):
+        if {lab.label(p) for p in shared} != set(range(level)):
             raise TraceInvalid("shared face is not fully labeled one level down")
-        if a.exit is not None and face_vertices(a.string, a.exit) != frozenset(shared):
+        if a.exit is not None and face_vertices(a.string, a.exit) != shared:
             raise TraceInvalid("recorded exit face does not match the shared vertices")
         if a.exit is None and a.level != level - 1:
             raise TraceInvalid("lift recorded where levels do not rise")
+        if b.entry is not None and face_vertices(b.string, b.entry) != shared:
+            raise TraceInvalid("recorded entry face does not match the shared vertices")
+        if b.entry is None and b.level != level - 1:
+            raise TraceInvalid("descent recorded where levels do not fall")
 
     if trace.outcome != OUTCOME_FOUND:
         raise TraceInvalid(f"unexpected outcome {trace.outcome!r}")

@@ -10,13 +10,14 @@ is; on a blown resolution budget the best witness seen so far is returned
 with converged=False.
 
 The first resolution searches the whole grid.  Each later one restarts the
-walk in a box of BOX_WIDTH cells per axis around the previous witness
+search in a box of BOX_WIDTH cells per axis around the previous witness
 (Merrill's restart), with the box's own top faces forced into the labels so
 that the walk's boundary rules hold inside it.  The box's certificate is
 kept only when every vertex's box label is its label in the whole grid;
 then it is a fully labeled string of the whole grid.  Otherwise the box
-doubles in width around the same centre and is walked again, so the whole
-grid is walked only as the last doubling, where every label is genuine.
+doubles in width around the same centre and is searched again, so the
+whole grid is searched only as the last doubling, where every label is
+genuine.  Both engines search the same boxes.
 The solver's labellings keep g(x) next to each label, so the witness costs
 no map evaluations.
 """
@@ -128,22 +129,24 @@ def solve_at(
 ) -> tuple[Certificate, tuple[float, ...], ResolutionRecord]:
     """One resolution: a fully labeled n-string of ``spec`` and its witness.
 
-    Given the previous witness ``near``, the path engine walks the box of
-    BOX_WIDTH cells per axis around it, clamped into the grid, and keeps
-    that certificate when all its labels are genuine.  Otherwise it doubles
-    the width around the same centre and walks again.  At width m the box
-    is the whole grid, where every label is genuine; without ``near``, and
-    for the oracle engine, that is the first box.  The record's evals count
-    every map evaluation of the resolution, all walks included.
+    Given the previous witness ``near``, the box of BOX_WIDTH cells per
+    axis around it, clamped into the grid, is searched, and its certificate
+    is kept when all its labels are genuine.  Otherwise the width doubles
+    around the same centre and the box is searched again.  At width m the
+    box is the whole grid, where every label is genuine; without ``near``
+    that is the first box.  The engine decides only how a box is searched:
+    the path engine walks it, the oracle enumerates its n-strings and takes
+    the first fully labeled one.  The record's evals count every map
+    evaluation of the resolution, all searches included.
     """
     n, m = spec.n, spec.m
-    w = m if near is None or cfg.engine == ENGINE_ORACLE else min(BOX_WIDTH, m)
+    w = m if near is None else min(BOX_WIDTH, m)
     spent, fallback = 0, False
     while True:
         lo = None if w == m else tuple(min(max(round(zi * m) - w // 2, 0), m - w) for zi in near)
         lab = Labeling(GridSpec(n, w), g, spec, lo, keep_images=True)
         if cfg.engine == ENGINE_ORACLE:
-            found = exhaustive_fully_labeled(spec, lab, n, budget=cfg.budget)
+            found = exhaustive_fully_labeled(lab.spec, lab, n, budget=cfg.budget)
             if not found:
                 raise LabelingInvalid(f"no fully labeled string at m={m}")
             s = found[0]

@@ -161,6 +161,9 @@ def test_path_rejects_invalid_labeling():
     lab = ExplicitLabeling(spec, lambda p: 0)  # breaks the one-face rule
     with pytest.raises(LabelingInvalid):
         path_follow(spec, lab)
+    lab = ExplicitLabeling(spec, lambda p: 1)  # breaks the zero-face rule at 0
+    with pytest.raises(LabelingInvalid, match="the origin must carry label 0"):
+        path_follow(spec, lab)
 
 
 def test_path_rejects_labels_above_level():
@@ -214,6 +217,19 @@ def test_verify_trace_rejects_tampering():
     broken = type(trace)(steps=trace.steps[:-1] + (moved,), outcome=trace.outcome)
     with pytest.raises(TraceInvalid, match="leaves the grid"):
         verify_trace(lab, broken)
+    # a pivot step's recorded entry face is checked like its exit face
+    spec, lab = induced(builtin("rot90"), 4)
+    _, trace = path_follow(spec, lab)
+    i = next(i for i, s in enumerate(trace.steps)
+             if i and s.entry == 1 and trace.steps[i - 1].level == s.level)
+    for entry, message in ((0, "recorded entry face"), (None, "descent recorded")):
+        tampered = dataclasses.replace(trace.steps[i], entry=entry)
+        broken = type(trace)(trace.steps[:i] + (tampered,) + trace.steps[i + 1:], trace.outcome)
+        with pytest.raises(TraceInvalid, match=message):
+            verify_trace(lab, broken)
+    seed = dataclasses.replace(trace.steps[0], entry=0)
+    with pytest.raises(TraceInvalid, match="first step records an entry face"):
+        verify_trace(lab, type(trace)((seed,) + trace.steps[1:], trace.outcome))
 
 
 def test_path_descends_through_floor_door():

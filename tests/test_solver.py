@@ -104,6 +104,16 @@ def test_oracle_engine_agrees_with_path_engine():
         assert residual(g, a.z) <= 1e-2 and residual(g, b.z) <= 1e-2
 
 
+def test_oracle_searches_the_growing_boxes():
+    # the oracle enumerates the boxes the walk walks; on the whole grid at
+    # every resolution this solve took about 2 * 10^6 evals
+    g = builtin("dottie")
+    report = solve(g, SolveConfig(engine="oracle"))
+    assert report.converged and report.m_final == 2 ** 20
+    assert sum(h.evals for h in report.history) <= 1000
+    _assert_genuine_certificate(g, report)
+
+
 def test_non_convergence_returns_best_so_far():
     report = solve(builtin("dottie"), SolveConfig(tol=1e-15, max_m=64))
     assert not report.converged
