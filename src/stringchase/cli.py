@@ -168,17 +168,11 @@ def build_parser() -> _Parser:
     _add_map_arguments(sp)
     sp.add_argument("--tol", type=float, default=SolveConfig.tol,
                     help="residual tolerance (sup norm)")
-    sp.add_argument("--initial-m", type=int, default=SolveConfig.initial_m,
-                    help="starting resolution")
-    sp.add_argument("--growth", type=int, default=SolveConfig.growth,
-                    help="resolution multiplier")
     sp.add_argument("--max-m", type=int, default=SolveConfig.max_m,
-                    help="resolution cap (at most 2^52)")
+                    help="largest resolution; m doubles from 2 (at most 2^52)")
     sp.add_argument("--engine", choices=["path", "oracle"], default="path")
-    fmt = sp.add_mutually_exclusive_group()
-    fmt.add_argument("--json", dest="format", action="store_const", const="json", default="json")
-    fmt.add_argument("--csv", dest="format", action="store_const", const="csv",
-                     help="print the per-resolution history as CSV instead of JSON")
+    sp.add_argument("--csv", action="store_true",
+                    help="print the per-resolution history as CSV instead of JSON")
     _add_budget_argument(sp)
     sp.add_argument("--record", help="write a JSON record with provenance")
     sp.set_defaults(handler=cmd_solve)
@@ -243,16 +237,11 @@ def _resolve_budget(args) -> int:
 def cmd_solve(args) -> int:
     g = _resolve_map(args)
     cfg = SolveConfig(
-        initial_m=args.initial_m,
-        growth=args.growth,
-        max_m=args.max_m,
-        tol=args.tol,
-        engine=args.engine,
-        budget=_resolve_budget(args),
+        max_m=args.max_m, tol=args.tol, engine=args.engine, budget=_resolve_budget(args)
     )
     report = solve(g, cfg)
     payload = solve_report_payload(report)
-    if args.format == "csv":
+    if args.csv:
         lines = ["m,residual,diameter,evals"]
         lines += [
             f"{h.m},{fmt_float(h.residual)},{fmt_float(h.diameter)},{h.evals}"

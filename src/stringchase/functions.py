@@ -260,7 +260,11 @@ class _Parser:
             kind, value, pos = self.take()
             if kind != "number" or "." in value:
                 raise ExprSyntaxError("exponent must be a nonnegative integer", pos)
-            node, depth = Pow(node, int(value)), self.bounded(depth + 1, pos)
+            try:
+                exponent = int(value)
+            except ValueError:  # more digits than int() converts
+                raise ExprSyntaxError(f"exponent too large ({len(value)} digits)", pos) from None
+            node, depth = Pow(node, exponent), self.bounded(depth + 1, pos)
         return node, depth
 
     def parse_atom(self) -> tuple[ExprNode, int]:
@@ -276,7 +280,13 @@ class _Parser:
                 return self.parse_call(value, pos)
             m = re.fullmatch(r"x(\d+)", value)
             if m:
-                index = int(m.group(1))
+                try:
+                    index = int(m.group(1))
+                except ValueError:  # more digits than int() converts
+                    raise IndexOutOfRange(
+                        f"variable index has {len(m.group(1))} digits, "
+                        f"out of range for dimension {self.n}", pos
+                    ) from None
                 if not 1 <= index <= self.n:
                     raise IndexOutOfRange(
                         f"variable x{index} out of range for dimension {self.n}", pos

@@ -22,14 +22,10 @@ genuine when it equals the point's label in the whole grid.
 from __future__ import annotations
 
 import math
-import random
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .grid import GridPoint, GridSpec, StringK, vertices
-
-EXHAUSTIVE_POINT_BUDGET = 1_000_000
-VALIDATION_SAMPLE_SIZE = 10_000
 
 
 class MapEvaluationFailed(RuntimeError):
@@ -223,47 +219,29 @@ class RuleViolation:
 
 @dataclass(frozen=True)
 class BrouwerReport:
-    """Result of checking the two boundary rules over (a sample of) the grid."""
+    """Result of checking the two boundary rules at every grid point."""
 
     checked: int
-    exhaustive: bool
-    violations: tuple[RuleViolation, ...] = field(default=())
+    violations: tuple[RuleViolation, ...] = ()
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
-def validate_brouwer(
-    lab,
-    *,
-    point_budget: int = EXHAUSTIVE_POINT_BUDGET,
-    sample_size: int = VALIDATION_SAMPLE_SIZE,
-    seed: int = 0,
-) -> BrouwerReport:
+def validate_brouwer(lab) -> BrouwerReport:
     """Check the zero-face and one-face rules at every grid point.
 
-    Exhaustive while (m+1)^n fits in ``point_budget``; beyond that a
-    deterministic uniform sample of ``sample_size`` points is used.
     Violations are data, not errors: labelings induced from a map never
     produce any, hand-built ones may.
     """
     spec = lab.spec
-    exhaustive = spec.point_count <= point_budget
-    if exhaustive:
-        points = spec.points()
-        checked = spec.point_count
-    else:
-        rng = random.Random(seed)
-        points = (tuple(rng.randint(0, spec.m) for _ in range(spec.n)) for _ in range(sample_size))
-        checked = sample_size
-
     violations = []
-    for p in points:
+    for p in spec.points():
         value = lab.label(p)
         for k in range(1, spec.n + 1):
             if p[k - 1] == 0 and value == k:
                 violations.append(RuleViolation(p, k, value, "zero-face"))
             if p[k - 1] == spec.m and value < k:
                 violations.append(RuleViolation(p, k, value, "one-face"))
-    return BrouwerReport(checked, exhaustive, tuple(violations))
+    return BrouwerReport(spec.point_count, tuple(violations))

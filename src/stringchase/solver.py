@@ -1,13 +1,13 @@
 """Grid refinement loop: fully labeled strings to approximate fixed points.
 
-At each resolution m a fully labeled n-string is located; its vertices
-sandwich a fixed point componentwise, and the string's diameter sqrt(n)/m
-shrinks as m grows.  The loop stops when the best vertex's residual
-||g(z) - z||_inf reaches the tolerance, which is the computable surrogate
-for exact fixedness (it is 0 exactly at true fixed points).  Residuals are
-not promised to fall monotonically between resolutions, only the diameter
-is; on a blown resolution budget the best witness seen so far is returned
-with converged=False.
+The resolutions are m = 2, 4, 8, ... up to max_m.  At each one a fully
+labeled n-string is located; its vertices sandwich a fixed point
+componentwise, and the string's diameter sqrt(n)/m shrinks as m grows.
+The loop stops when the best vertex's residual ||g(z) - z||_inf reaches
+the tolerance, which is the computable surrogate for exact fixedness (it
+is 0 exactly at true fixed points).  Residuals are not promised to fall
+monotonically between resolutions, only the diameter is; past max_m the
+best witness seen so far is returned with converged=False.
 
 The first resolution searches the whole grid.  Each later one restarts the
 search in a box of BOX_WIDTH cells per axis around the previous witness
@@ -44,20 +44,17 @@ class ConfigInvalid(ValueError):
 
 @dataclass(frozen=True)
 class SolveConfig:
-    initial_m: int = 2
-    growth: int = 2
+    """The resolutions are always m = 2, 4, 8, ... up to ``max_m``;
+    ``budget`` caps the strings the oracle enumerates in one box."""
+
     max_m: int = MAX_M
     tol: float = 1e-6
     engine: str = ENGINE_PATH
     budget: int = DEFAULT_BUDGET  # oracle engine only
 
     def __post_init__(self) -> None:
-        if self.initial_m < 1:
-            raise ConfigInvalid(f"initial_m must be >= 1, got {self.initial_m}")
-        if self.growth < 2:
-            raise ConfigInvalid(f"growth must be >= 2, got {self.growth}")
-        if self.max_m < self.initial_m:
-            raise ConfigInvalid(f"max_m {self.max_m} below initial_m {self.initial_m}")
+        if self.max_m < 2:
+            raise ConfigInvalid(f"max_m must be >= 2, got {self.max_m}")
         if self.max_m > MAX_M:
             raise ConfigInvalid(f"max_m must be <= 2^52, got {self.max_m}")
         if not self.tol > 0:
@@ -176,7 +173,7 @@ def solve(g: MapFn, cfg: SolveConfig | None = None) -> SolveReport:
     best: tuple[float, tuple[float, ...], Certificate] | None = None
     z = None
 
-    m = cfg.initial_m
+    m = 2
     while m <= cfg.max_m:
         cert, z, record = solve_at(g, GridSpec(n, m), cfg, z)
         history.append(record)
@@ -185,7 +182,7 @@ def solve(g: MapFn, cfg: SolveConfig | None = None) -> SolveReport:
             best = (r, z, cert)
         if r <= cfg.tol:
             return SolveReport(n, z, r, m, True, cert, tuple(history))
-        m *= cfg.growth
+        m *= 2
 
     r, z, cert = best
     return SolveReport(n, z, r, cert.m, False, cert, tuple(history))

@@ -165,7 +165,7 @@ def test_criterion_5_brouwer_validation(corpus, lab_cache):
         for m in (1, 2, 3, 4):
             spec, lab = lab_cache(g, m)
             report = validate_brouwer(lab)
-            assert report.exhaustive
+            assert report.checked == spec.point_count
             assert report.ok, (g.name, m, report.violations[:3])
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"boundary-rule validation took {elapsed:.1f}s"

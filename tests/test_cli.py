@@ -2,6 +2,7 @@
 
 import json
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -200,10 +201,10 @@ def test_labels_csv_const_2d(capsys):
 
 
 def test_solve_oracle_engine_respects_budget(capsys):
+    # m = 2 enumerates 8 strings and does not converge; m = 4 needs 32
     code, _, err = run_cli(
         capsys,
-        "solve", "--builtin", "rot90", "--engine", "oracle",
-        "--initial-m", "4", "--budget", "10",
+        "solve", "--builtin", "avg-0.3,0.6", "--engine", "oracle", "--budget", "10",
     )
     assert code == EXIT_BUDGET
     assert "budget" in err
@@ -224,8 +225,16 @@ def test_bad_grid_resolution_is_usage_error(capsys):
         ("solve", "--builtin", "dottie", "--max-m", str(2 ** 52 + 1)),
         ("solve", "--builtin", "dottie", "--tol", "nan"),
         ("solve", "--builtin", "reflect1d", "--record", "missing-dir/run.json"),
+        ("solve", "--builtin", "dottie", "--max-m", "1"),
+        ("solve", "--builtin", "dottie", "--initial-m", "4"),
+        ("solve", "--builtin", "dottie", "--growth", "3"),
+        ("solve", "--builtin", "dottie", "--json"),
+        ("solve", "--map", "x1^" + "9" * 5000, "--n", "1"),
+        ("solve", "--map", "x" + "9" * 5000, "--n", "1"),
     ],
-    ids=["m-zero", "m-negative", "n-zero", "max-m-above-2^52", "tol-nan", "record-unwritable"],
+    ids=["m-zero", "m-negative", "n-zero", "max-m-above-2^52", "tol-nan", "record-unwritable",
+         "max-m-below-2", "no-initial-m", "no-growth", "no-json",
+         "exponent-past-int-limit", "index-past-int-limit"],
 )
 def test_bad_arguments_are_usage_errors(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -273,12 +282,32 @@ def test_record_round_trip(capsys, tmp_path):
     assert record["payload"] == json.loads(out)
 
 
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+README_COMMANDS = [
+    line for block in re.findall(r"```sh\n(.*?)```", README, re.S)
+    for line in block.splitlines() if line.startswith("stringchase ")
+]
+
+
 def test_readme_solve_example_matches_cli(capsys):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    example = re.search(r"`solve` → SolveReport:\s*```json\n(.*?)```", readme, re.S)
+    example = re.search(r"`solve` → SolveReport:\s*```json\n(.*?)```", README, re.S)
     code, out, _ = run_cli(capsys, "solve", "--builtin", "reflect1d", "--tol", "1e-9")
     assert code == EXIT_OK
     assert " ".join(example.group(1).split()) == out.strip()
+
+
+@pytest.mark.parametrize("line", README_COMMANDS)
+def test_readme_command_runs(capsys, tmp_path, monkeypatch, line):
+    monkeypatch.chdir(tmp_path)  # the trace example writes walk.svg
+    code, out, err = run_cli(capsys, *shlex.split(line)[1:])
+    assert (code, err) == (EXIT_OK, "")
+    assert out
+
+
+def test_readme_library_example_runs(capsys):
+    (source,) = re.findall(r"```python\n(.*?)```", README, re.S)
+    exec(source, {})
+    assert capsys.readouterr().out
 
 
 @pytest.mark.parametrize("via_env", [False, True])

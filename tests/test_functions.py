@@ -99,6 +99,12 @@ def test_syntax_error_reports_position():
     with pytest.raises(MapParseError) as err:
         parse("x1 + $", 1)
     assert err.value.position == 5
+    # integers with more digits than int() converts by default (4300)
+    for text, error, position in (("x1^" + "9" * 5000, ExprSyntaxError, 3),
+                                  ("x" + "9" * 5000, IndexOutOfRange, 0)):
+        with pytest.raises(error) as err:
+            parse(text, 1)
+        assert err.value.position == position
 
 
 def test_depth_bound():

@@ -159,11 +159,27 @@ def test_path_is_deterministic():
 def test_path_rejects_invalid_labeling():
     spec = GridSpec(1, 4)
     lab = ExplicitLabeling(spec, lambda p: 0)  # breaks the one-face rule
-    with pytest.raises(LabelingInvalid):
-        path_follow(spec, lab)
+    with pytest.raises(LabelingInvalid, match="pinned to the grid boundary"):
+        path_follow(spec, lab)  # the door at x = 4 would pivot out of the grid
     lab = ExplicitLabeling(spec, lambda p: 1)  # breaks the zero-face rule at 0
     with pytest.raises(LabelingInvalid, match="the origin must carry label 0"):
         path_follow(spec, lab)
+
+
+def test_path_rejects_a_labeling_that_changes_its_answer():
+    # with fixed labels the face a walk enters by is a door of both strings,
+    # so only a labelling that answers a second read differently can break
+    # the entry rule: the origin reads 0, then 1, which makes the first
+    # 1-string fully labeled with links [0, None] and no face 1 among them
+    reads = Counter()
+
+    def fickle(p):
+        reads[p] += 1
+        return int(p == (0,) and reads[p] > 1)
+
+    spec = GridSpec(1, 4)
+    with pytest.raises(LabelingInvalid, match=r"entry 1 of .* is not one of its links \[0, None\]"):
+        path_follow(spec, ExplicitLabeling(spec, fickle))
 
 
 def test_path_rejects_labels_above_level():
@@ -230,6 +246,33 @@ def test_verify_trace_rejects_tampering():
     seed = dataclasses.replace(trace.steps[0], entry=0)
     with pytest.raises(TraceInvalid, match="first step records an entry face"):
         verify_trace(lab, type(trace)((seed,) + trace.steps[1:], trace.outcome))
+
+    # one tampered trace per remaining check, on the same rot90 m = 4 walk
+    steps = trace.steps
+    assert steps[-1].level == 2 and not is_fully_labeled(lab, StringK(2, (0, 0), (1, 2)))
+    j = next(j for j, s in enumerate(steps) if s.level == 2 and s.exit is not None)
+
+    def replaced(i, **changes):
+        return steps[:i] + (dataclasses.replace(steps[i], **changes),) + steps[i + 1:]
+
+    origin_one = ExplicitLabeling(spec, lambda p: 1 if p == (0, 0) else lab.label(p))
+    cases = [
+        ((), lab, "empty trace"),
+        (replaced(1, level=2), lab, "step level 2 != string dimension 1"),
+        (replaced(len(steps) - 1, exit=0), lab, "final step records an exit face"),
+        (replaced(len(steps) - 1, string=StringK(2, (0, 0), (1, 2))), lab,
+         "final string is not fully labeled"),
+        (steps[:2] + steps[1:], lab, "a string repeats"),
+        (steps[:j] + steps[j + 1:], lab, "consecutive strings share 1 vertices, expected 2"),
+        (steps, origin_one, "shared face is not fully labeled"),
+        (replaced(j, exit=(steps[j].exit + 1) % 3), lab, "recorded exit face does not match"),
+        (replaced(j, exit=None), lab, "lift recorded where levels do not rise"),
+    ]
+    for broken_steps, labeling, message in cases:
+        with pytest.raises(TraceInvalid, match=message):
+            verify_trace(labeling, type(trace)(broken_steps, trace.outcome))
+    with pytest.raises(TraceInvalid, match="unexpected outcome 'lost'"):
+        verify_trace(lab, type(trace)(steps, "lost"))
 
 
 def test_path_descends_through_floor_door():

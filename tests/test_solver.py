@@ -56,13 +56,9 @@ def test_select_witness_prefers_smallest_residual():
 
 def test_config_validation():
     with pytest.raises(ConfigInvalid):
-        SolveConfig(initial_m=0)
-    with pytest.raises(ConfigInvalid):
-        SolveConfig(growth=1)
+        SolveConfig(max_m=1)
     with pytest.raises(ConfigInvalid):
         SolveConfig(tol=0.0)
-    with pytest.raises(ConfigInvalid):
-        SolveConfig(initial_m=8, max_m=4)
     with pytest.raises(ConfigInvalid):
         SolveConfig(engine="magic")
     with pytest.raises(ConfigInvalid):
