@@ -10,10 +10,8 @@ __version__ = "0.1.0"
 
 from .grid import (
     BoundaryFace,
-    DimensionExceeded,
     GridPoint,
     GridSpec,
-    NotAString,
     StringK,
     enumerate_strings,
     face_vertices,
@@ -21,7 +19,6 @@ from .grid import (
     pivot,
     pivot_entry_index,
     string_count,
-    string_from_vertices,
     vertices,
 )
 from .labeling import (

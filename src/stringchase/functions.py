@@ -67,6 +67,15 @@ class UnknownBuiltin(ValueError):
     pass
 
 
+def _quote(token: str | None) -> str:
+    """``token`` (None past the end of the input) as an error message shows
+    it: quoted, and past 20 characters cut to its first 20 plus its length,
+    so that an error on long input stays one short line."""
+    if token is None or len(token) <= 20:
+        return repr(token)
+    return f"{token[:20]!r}... ({len(token)} characters)"
+
+
 @dataclass(frozen=True)
 class Const:
     value: float
@@ -196,7 +205,7 @@ class _Parser:
     def expect_op(self, symbol: str):
         kind, value, pos = self.take()
         if kind != "op" or value != symbol:
-            raise ExprSyntaxError(f"expected {symbol!r}, found {value!r}", pos)
+            raise ExprSyntaxError(f"expected {symbol!r}, found {_quote(value)}", pos)
 
     def at_op(self, *symbols: str) -> bool:
         kind, value, _ = self.peek()
@@ -222,7 +231,7 @@ class _Parser:
             components.append(self.parse_expr()[0])
         kind, value, pos = self.peek()
         if kind is not None:
-            raise ExprSyntaxError(f"trailing input {value!r}", pos)
+            raise ExprSyntaxError(f"trailing input {_quote(value)}", pos)
         if len(components) != self.n:
             raise ComponentCountMismatch(
                 f"map has {len(components)} components, dimension is {self.n}"
@@ -283,17 +292,14 @@ class _Parser:
                 try:
                     index = int(m.group(1))
                 except ValueError:  # more digits than int() converts
-                    raise IndexOutOfRange(
-                        f"variable index has {len(m.group(1))} digits, "
-                        f"out of range for dimension {self.n}", pos
-                    ) from None
+                    index = 0
                 if not 1 <= index <= self.n:
                     raise IndexOutOfRange(
-                        f"variable x{index} out of range for dimension {self.n}", pos
+                        f"variable {_quote(value)} out of range for dimension {self.n}", pos
                     )
                 return Var(index), 0
-            raise UnknownIdentifier(f"unknown identifier {value!r}", pos)
-        raise ExprSyntaxError(f"expected a number, variable or '(', found {value!r}", pos)
+            raise UnknownIdentifier(f"unknown identifier {_quote(value)}", pos)
+        raise ExprSyntaxError(f"expected a number, variable or '(', found {_quote(value)}", pos)
 
     def parse_call(self, func: str, pos: int) -> tuple[ExprNode, int]:
         self.expect_op("(")
@@ -328,9 +334,9 @@ def _parse_params(text: str, what: str) -> tuple[float, ...]:
     try:
         values = tuple(float(part) for part in text.split(","))
     except ValueError:
-        raise UnknownBuiltin(f"bad parameter list {text!r} for {what}") from None
+        raise UnknownBuiltin(f"bad parameter list {_quote(text)} for {what}") from None
     if any(not 0.0 <= v <= 1.0 for v in values):
-        raise UnknownBuiltin(f"{what} parameters must lie in [0,1], got {text!r}")
+        raise UnknownBuiltin(f"{what} parameters must lie in [0,1], got {_quote(text)}")
     return values
 
 
@@ -365,6 +371,6 @@ def builtin(name: str) -> MapFn:
         return MapFn(len(c), lambda p, _c=c: tuple((x + ci) / 2.0 for x, ci in zip(p, _c)),
                      name=name, lipschitz=0.5, fixed_points=(c,))
     raise UnknownBuiltin(
-        f"unknown builtin {name!r}; available: reflect1d, dottie, rot90, squeeze, "
+        f"unknown builtin {_quote(name)}; available: reflect1d, dottie, rot90, squeeze, "
         f"const-<c,...>, avg-<c,...>"
     )

@@ -14,22 +14,14 @@ values from 1 to k and coordinate i of a point is ``p[i - 1]``.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 GridPoint = tuple[int, ...]
 
 
-class NotAString(ValueError):
-    """The given vertex set is not the vertex set of any k-string."""
-
-
 class BoundaryFace(ValueError):
     """The requested pivot step would leave the grid."""
-
-
-class DimensionExceeded(ValueError):
-    """A lift was requested beyond the dimension of the grid."""
 
 
 @dataclass(frozen=True)
@@ -109,49 +101,11 @@ def face_vertices(s: StringK, omitted: int) -> frozenset[GridPoint]:
     return frozenset(verts[:omitted] + verts[omitted + 1:])
 
 
-def string_from_vertices(pts: Iterable[GridPoint]) -> StringK:
-    """Reconstruct the unique k-string with this vertex set.
-
-    Raises NotAString when the points are not a string: coordinate sums must
-    be consecutive, successive differences must be unit steps on distinct
-    axes, and no axis beyond k may be touched.
-    """
-    unique = {tuple(p) for p in pts}
-    if not unique:
-        raise NotAString("empty vertex set")
-    dims = {len(p) for p in unique}
-    if len(dims) != 1:
-        raise NotAString("vertices of mixed dimension")
-    if any(c < 0 for p in unique for c in p):
-        raise NotAString("negative coordinate")
-
-    ordered = sorted(unique, key=lambda p: (sum(p), p))
-    k = len(ordered) - 1
-    sums = [sum(p) for p in ordered]
-    if sums != list(range(sums[0], sums[0] + k + 1)):
-        raise NotAString(f"coordinate sums {sums} are not consecutive")
-
-    axes = []
-    for a, b in zip(ordered, ordered[1:]):
-        delta = [bi - ai for ai, bi in zip(a, b)]
-        stepped = [i + 1 for i, d in enumerate(delta) if d != 0]
-        if len(stepped) != 1 or delta[stepped[0] - 1] != 1:
-            raise NotAString(f"{a} -> {b} is not a unit grid step")
-        axes.append(stepped[0])
-    if len(set(axes)) != k or any(axis > k for axis in axes):
-        raise NotAString(f"stepped axes {axes} are not distinct axes within 1..{k}")
-    base = ordered[0]
-    if any(base[j] != 0 for j in range(k, len(base))):
-        raise NotAString(f"base {base} has nonzero coordinate beyond axis {k}")
-    return StringK(k, base, tuple(axes))
-
-
 def lift(c: StringK) -> StringK:
     """Extend a (k-1)-string living below axis k to the unique k-string
-    containing it: one extra step on axis k from the top vertex."""
+    containing it: one extra step on axis k from the top vertex.  Past the
+    grid's dimension StringK raises ValueError."""
     k = c.k + 1
-    if k > c.n:
-        raise DimensionExceeded(f"cannot lift a {c.k}-string in dimension {c.n}")
     return StringK(k, c.base, c.perm + (k,))
 
 

@@ -10,14 +10,16 @@ monotonically between resolutions, only the diameter is; past max_m the
 best witness seen so far is returned with converged=False.
 
 The first resolution searches the whole grid.  Each later one restarts the
-search in a box of BOX_WIDTH cells per axis around the previous witness
-(Merrill's restart), with the box's own top faces forced into the labels so
-that the walk's boundary rules hold inside it.  The box's certificate is
-kept only when every vertex's box label is its label in the whole grid;
-then it is a fully labeled string of the whole grid.  Otherwise the box
-doubles in width around the same centre and is searched again, so the
+search in a box of 2 cells per axis around the previous witness (Merrill's
+restart), with the box's own top faces forced into the labels so that the
+walk's boundary rules hold inside it.  The box's certificate is kept only
+when every vertex's box label is its label in the whole grid; then it is a
+fully labeled string of the whole grid.  Otherwise the box doubles in width
+around the same centre (4, 8, ... cells) and is searched again, so the
 whole grid is searched only as the last doubling, where every label is
-genuine.  Both engines search the same boxes.
+genuine.  Two cells is the smallest box whose labels depend on the map: in
+a box of one cell every coordinate is 0 or the forced top, so every label
+is fixed without reading g(x).  Both engines search the same boxes.
 The solver's labellings keep g(x) next to each label, so the witness costs
 no map evaluations.
 """
@@ -34,7 +36,6 @@ from .search import DEFAULT_BUDGET, LabelingInvalid, exhaustive_fully_labeled, p
 ENGINE_PATH = "path"
 ENGINE_ORACLE = "oracle"
 
-BOX_WIDTH = 8  # cells per axis of the box walked after the first resolution
 MAX_M = 2 ** 52  # (lo + c) / m stays exact in binary64 up to here
 
 
@@ -78,7 +79,7 @@ class ResolutionRecord:
     residual: float
     diameter: float  # sqrt(n)/m, the certificate string's diameter
     evals: int       # map evaluations spent at this resolution
-    fallback: bool = False  # the first box's certificate was not genuine
+    boxes: int       # boxes searched at this resolution; only the last is kept
 
 
 @dataclass(frozen=True)
@@ -126,20 +127,21 @@ def solve_at(
 ) -> tuple[Certificate, tuple[float, ...], ResolutionRecord]:
     """One resolution: a fully labeled n-string of ``spec`` and its witness.
 
-    Given the previous witness ``near``, the box of BOX_WIDTH cells per
-    axis around it, clamped into the grid, is searched, and its certificate
-    is kept when all its labels are genuine.  Otherwise the width doubles
+    Given the previous witness ``near``, the box of 2 cells per axis
+    around it, clamped into the grid, is searched, and its certificate is
+    kept when all its labels are genuine.  Otherwise the width doubles
     around the same centre and the box is searched again.  At width m the
     box is the whole grid, where every label is genuine; without ``near``
     that is the first box.  The engine decides only how a box is searched:
     the path engine walks it, the oracle enumerates its n-strings and takes
-    the first fully labeled one.  The record's evals count every map
-    evaluation of the resolution, all searches included.
+    the first fully labeled one.  The record counts the boxes searched and
+    every map evaluation of the resolution, all searches included.
     """
     n, m = spec.n, spec.m
-    w = m if near is None else min(BOX_WIDTH, m)
-    spent, fallback = 0, False
+    w = m if near is None else min(2, m)
+    spent = boxes = 0
     while True:
+        boxes += 1
         lo = None if w == m else tuple(min(max(round(zi * m) - w // 2, 0), m - w) for zi in near)
         lab = Labeling(GridSpec(n, w), g, spec, lo, keep_images=True)
         if cfg.engine == ENGINE_ORACLE:
@@ -152,11 +154,11 @@ def solve_at(
         spent += lab.evals
         if w == m or all(is_genuine(lab, v) for v in vertices(s)):
             break
-        w, fallback = min(2 * w, m), True
+        w = min(2 * w, m)
 
     cert = Certificate(m, StringK(n, lab.grid_point(s.base), s.perm), tuple(labels_of(lab, s)))
     z, r = select_witness(lab, s)
-    return cert, z, ResolutionRecord(m, r, math.sqrt(n) / m, spent, fallback)
+    return cert, z, ResolutionRecord(m, r, math.sqrt(n) / m, spent, boxes)
 
 
 def solve(g: MapFn, cfg: SolveConfig | None = None) -> SolveReport:

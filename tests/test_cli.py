@@ -201,7 +201,8 @@ def test_labels_csv_const_2d(capsys):
 
 
 def test_solve_oracle_engine_respects_budget(capsys):
-    # m = 2 enumerates 8 strings and does not converge; m = 4 needs 32
+    # m = 2 and the 2-cell boxes of m = 4, 8, 16 enumerate 8 strings each;
+    # at m = 16 the box grows to 4 cells, which needs 32
     code, _, err = run_cli(
         capsys,
         "solve", "--builtin", "avg-0.3,0.6", "--engine", "oracle", "--budget", "10",
@@ -241,6 +242,26 @@ def test_bad_arguments_are_usage_errors(capsys, tmp_path, monkeypatch, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == EXIT_USAGE
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--map", "x" + "9" * 4000, "--n", "1"),
+        ("solve", "--map", "a" * 5000, "--n", "1"),
+        ("solve", "--map", "x1 " + "b" * 5000, "--n", "1"),
+        ("solve", "--map", "sin(x1 " + "c" * 5000, "--n", "1"),
+        ("solve", "--builtin", "d" * 5000),
+        ("solve", "--builtin", "avg-" + "e" * 5000),
+        ("solve", "--builtin", "avg-" + "2" * 5000),
+    ],
+    ids=["variable", "identifier", "trailing", "expected", "builtin", "avg-list", "avg-range"],
+)
+def test_long_tokens_are_cut_in_errors(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert len(err.encode()) < 200
 
 
 @pytest.mark.parametrize(

@@ -98,6 +98,21 @@ def test_label_rejects_points_outside_grid():
         Labeling(GridSpec(1, 8), REFLECT, GridSpec(1, 64), (57,))
 
 
+def test_one_cell_box_labels_ignore_the_map():
+    # in a box of width 1 every coordinate is 0 or the forced top, so every
+    # label is max{k : c_k = 1} whatever g(x) is: the solver's boxes start
+    # at 2 cells, the smallest width whose labels read the map
+    for name in ("reflect1d", "dottie", "squeeze", "rot90", "const-0,1", "avg-0.3,0.6,0.9"):
+        g = builtin(name)
+        grid = GridSpec(g.n, 16)
+        for lo in itertools.product((0, 7, 15), repeat=g.n):
+            box = Labeling(GridSpec(g.n, 1), g, grid, lo)
+            assert box.label((0,) * g.n) == 0
+            for c in box.spec.points():
+                top = [k for k in range(1, g.n + 1) if c[k - 1] == 1]
+                assert box.label(c) == max(top, default=0)
+
+
 def test_map_evaluation_failure_carries_point():
     def fn(p):
         raise RuntimeError("boom")

@@ -22,7 +22,6 @@ from stringchase import (
     labels_of,
     parity_check,
     path_follow,
-    string_from_vertices,
     verify_trace,
     vertices,
 )
@@ -275,18 +274,20 @@ def test_verify_trace_rejects_tampering():
         verify_trace(lab, type(trace)(steps, "lost"))
 
 
+FLOOR_DOOR_TABLE = {
+    (0, 0): 0, (1, 0): 1, (2, 0): 0, (3, 0): 1,
+    (0, 1): 0, (1, 1): 0, (2, 1): 0, (3, 1): 2,
+    (0, 2): 0, (1, 2): 0, (2, 2): 0, (3, 2): 1,
+    (0, 3): 2, (1, 3): 2, (2, 3): 2, (3, 3): 2,
+}
+
+
 def test_path_descends_through_floor_door():
     # hand-built valid labeling on the 4x4 grid whose walk must leave the
     # square level through the floor, continue along the bottom edge, and
     # climb back up; checks every step against the worked-out trace
     spec = GridSpec(2, 3)
-    table = {
-        (0, 0): 0, (1, 0): 1, (2, 0): 0, (3, 0): 1,
-        (0, 1): 0, (1, 1): 0, (2, 1): 0, (3, 1): 2,
-        (0, 2): 0, (1, 2): 0, (2, 2): 0, (3, 2): 1,
-        (0, 3): 2, (1, 3): 2, (2, 3): 2, (3, 3): 2,
-    }
-    lab = ExplicitLabeling(spec, table)
+    lab = ExplicitLabeling(spec, FLOOR_DOOR_TABLE)
     found, trace = path_follow(spec, lab)
     assert found == StringK(2, (2, 0), (1, 2))
     expected = [
@@ -304,14 +305,19 @@ def test_path_descends_through_floor_door():
 
 
 def test_downward_door_reconstructs_as_string():
-    # every face the pivot reports as a floor door is a real lower string
-    g = builtin("rot90")
-    spec, lab = induced(g, 4)
+    # the face the walk leaves a level through is the vertex set of a
+    # string one level down, and the walk goes on from that string
+    spec = GridSpec(2, 3)
+    lab = ExplicitLabeling(spec, FLOOR_DOOR_TABLE)
     _, trace = path_follow(spec, lab)
-    for step in trace.steps:
-        if step.entry is None and step.level > 0:
-            rebuilt = string_from_vertices(vertices(step.string))
-            assert rebuilt == step.string
+    descents = 0
+    for prev, step in zip(trace.steps, trace.steps[1:]):
+        if step.level < prev.level:
+            door = face_vertices(prev.string, prev.exit)
+            assert door in {frozenset(vertices(c)) for c in enumerate_strings(spec, step.level)}
+            assert door == frozenset(vertices(step.string))
+            descents += 1
+    assert descents == 1
 
 
 def _legal_labels(p, m, n):

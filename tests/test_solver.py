@@ -199,9 +199,10 @@ def test_witness_costs_no_evaluations():
 
 
 def test_box_walk_falls_back_to_the_full_walk():
-    # at m = 64 a box at lo = 0 spans [0, 1/8]; its forced top label 1 at
-    # c = 8 is label 0 in the grid (cos(1/8) > 1/8), so the box certificate
-    # is not genuine and the whole grid must be walked
+    # at m = 64 a box at lo = 0 spans [0, w/64]; its forced top label 1 at
+    # c = w is label 0 in the grid while w/64 < DOTTIE (e.g. cos(1/8) > 1/8
+    # at w = 8), so no box certificate is genuine until the box is the
+    # whole grid
     g, calls = _counted(builtin("dottie"))
     spec = GridSpec(1, 64)
     box = Labeling(GridSpec(1, 8), g, spec, (0,), keep_images=True)
@@ -212,7 +213,7 @@ def test_box_walk_falls_back_to_the_full_walk():
 
     calls[0] = 0
     cert, z, record = solve_at(g, spec, SolveConfig(), near=(0.0,))
-    assert record.fallback
+    assert record.boxes == 6  # widths 2, 4, 8, 16, 32, 64
     assert calls[0] == record.evals
     fresh = Labeling(spec, g)
     assert labels_of(fresh, cert.string) == list(cert.labels) == [0, 1]
@@ -224,11 +225,14 @@ def test_box_walk_falls_back_to_the_full_walk():
     )
 
 
-def test_default_solve_takes_no_fallbacks_on_the_catalog():
-    for name in ("dottie", "rot90", "squeeze", "avg-0.3,0.6", "const-0.3,0.7,0.1"):
+def test_default_solve_cost_on_the_catalog():
+    # boxes start at 2 cells; starting them at 8 cost 107, 5, 2, 219 and 472
+    costs = {"dottie": 50, "rot90": 5, "squeeze": 2, "avg-0.3,0.6": 98,
+             "const-0.3,0.7,0.1": 352}
+    for name, evals in costs.items():
         report = solve(builtin(name))
         assert report.converged
-        assert not any(h.fallback for h in report.history)
+        assert sum(h.evals for h in report.history) <= evals, name
 
 
 @st.composite
@@ -313,7 +317,7 @@ def test_growing_box_converges_where_the_whole_grid_is_slow():
     g, calls = _counted(parse(text, 2).as_map_fn())
     report = solve(g, SolveConfig(tol=1e-6))
     assert report.converged and report.residual <= 1e-6
-    assert any(h.fallback for h in report.history)
+    assert any(h.boxes > 1 for h in report.history)
     assert calls[0] == sum(h.evals for h in report.history) <= 5_000
 
 
