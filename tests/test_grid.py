@@ -63,6 +63,30 @@ def test_vertex_sets_are_canonical():
             assert len(sets) == string_count(spec, k)
 
 
+def _string_of(vertex_set):
+    # read a string back from its unordered vertex set: the vertices climb
+    # one coordinate sum per step, each step a unit step along its perm axis
+    ladder = sorted(vertex_set, key=sum)
+    perm = tuple(
+        next(i + 1 for i, (a, b) in enumerate(zip(lo, hi)) if a != b)
+        for lo, hi in zip(ladder, ladder[1:])
+    )
+    return StringK(len(ladder) - 1, ladder[0], perm)
+
+
+def test_round_trip_exhaustive_small():
+    for spec in all_small_specs():
+        for k in range(spec.n + 1):
+            for s in enumerate_strings(spec, k):
+                assert _string_of(set(vertices(s))) == s
+
+
+@given(specs_and_strings())
+def test_round_trip_random(sp):
+    _, s = sp
+    assert _string_of(set(vertices(s))) == s
+
+
 def test_string_invariants_enforced():
     with pytest.raises(ValueError):
         StringK(1, (0, 0), (2,))  # perm not a permutation of 1..1
