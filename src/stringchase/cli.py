@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import json
 import os
+import re
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .functions import MapParseError, UnknownBuiltin, builtin, parse
+from .functions import MapParseError, UnknownBuiltin, _quote, builtin, parse
 from .grid import GridSpec
 from .labeling import Labeling, MapEvaluationFailed, MapFn, induced_label
 from .search import (
@@ -56,20 +57,22 @@ def fmt_float(x: float) -> str:
 def dump_json(value) -> str:
     if value is None:
         return "null"
-    if isinstance(value, bool):
+    if value is True or value is False:
         return "true" if value else "false"
-    if isinstance(value, int):
+    kind = type(value)  # exact types only; strings escaped as json.dumps does
+    if kind is int:
         return str(value)
-    if isinstance(value, float):
+    if kind is float:
         return fmt_float(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, dict):
-        inner = ", ".join(f"{json.dumps(k)}: {dump_json(v)}" for k, v in value.items())
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is dict:
+        inner = ", ".join([f"{encode_basestring_ascii(k)}: {dump_json(v)}"
+                           for k, v in value.items()])
         return "{" + inner + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(dump_json(v) for v in value) + "]"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+    if kind is list or kind is tuple:
+        return "[" + ", ".join([dump_json(v) for v in value]) + "]"
+    raise TypeError(f"cannot serialize {kind.__name__}")
 
 
 def solve_report_payload(report: SolveReport) -> dict:
@@ -140,7 +143,8 @@ def _write_record(args, payload: dict) -> None:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); we reserve 2
-        raise UsageError(message)
+        # argparse echoes a bad value whole; cut long ones as map errors do
+        raise UsageError(re.sub(r"'?([^\s'\\]{21,})'?", lambda v: _quote(v[1]), message))
 
 
 def _add_map_arguments(sp) -> None:

@@ -28,7 +28,6 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Union
 
 from .labeling import MapFn
 
@@ -105,7 +104,7 @@ class Pow:
     exponent: int  # nonnegative
 
 
-ExprNode = Union[Const, Var, Unary, Binary, Pow]
+ExprNode = Const | Var | Unary | Binary | Pow
 
 # Operator tables: node op -> float function.  A compiled tree calls these
 # directly.  The ops outside _INFIX are also the grammar's FUNC names;

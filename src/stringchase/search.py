@@ -14,8 +14,8 @@ at a fully labeled n-string, without enumerating anything.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate, permutations
 
 from .grid import (
     BoundaryFace,
@@ -137,9 +137,10 @@ def exhaustive_fully_labeled(
 def parity_check(spec: GridSpec, lab, budget: int = DEFAULT_BUDGET) -> ParityReport:
     """Count doors and door-bearing strings at every level 1..n.
 
-    Each k-string is labeled once; its doors and whether it is fully
-    labeled follow from that label vector in O(k) (``labeling.doors_of``).
-    A door is counted under its vertex tuple in string order, which is
+    Each grid point is labeled once, into a list indexed by its flat point
+    sum(c_i * (m+1)^(i-1)); a k-string is its flat base plus one of k! offset
+    rows, and its doors follow from its labels in O(k) (``doors_of``).  A
+    door is counted under its flat vertices in string order, which is
     canonical because coordinate sums rise along a string.
 
     For a labeling obeying the Brouwer boundary rules every level passes
@@ -150,23 +151,28 @@ def parity_check(spec: GridSpec, lab, budget: int = DEFAULT_BUDGET) -> ParityRep
     if required > budget:
         raise BudgetExceeded(required, budget)
 
-    label = lab.label
+    # points() varies c_1 slowest, so the reversed points come in flat order
+    labels = [lab.label(p[::-1]) for p in spec.points()]
+    strides = [(spec.m + 1) ** i for i in range(spec.n)]
+    bases = [0]
     levels = []
     for k in range(1, spec.n + 1):
+        bases = [b + c * strides[k - 1] for c in range(spec.m) for b in bases]
         s1 = s2 = fully = 0
-        containment: Counter[tuple] = Counter()
-        for b in enumerate_strings(spec, k):
-            verts = tuple(vertices(b))
-            labels = [label(v) for v in verts]
-            doors = doors_of(labels, k)
-            if len(doors) == 1:
-                s1 += 1
-                if labels[doors[0]] == k:
-                    fully += 1
-            elif doors:
-                s2 += 1
-            for h in doors:
-                containment[verts[:h] + verts[h + 1:]] += 1
+        containment: dict[tuple[int, ...], int] = {}
+        for axes in permutations(strides[:k]):
+            row = tuple(accumulate(axes, initial=0))
+            columns = [[labels[b + o] for b in bases] for o in row]
+            for base, vector in zip(bases, zip(*columns)):
+                doors = doors_of(vector, k)
+                if len(doors) == 1:
+                    s1 += 1
+                    fully += vector[doors[0]] == k
+                elif doors:
+                    s2 += 1
+                for h in doors:
+                    face = tuple(base + o for o in row[:h] + row[h + 1:])
+                    containment[face] = containment.get(face, 0) + 1
         t1 = sum(1 for c in containment.values() if c == 1)
         t2 = sum(1 for c in containment.values() if c == 2)
         levels.append(LevelParity(k, s1, s2, t1, t2, fully))
@@ -185,7 +191,8 @@ def path_follow(spec: GridSpec, lab) -> tuple[StringK, PathTrace]:
     floor door in the zero slab of level k, where the walk descends to the
     face, which it enters through that face's lift (None).  Since no string
     has more than two links, the walk is a simple path and can only end at
-    a fully labeled n-string.
+    a fully labeled n-string.  Labels are carried from string to string: a
+    lift or pivot reads only the vertex it brings in, a descent none.
 
     Raises LabelingInvalid as soon as the labeling breaks one of the
     boundary rules the walk relies on, and StepLimitExceeded if more
@@ -200,6 +207,7 @@ def path_follow(spec: GridSpec, lab) -> tuple[StringK, PathTrace]:
     limits = [string_count(spec, k) + 1 for k in range(n + 1)]
     visits = [0] * (n + 1)
     current, entry = lift(origin), 1
+    labels = labels_of(lab, current)
 
     while True:
         k = current.k
@@ -207,7 +215,6 @@ def path_follow(spec: GridSpec, lab) -> tuple[StringK, PathTrace]:
         if visits[k] > limits[k]:
             raise StepLimitExceeded(f"more than {limits[k]} strings visited at level {k}")
 
-        labels = labels_of(lab, current)
         links: list[int | None] = doors_of(labels, k)
         if len(links) == 1:
             if labels[links[0]] != k:
@@ -225,6 +232,7 @@ def path_follow(spec: GridSpec, lab) -> tuple[StringK, PathTrace]:
             if k == n:
                 return current, PathTrace(tuple(steps), OUTCOME_FOUND)
             current, entry = lift(current), k + 1
+            labels.append(lab.label(vertices(current)[-1]))
             continue
         try:
             current, entry = pivot(spec, current, exit_h), pivot_entry_index(exit_h, k)
@@ -242,6 +250,10 @@ def path_follow(spec: GridSpec, lab) -> tuple[StringK, PathTrace]:
                     "walk descended back to the origin; labeling is not Brouwer"
                 ) from None
             current, entry = StringK(k - 1, current.base, current.perm[:-1]), None
+            labels.pop()
+            continue
+        del labels[exit_h]
+        labels.insert(entry, lab.label(vertices(current)[entry]))
 
 
 def verify_trace(lab, trace: PathTrace) -> None:

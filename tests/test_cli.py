@@ -254,8 +254,13 @@ def test_bad_arguments_are_usage_errors(capsys, tmp_path, monkeypatch, argv):
         ("solve", "--builtin", "d" * 5000),
         ("solve", "--builtin", "avg-" + "e" * 5000),
         ("solve", "--builtin", "avg-" + "2" * 5000),
+        ("solve", "--builtin", "dottie", "--tol", "z" * 5000),
+        ("verify-parity", "--builtin", "rot90", "--m", "9" * 5000),
+        ("solve", "--builtin", "dottie", "--engine", "f" * 5000),
+        ("solve", "--builtin", "dottie", "g" * 5000),
     ],
-    ids=["variable", "identifier", "trailing", "expected", "builtin", "avg-list", "avg-range"],
+    ids=["variable", "identifier", "trailing", "expected", "builtin", "avg-list", "avg-range",
+         "option-float", "option-int", "option-choice", "unrecognized"],
 )
 def test_long_tokens_are_cut_in_errors(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -390,3 +395,20 @@ def test_float_formatting_17_digits(capsys):
     _, out, _ = run_cli(capsys, "labels", "--builtin", "reflect1d", "--m", "3")
     # 1/3 printed at 17 significant digits
     assert "0.33333333333333331" in out
+
+
+def test_dump_json_contract(capsys):
+    # float-free payloads print exactly as json.dumps prints them
+    payloads = [{"text": 'caf\u00e9 "\\\n\x01', "items": (1, -2, True, False, None, [], {})}]
+    for argv in (("trace", "--builtin", "rot90", "--m", "5"),
+                 ("verify-parity", "--builtin", "avg-0.3,0.6", "--m", "4")):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        payloads.append(json.loads(out))
+        assert out == cli.dump_json(payloads[-1]) + "\n"
+    for payload in payloads:
+        assert cli.dump_json(payload) == json.dumps(payload)
+    # floats at 17 significant digits, where json.dumps prints the shortest repr
+    assert cli.dump_json([0.1, 1 / 3, 2.0]) == "[0.10000000000000001, 0.33333333333333331, 2]"
+    with pytest.raises(TypeError, match="cannot serialize set"):
+        cli.dump_json({"a": {1}})

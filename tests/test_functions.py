@@ -3,6 +3,8 @@
 import json
 import math
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -289,3 +291,24 @@ def test_builtin_metadata():
     assert g.n == 2
     assert g.lipschitz == 0.5
     assert g.fixed_points == ((0.3, 0.6),)
+
+
+REIMPORT = """
+import gc, sys
+import stringchase
+for _ in range(3):
+    for name in [m for m in sys.modules if m.startswith("stringchase")]:
+        del sys.modules[name]
+    import stringchase
+gc.collect()
+print(sum(1 for o in gc.get_objects() if isinstance(o, type) and o.__name__ == "Const"
+          and o.__module__ == "stringchase.functions"))
+"""
+
+
+def test_reimport_leaves_no_old_package_alive():
+    # a typing.Union over the node classes was cached by typing and kept
+    # every earlier import of the package alive
+    proc = subprocess.run([sys.executable, "-c", REIMPORT], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1\n"

@@ -13,6 +13,9 @@ from stringchase import (
     GridSpec,
     Labeling,
     LabelingInvalid,
+    LevelParity,
+    MapFn,
+    ParityReport,
     StringK,
     builtin,
     enumerate_strings,
@@ -25,6 +28,7 @@ from stringchase import (
     verify_trace,
     vertices,
 )
+from stringchase.labeling import doors_of
 from stringchase.search import OUTCOME_FOUND, TraceInvalid
 
 
@@ -376,3 +380,87 @@ def test_parity_check_matches_reference_on_random_labelings(n, m, brouwer, rnd):
     got = [(lv.k, lv.s1, lv.s2, lv.t1, lv.t2, lv.fully_labeled)
            for lv in parity_check(spec, lab).levels]
     assert got == reference_parity(spec, lab)
+
+
+def tuple_keyed_parity(spec, lab):
+    """``parity_check`` as it was before flat indices: every string built as
+    a ``StringK``, its k+1 labels read through ``lab.label``, and each door
+    keyed by the tuple of its vertices in string order."""
+    levels = []
+    for k in range(1, spec.n + 1):
+        s1 = s2 = fully = 0
+        containment = Counter()
+        for b in enumerate_strings(spec, k):
+            verts = tuple(vertices(b))
+            labels = [lab.label(v) for v in verts]
+            doors = doors_of(labels, k)
+            if len(doors) == 1:
+                s1 += 1
+                if labels[doors[0]] == k:
+                    fully += 1
+            elif doors:
+                s2 += 1
+            for h in doors:
+                containment[verts[:h] + verts[h + 1:]] += 1
+        t1 = sum(1 for c in containment.values() if c == 1)
+        t2 = sum(1 for c in containment.values() if c == 2)
+        levels.append(LevelParity(k, s1, s2, t1, t2, fully))
+    return ParityReport(tuple(levels))
+
+
+def random_affine_map(n, rnd):
+    """x -> A x + b with entries in [-1, 1], clamped into the cube by MapFn."""
+    rows = [[rnd.uniform(-1, 1) for _ in range(n + 1)] for _ in range(n)]
+    return MapFn(n, lambda x: [r[n] + sum(a * c for a, c in zip(r, x)) for r in rows])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 5), st.sampled_from(["induced", "brouwer", "any"]),
+       st.randoms(use_true_random=False))
+def test_parity_check_matches_the_tuple_keyed_count(n, m, kind, rnd):
+    # flat indices change how strings and faces are addressed, not the counts
+    spec = GridSpec(n, m)
+    if kind == "induced":
+        lab = Labeling(spec, random_affine_map(n, rnd))
+    elif kind == "brouwer":
+        lab = ExplicitLabeling(spec, {p: rnd.choice(_legal_labels(p, m, n)) for p in spec.points()})
+    else:  # boundary rules broken, so levels fail
+        lab = ExplicitLabeling(spec, {p: rnd.randint(-1, n + 1) for p in spec.points()})
+    assert parity_check(spec, lab) == tuple_keyed_parity(spec, lab)
+
+
+class CountingLabeling:
+    """A labelling that counts how often each point's label is read."""
+
+    def __init__(self, lab):
+        self.spec, self._lab, self.reads = lab.spec, lab, Counter()
+
+    def label(self, p):
+        self.reads[tuple(p)] += 1
+        return self._lab.label(p)
+
+
+@pytest.mark.parametrize("name, m", [("rot90", 5), ("avg-0.3,0.6,0.2", 4), ("reflect1d", 6)])
+def test_parity_reads_each_label_once(name, m):
+    spec, lab = induced(builtin(name), m)
+    counting = CountingLabeling(lab)
+    parity_check(spec, counting)
+    assert set(counting.reads) == set(spec.points())
+    assert sum(counting.reads.values()) == spec.point_count
+
+
+@pytest.mark.parametrize("case", ["rot90", "floor-door"])
+def test_walk_reads_one_label_per_move(case):
+    # the origin and the first 1-string are read in full (3 reads); after
+    # that a lift or pivot reads the one vertex it brings in, a descent none
+    if case == "rot90":
+        spec, lab = induced(builtin("rot90"), 5)
+    else:
+        spec = GridSpec(2, 3)
+        lab = ExplicitLabeling(spec, FLOOR_DOOR_TABLE)
+    counting = CountingLabeling(lab)
+    _, trace = path_follow(spec, counting)
+    levels = [s.level for s in trace.steps]
+    descents = sum(b < a for a, b in zip(levels, levels[1:]))
+    assert descents == (case == "floor-door")
+    assert sum(counting.reads.values()) == len(trace.steps) + 1 - descents
