@@ -127,6 +127,23 @@ def trace_payload(trace: PathTrace) -> dict:
     }
 
 
+def trace_json(trace: PathTrace) -> str:
+    """``dump_json(trace_payload(trace))``, written in one pass over the steps.
+
+    Every step has the same shape and holds only ints and None, so each is
+    formatted directly instead of being built as a dict and walked again.
+    """
+    steps = ", ".join([
+        '{"level": %d, "base": %s, "perm": %s, "entry": %s, "exit": %s}' % (
+            s.level, list(s.string.base), list(s.string.perm),
+            "null" if s.entry is None else s.entry,
+            "null" if s.exit is None else s.exit,
+        )
+        for s in trace.steps
+    ])
+    return '{"steps": [%s], "outcome": %s}' % (steps, encode_basestring_ascii(trace.outcome))
+
+
 def _write_record(args, payload: dict) -> None:
     """--record: the payload with its provenance (inputs, UTC time, version)."""
     if getattr(args, "record", None):
@@ -276,12 +293,12 @@ def cmd_trace(args) -> int:
     spec = _grid(args, g)
     lab = Labeling(spec, g)
     _, trace = path_follow(spec, lab)
-    payload = trace_payload(trace)
-    print(dump_json(payload))
+    print(trace_json(trace))
     if args.svg is not None:
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(trace_svg(spec, lab, trace))
-    _write_record(args, payload)
+    if args.record:
+        _write_record(args, trace_payload(trace))
     return EXIT_OK
 
 

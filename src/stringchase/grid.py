@@ -48,7 +48,8 @@ class GridSpec:
         return len(p) == self.n and all(0 <= c <= self.m for c in p)
 
     def to_real(self, p: GridPoint) -> tuple[float, ...]:
-        return tuple(c / self.m for c in p)
+        m = self.m
+        return tuple([c / m for c in p])
 
     def points(self) -> Iterator[GridPoint]:
         """All grid points in lexicographic order."""
@@ -62,6 +63,11 @@ class StringK:
     ``perm`` lists the axes stepped on the way from the base to the top
     vertex; it is a permutation of 1..k.  All vertices keep coordinate 0 on
     every axis beyond k.
+
+    Calling ``StringK(...)`` validates all of this.  ``pivot`` and ``lift``
+    derive their results from a string already valid and build them through
+    ``_derived`` without checking again; ``search.verify_trace`` checks a
+    walk's strings independently of both.
     """
 
     k: int
@@ -84,6 +90,13 @@ class StringK:
     def n(self) -> int:
         return len(self.base)
 
+    @classmethod
+    def _derived(cls, k: int, base: GridPoint, perm: tuple[int, ...]) -> StringK:
+        """A string that is valid by construction, built without checks."""
+        s = object.__new__(cls)
+        s.__dict__.update(k=k, base=base, perm=perm)
+        return s
+
 
 def vertices(s: StringK) -> list[GridPoint]:
     """The k+1 vertices of ``s``, from the base up."""
@@ -95,6 +108,14 @@ def vertices(s: StringK) -> list[GridPoint]:
     return out
 
 
+def vertex(s: StringK, i: int) -> GridPoint:
+    """Vertex ``i`` of ``s`` alone: the base plus the steps ``perm[:i]``."""
+    cur = list(s.base)
+    for axis in s.perm[:i]:
+        cur[axis - 1] += 1
+    return tuple(cur)
+
+
 def face_vertices(s: StringK, omitted: int) -> frozenset[GridPoint]:
     """Vertex set of the face of ``s`` that drops vertex ``omitted``."""
     verts = vertices(s)
@@ -103,10 +124,16 @@ def face_vertices(s: StringK, omitted: int) -> frozenset[GridPoint]:
 
 def lift(c: StringK) -> StringK:
     """Extend a (k-1)-string living below axis k to the unique k-string
-    containing it: one extra step on axis k from the top vertex.  Past the
-    grid's dimension StringK raises ValueError."""
+    containing it: one extra step on axis k from the top vertex.
+
+    Raises ValueError past the grid's dimension, the one way a lift of a
+    valid string can fail; the result is otherwise valid by construction
+    and is not checked again (see StringK).
+    """
     k = c.k + 1
-    return StringK(k, c.base, c.perm + (k,))
+    if k > len(c.base):
+        raise ValueError(f"k={k} exceeds dimension {len(c.base)}")
+    return StringK._derived(k, c.base, c.perm + (k,))
 
 
 def pivot(spec: GridSpec, b: StringK, h: int) -> StringK:
@@ -123,7 +150,8 @@ def pivot(spec: GridSpec, b: StringK, h: int) -> StringK:
     (omitted index k, h, or 0 respectively) returns ``b``.  Raises
     BoundaryFace when the new vertex would leave the grid; for h = k with
     perm ending in k and a base on the floor of axis k, that face is the
-    downward door into the dimension below.
+    downward door into the dimension below.  A pivot of a valid string is
+    valid, so the result is not checked again (see StringK).
     """
     k = b.k
     if k < 1:
@@ -137,16 +165,16 @@ def pivot(spec: GridSpec, b: StringK, h: int) -> StringK:
         if b.base[axis - 1] + 2 > spec.m:
             raise BoundaryFace(f"step on axis {axis} above {b.base} leaves the grid")
         new_base = _bump(b.base, axis, +1)
-        return StringK(k, new_base, b.perm[1:] + (axis,))
+        return StringK._derived(k, new_base, b.perm[1:] + (axis,))
     if h == k:
         axis = b.perm[-1]
         if b.base[axis - 1] == 0:
             raise BoundaryFace(f"step on axis {axis} below {b.base} leaves the grid")
         new_base = _bump(b.base, axis, -1)
-        return StringK(k, new_base, (axis,) + b.perm[:-1])
+        return StringK._derived(k, new_base, (axis,) + b.perm[:-1])
     swapped = list(b.perm)
     swapped[h - 1], swapped[h] = swapped[h], swapped[h - 1]
-    return StringK(k, b.base, tuple(swapped))
+    return StringK._derived(k, b.base, tuple(swapped))
 
 
 def pivot_entry_index(h: int, k: int) -> int:

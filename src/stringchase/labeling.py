@@ -21,7 +21,6 @@ genuine when it equals the point's label in the whole grid.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 
@@ -55,21 +54,22 @@ class MapFn:
     fixed_points: tuple[tuple[float, ...], ...] = ()
 
     def __call__(self, p: Sequence[float]) -> tuple[float, ...]:
-        pt = tuple(float(c) for c in p)
+        pt = tuple(map(float, p))
         try:
-            raw = tuple(self.fn(pt))
+            # a component float() rejects is the evaluator's fault too
+            out = [0.0 if v < 0.0 else 1.0 if v > 1.0 else v
+                   for v in map(float, self.fn(pt))]
         except MapEvaluationFailed:
             raise
         except Exception as exc:
             raise MapEvaluationFailed(pt, f"evaluator raised {exc!r}") from exc
-        if len(raw) != self.n:
-            raise MapEvaluationFailed(pt, f"expected {self.n} components, got {len(raw)}")
-        out = []
-        for v in raw:
-            v = float(v)
-            if math.isnan(v):
-                raise MapEvaluationFailed(pt, "evaluator produced NaN")
-            out.append(0.0 if v < 0.0 else 1.0 if v > 1.0 else v)
+        if len(out) != self.n:
+            raise MapEvaluationFailed(pt, f"expected {self.n} components, got {len(out)}")
+        # the clamp keeps NaN and nothing else outside [0, 1], so the sum is
+        # NaN exactly when a component is
+        s = sum(out)
+        if s != s:
+            raise MapEvaluationFailed(pt, "evaluator produced NaN")
         return tuple(out)
 
 
@@ -130,8 +130,9 @@ class Labeling:
         c = tuple(c)
         lab = self._cache.get(c)
         if lab is None:
-            if not self.spec.contains(c):
-                raise ValueError(f"{c} is not a point of {self.spec}")
+            spec = self.spec
+            if len(c) != spec.n or min(c) < 0 or max(c) > spec.m:
+                raise ValueError(f"{c} is not a point of {spec}")
             x = self.grid.to_real(self.grid_point(c) if self._shifted else c)
             gx = self.source(x)
             if self.images is not None:

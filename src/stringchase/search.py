@@ -27,6 +27,7 @@ from .grid import (
     pivot,
     pivot_entry_index,
     string_count,
+    vertex,
     vertices,
 )
 # count_fully_labeled_faces is not called here (the walk and the parity
@@ -192,7 +193,8 @@ def path_follow(spec: GridSpec, lab) -> tuple[StringK, PathTrace]:
     face, which it enters through that face's lift (None).  Since no string
     has more than two links, the walk is a simple path and can only end at
     a fully labeled n-string.  Labels are carried from string to string: a
-    lift or pivot reads only the vertex it brings in, a descent none.
+    lift or pivot forms and reads only the vertex it brings in, a descent
+    none.
 
     Raises LabelingInvalid as soon as the labeling breaks one of the
     boundary rules the walk relies on, and StepLimitExceeded if more
@@ -232,7 +234,7 @@ def path_follow(spec: GridSpec, lab) -> tuple[StringK, PathTrace]:
             if k == n:
                 return current, PathTrace(tuple(steps), OUTCOME_FOUND)
             current, entry = lift(current), k + 1
-            labels.append(lab.label(vertices(current)[-1]))
+            labels.append(lab.label(vertex(current, entry)))
             continue
         try:
             current, entry = pivot(spec, current, exit_h), pivot_entry_index(exit_h, k)
@@ -253,7 +255,7 @@ def path_follow(spec: GridSpec, lab) -> tuple[StringK, PathTrace]:
             labels.pop()
             continue
         del labels[exit_h]
-        labels.insert(entry, lab.label(vertices(current)[entry]))
+        labels.insert(entry, lab.label(vertex(current, entry)))
 
 
 def verify_trace(lab, trace: PathTrace) -> None:

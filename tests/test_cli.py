@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from stringchase import __version__, cli, solver
+from stringchase import GridSpec, Labeling, __version__, builtin, cli, parse, path_follow, solver
 from stringchase.cli import (
     EXIT_BUDGET,
     EXIT_CHECK_FAILED,
@@ -412,3 +412,40 @@ def test_dump_json_contract(capsys):
     assert cli.dump_json([0.1, 1 / 3, 2.0]) == "[0.10000000000000001, 0.33333333333333331, 2]"
     with pytest.raises(TypeError, match="cannot serialize set"):
         cli.dump_json({"a": {1}})
+
+
+def _trace(g, m):
+    spec = GridSpec(g.n, m)
+    return path_follow(spec, Labeling(spec, g))[1]
+
+
+def _trace_maps():
+    for name in ("reflect1d", "dottie", "rot90", "squeeze"):
+        yield builtin(name)
+    for n in range(1, 9):
+        c = ",".join(str(round(0.1 + 0.37 * i % 0.8, 2)) for i in range(n))
+        yield builtin(f"const-{c}")
+        yield builtin(f"avg-{c}")
+    yield parse("cos(x1)", 1).as_map_fn()
+    yield parse("0.5*x1+0.3*x2^2; cos(x1*x2)", 2).as_map_fn()
+
+
+def test_trace_json_writes_dump_json_bytes():
+    for g in _trace_maps():
+        for m in (1, 2, 5, 8):
+            t = _trace(g, m)
+            payload = cli.trace_payload(t)
+            assert cli.trace_json(t) == cli.dump_json(payload) == json.dumps(payload), (g.name, m)
+
+
+def test_trace_record_is_written_from_the_payload(capsys, tmp_path):
+    path = tmp_path / "trace.json"
+    argv = ["trace", "--builtin", "avg-0.3,0.6,0.2", "--m", "6", "--record", str(path)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    t = _trace(builtin("avg-0.3,0.6,0.2"), 6)
+    assert out == cli.trace_json(t) + "\n"
+    text = path.read_text(encoding="utf-8")
+    record = {"command": "trace", "arguments": argv, "timestamp": json.loads(text)["timestamp"],
+              "version": __version__, "payload": cli.trace_payload(t)}
+    assert text == cli.dump_json(record) + "\n"

@@ -17,6 +17,7 @@ from stringchase import (
     string_count,
     vertices,
 )
+from stringchase.grid import vertex
 
 
 def all_small_specs(max_n=3, max_m=3):
@@ -226,6 +227,21 @@ def test_pivot_involution_random(sp, h):
         return
     assert pivot(spec, other, pivot_entry_index(h, b.k)) == b
     assert face_vertices(b, h) < set(vertices(other))
+
+
+def test_derived_strings_pass_the_checked_constructor():
+    # pivot and lift skip StringK's checks; what they build must be exactly
+    # what the checked constructor accepts, and the walk's single incoming
+    # vertex must be the one vertices() lists at that index
+    for spec in all_small_specs():
+        strings = [s for k in range(spec.n + 1) for s in enumerate_strings(spec, k)]
+        derived = [other for _, _, other in _pivot_cases(spec)]
+        derived += [lift(c) for c in strings if c.k < spec.n]
+        for s in derived:
+            checked = StringK(s.k, s.base, s.perm)
+            assert checked == s and hash(checked) == hash(s)
+        for s in strings + derived:
+            assert [vertex(s, i) for i in range(s.k + 1)] == vertices(s)
 
 
 def test_pivot_exactly_two_strings_share_interior_face():

@@ -85,15 +85,16 @@ def test_label_memoizes_single_evaluation():
 
 
 def test_label_rejects_points_outside_grid():
-    _, lab = induced(REFLECT, 4)
-    with pytest.raises(ValueError):
-        lab.label((5,))
-    # a box of 8 cells at 28 in a grid of 64: its points are 0..8
-    box = Labeling(GridSpec(1, 8), builtin("dottie"), GridSpec(1, 64), (28,))
-    for c in ((9,), (-3,), (1, 1)):
-        with pytest.raises(ValueError):
-            box.label(c)
-    assert box.evals == 0
+    # a wrong length, a negative coordinate and one above m, on a whole grid
+    # and on a box of 8 cells at (28, 3) in a grid of 64, whose points are 0..8
+    _, lab = induced(builtin("rot90"), 4)
+    box = Labeling(GridSpec(2, 8), builtin("rot90"), GridSpec(2, 64), (28, 3))
+    for labeling, top in ((lab, 4), (box, 8)):
+        for c in ((1,), (1, 1, 1), (-1, 2), (2, -3), (top + 1, 0), (0, top + 1)):
+            with pytest.raises(ValueError) as err:
+                labeling.label(c)
+            assert str(err.value) == f"{c} is not a point of GridSpec(n=2, m={top})"
+        assert labeling.evals == 0
     with pytest.raises(ValueError):
         Labeling(GridSpec(1, 8), REFLECT, GridSpec(1, 64), (57,))
 
@@ -123,16 +124,29 @@ def test_map_evaluation_failure_carries_point():
     assert err.value.point == (0.5,)
 
 
+@pytest.mark.parametrize("component", ["a", None, 1j], ids=["str", "None", "complex"])
+def test_non_numeric_component_is_evaluation_failure(component):
+    g = MapFn(1, lambda p: (component,))
+    with pytest.raises(MapEvaluationFailed, match="evaluator raised") as err:
+        g((0.5,))
+    assert err.value.point == (0.5,)
+
+
 def test_map_clamps_and_rejects_nan():
     g = MapFn(1, lambda p: (2.0,))
     assert g((0.0,)) == (1.0,)
     g = MapFn(1, lambda p: (-0.25,))
     assert g((0.0,)) == (0.0,)
-    g = MapFn(1, lambda p: (float("nan"),))
-    with pytest.raises(MapEvaluationFailed):
-        g((0.0,))
+    g = MapFn(2, lambda p: (float("inf"), float("-inf")))
+    assert g((0.0, 0.0)) == (1.0, 0.0)
+    out = MapFn(3, lambda p: (0, 1, True))((0.0, 0.0, 0.0))
+    assert out == (0.0, 1.0, 1.0) and all(type(v) is float for v in out)
+    for raw in ((float("nan"),), (0.2, float("nan"), 0.9), (float("inf"), float("nan"))):
+        g = MapFn(len(raw), lambda p, raw=raw: raw)
+        with pytest.raises(MapEvaluationFailed, match="evaluator produced NaN"):
+            g((0.0,) * len(raw))
     g = MapFn(2, lambda p: (0.5,))
-    with pytest.raises(MapEvaluationFailed):
+    with pytest.raises(MapEvaluationFailed, match="expected 2 components, got 1"):
         g((0.0, 0.0))
 
 
