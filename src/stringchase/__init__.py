@@ -23,7 +23,6 @@ from .grid import (
 )
 from .labeling import (
     BrouwerReport,
-    ExplicitLabeling,
     Labeling,
     MapEvaluationFailed,
     MapFn,

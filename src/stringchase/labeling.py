@@ -21,8 +21,9 @@ genuine when it equals the point's label in the whole grid.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from itertools import product
 
 from .grid import GridPoint, GridSpec, StringK, vertices
 
@@ -41,10 +42,11 @@ class MapFn:
     """A map of [0,1]^n into itself, evaluated with an unconditional clamp.
 
     ``fn`` may return any sequence of n numbers; calling the MapFn clamps
-    each component into [0,1].  Evaluator exceptions, wrong component
-    counts and NaNs are reported as MapEvaluationFailed together with the
-    input point.  ``lipschitz`` and ``fixed_points`` are optional metadata
-    for maps whose behaviour is known exactly (see the builtin catalog).
+    each component into [0,1].  Evaluator exceptions, components that are
+    not numbers, wrong component counts and NaNs are reported as
+    MapEvaluationFailed together with the input point.  ``lipschitz`` and
+    ``fixed_points`` are optional metadata for maps whose behaviour is
+    known exactly (see the builtin catalog).
     """
 
     n: int
@@ -54,23 +56,27 @@ class MapFn:
     fixed_points: tuple[tuple[float, ...], ...] = ()
 
     def __call__(self, p: Sequence[float]) -> tuple[float, ...]:
-        pt = tuple(map(float, p))
-        try:
-            # a component float() rejects is the evaluator's fault too
-            out = [0.0 if v < 0.0 else 1.0 if v > 1.0 else v
-                   for v in map(float, self.fn(pt))]
-        except MapEvaluationFailed:
-            raise
-        except Exception as exc:
-            raise MapEvaluationFailed(pt, f"evaluator raised {exc!r}") from exc
-        if len(out) != self.n:
-            raise MapEvaluationFailed(pt, f"expected {self.n} components, got {len(out)}")
-        # the clamp keeps NaN and nothing else outside [0, 1], so the sum is
-        # NaN exactly when a component is
-        s = sum(out)
-        if s != s:
-            raise MapEvaluationFailed(pt, "evaluator produced NaN")
-        return tuple(out)
+        return _image(self.fn, self.n, tuple(map(float, p)))
+
+
+def _image(fn: Callable, n: int, pt: tuple[float, ...]) -> tuple[float, ...]:
+    """``fn(pt)`` clamped into [0,1]^n, with MapFn's checks and messages."""
+    try:
+        # text, None or a complex does not compare with a float, so the
+        # clamp raises on a component that is not a number
+        out = tuple([0.0 if v < 0.0 else 1.0 if v > 1.0 else float(v) for v in fn(pt)])
+    except MapEvaluationFailed:
+        raise
+    except Exception as exc:
+        raise MapEvaluationFailed(pt, f"evaluator raised {exc!r}") from exc
+    if len(out) != n:
+        raise MapEvaluationFailed(pt, f"expected {n} components, got {len(out)}")
+    # the clamp keeps NaN and nothing else outside [0, 1], so the sum is
+    # NaN exactly when a component is
+    s = sum(out)
+    if s != s:
+        raise MapEvaluationFailed(pt, "evaluator produced NaN")
+    return out
 
 
 def induced_label(c: GridPoint, top: int, x: Sequence[float], gx: Sequence[float]) -> int:
@@ -99,6 +105,12 @@ class Labeling:
     ``images``, keyed by box point.  Instances may be queried concurrently
     (label computation is idempotent), and the cache is never invalidated
     within a resolution.
+
+    Points are labeled one at a time by ``label``, which bounds-checks its
+    argument and evaluates through the ``MapFn``, or all at once by
+    ``flat_labels``, which visits only box points and calls the raw
+    evaluator ``source.fn`` behind the same clamp and checks.  Both share
+    the cache, so neither evaluates a point the other has labeled.
     """
 
     def __init__(
@@ -140,25 +152,38 @@ class Labeling:
             lab = self._cache[c] = induced_label(c, self.spec.m, x, gx)
         return lab
 
+    def flat_labels(self) -> list[int]:
+        """The label of every box point, in flat order.
+
+        Flat order puts box point c at index sum(c_i * (w+1)^(i-1)), so c_1
+        varies fastest.  Real coordinates come from one table per axis,
+        (lo_i + c) / M for c in 0..w, the floats ``to_real`` gives.  Cached
+        points are read, the others evaluated and cached, so a failing map
+        raises MapEvaluationFailed at its first new failing point in flat
+        order, with the message ``MapFn`` gives.
+        """
+        n, w = self.spec.n, self.spec.m
+        fn, cache, images = self.source.fn, self._cache, self.images
+        # product() varies its last factor fastest, so axis n comes first
+        # and each point and real point is read back reversed
+        reals = [[(lo + c) / self.grid.m for c in range(w + 1)] for lo in reversed(self.lo)]
+        labels = []
+        for cr, xr in zip(product(range(w + 1), repeat=n), product(*reals)):
+            c = cr[::-1]
+            lab = cache.get(c)
+            if lab is None:
+                x = xr[::-1]
+                gx = _image(fn, n, x)
+                if images is not None:
+                    images[c] = gx
+                lab = cache[c] = induced_label(c, w, x, gx)
+            labels.append(lab)
+        return labels
+
     @property
     def evals(self) -> int:
         """Number of distinct points labeled so far (= map evaluations)."""
         return len(self._cache)
-
-
-class ExplicitLabeling:
-    """A labeling given directly as a table or function, for testing.
-
-    No Brouwer conditions are assumed; feed it to ``validate_brouwer`` or
-    the search routines to exercise their failure paths.
-    """
-
-    def __init__(self, spec: GridSpec, source: Mapping[GridPoint, int] | Callable[[GridPoint], int]):
-        self.spec = spec
-        self._fn = source.__getitem__ if isinstance(source, Mapping) else source
-
-    def label(self, x: GridPoint) -> int:
-        return self._fn(tuple(x))
 
 
 def labels_of(lab, s: StringK) -> list[int]:

@@ -34,6 +34,7 @@ from .grid import (
 # check take doors from the label vector they hold), but bench/tracer.py
 # looks it up in this module.
 from .labeling import (  # noqa: F401
+    Labeling,
     count_fully_labeled_faces,
     doors_of,
     is_fully_labeled,
@@ -138,11 +139,18 @@ def exhaustive_fully_labeled(
 def parity_check(spec: GridSpec, lab, budget: int = DEFAULT_BUDGET) -> ParityReport:
     """Count doors and door-bearing strings at every level 1..n.
 
-    Each grid point is labeled once, into a list indexed by its flat point
-    sum(c_i * (m+1)^(i-1)); a k-string is its flat base plus one of k! offset
-    rows, and its doors follow from its labels in O(k) (``doors_of``).  A
-    door is counted under its flat vertices in string order, which is
-    canonical because coordinate sums rise along a string.
+    Each grid point is labeled once, into a list in flat order: point c at
+    index sum(c_i * (m+1)^(i-1)), so c_1 varies fastest.  A ``Labeling`` of
+    ``spec`` fills the list in one sweep (``Labeling.flat_labels``), which
+    runs the map's checks but not ``label``'s bounds check, since every
+    point comes from the grid; any other labeling is read point by point
+    through ``label``.  A k-string is its flat base plus one of k! offset
+    rows, and its doors follow from its labels in O(k) (``doors_of``).
+    Within a level, strings with equal label vectors have equal doors, and
+    there are at most (n+1)^(k+1) distinct vectors under the boundary
+    rules, so each level keeps a door table keyed by the vector.  A door is
+    counted under its flat vertices in string order, which is canonical
+    because coordinate sums rise along a string.
 
     For a labeling obeying the Brouwer boundary rules every level passes
     both the double-count identity and the oddness check; a failed level
@@ -152,8 +160,12 @@ def parity_check(spec: GridSpec, lab, budget: int = DEFAULT_BUDGET) -> ParityRep
     if required > budget:
         raise BudgetExceeded(required, budget)
 
-    # points() varies c_1 slowest, so the reversed points come in flat order
-    labels = [lab.label(p[::-1]) for p in spec.points()]
+    # the exact type: a subclass may label otherwise than the sweep does
+    if type(lab) is Labeling and lab.spec == spec:
+        labels = lab.flat_labels()
+    else:
+        # points() varies c_1 slowest, so the reversed points come in flat order
+        labels = [lab.label(p[::-1]) for p in spec.points()]
     strides = [(spec.m + 1) ** i for i in range(spec.n)]
     bases = [0]
     levels = []
@@ -161,11 +173,14 @@ def parity_check(spec: GridSpec, lab, budget: int = DEFAULT_BUDGET) -> ParityRep
         bases = [b + c * strides[k - 1] for c in range(spec.m) for b in bases]
         s1 = s2 = fully = 0
         containment: dict[tuple[int, ...], int] = {}
+        door_table: dict[tuple[int, ...], list[int]] = {}
         for axes in permutations(strides[:k]):
             row = tuple(accumulate(axes, initial=0))
             columns = [[labels[b + o] for b in bases] for o in row]
             for base, vector in zip(bases, zip(*columns)):
-                doors = doors_of(vector, k)
+                doors = door_table.get(vector)
+                if doors is None:
+                    doors = door_table[vector] = doors_of(vector, k)
                 if len(doors) == 1:
                     s1 += 1
                     fully += vector[doors[0]] == k

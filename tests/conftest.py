@@ -9,10 +9,11 @@ to share between tests.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable, Mapping
 
 import pytest
 
-from stringchase import GridSpec, Labeling, MapFn, builtin, parse
+from stringchase import GridPoint, GridSpec, Labeling, MapFn, builtin, parse
 
 CORPUS_SEED = 20260810
 N_RANDOM_MAPS = 100
@@ -59,6 +60,27 @@ def random_poly_maps(count: int = N_RANDOM_MAPS, seed: int = CORPUS_SEED) -> lis
         text = "; ".join(random_component_text(rng, n) for _ in range(n))
         maps.append(parse(text, n).as_map_fn(name=f"poly-{i:03d}"))
     return maps
+
+
+class ExplicitLabeling:
+    """A labeling given directly as a table or function.
+
+    No Brouwer conditions are assumed; feed it to ``validate_brouwer`` or
+    the search routines to exercise their failure paths.
+    """
+
+    def __init__(self, spec: GridSpec, source: Mapping[GridPoint, int] | Callable[[GridPoint], int]):
+        self.spec = spec
+        self._fn = source.__getitem__ if isinstance(source, Mapping) else source
+
+    def label(self, x: GridPoint) -> int:
+        return self._fn(tuple(x))
+
+
+def random_affine_map(n: int, rnd: random.Random) -> MapFn:
+    """x -> A x + b with entries in [-1, 1], clamped into the cube by MapFn."""
+    rows = [[rnd.uniform(-1, 1) for _ in range(n + 1)] for _ in range(n)]
+    return MapFn(n, lambda x: [r[n] + sum(a * c for a, c in zip(r, x)) for r in rows])
 
 
 @pytest.fixture(scope="session")

@@ -11,6 +11,7 @@ import math
 import random
 import time
 
+from conftest import ExplicitLabeling
 from stringchase import (
     GridSpec,
     SolveConfig,
@@ -26,7 +27,7 @@ from stringchase import (
 )
 from stringchase.cli import main as cli_main
 from stringchase.grid import StringK, face_vertices
-from stringchase.labeling import ExplicitLabeling, count_fully_labeled_faces, is_fully_labeled
+from stringchase.labeling import count_fully_labeled_faces, is_fully_labeled
 
 PARITY_MS = range(1, 6)
 

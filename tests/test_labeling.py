@@ -1,12 +1,14 @@
 """Induced labelings, boundary rules, fully labeled queries."""
 
+import dataclasses
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import ExplicitLabeling, random_affine_map
 from stringchase import (
-    ExplicitLabeling,
     GridSpec,
     Labeling,
     MapEvaluationFailed,
@@ -124,12 +126,16 @@ def test_map_evaluation_failure_carries_point():
     assert err.value.point == (0.5,)
 
 
-@pytest.mark.parametrize("component", ["a", None, 1j], ids=["str", "None", "complex"])
+@pytest.mark.parametrize("component", ["a", None, 1j, "0.25", b"0.3"],
+                         ids=["str", "None", "complex", "numeric-str", "bytes"])
 def test_non_numeric_component_is_evaluation_failure(component):
     g = MapFn(1, lambda p: (component,))
     with pytest.raises(MapEvaluationFailed, match="evaluator raised") as err:
         g((0.5,))
     assert err.value.point == (0.5,)
+    with pytest.raises(MapEvaluationFailed, match="evaluator raised") as err:
+        Labeling(GridSpec(1, 2), g).flat_labels()
+    assert err.value.point == (0.0,)
 
 
 def test_map_clamps_and_rejects_nan():
@@ -148,6 +154,89 @@ def test_map_clamps_and_rejects_nan():
     g = MapFn(2, lambda p: (0.5,))
     with pytest.raises(MapEvaluationFailed, match="expected 2 components, got 1"):
         g((0.0, 0.0))
+
+
+# the whole-box sweep
+
+SWEEP_CATALOG = ("reflect1d", "dottie", "squeeze", "rot90", "const-0.5,0.25",
+                 "avg-0.3,0.6,0.9", "avg-0.2,0.9,0.4,0.7", "const-0,1,0.5,0.25")
+
+
+def flat_points(spec):
+    """The points of ``spec`` in flat order, c_1 varying fastest."""
+    return [p[::-1] for p in spec.points()]
+
+
+def random_box(data, n):
+    """A box of at most 6 cells per axis: a whole grid or shifted in one."""
+    w = data.draw(st.integers(1, 6))
+    if not data.draw(st.booleans()):
+        return GridSpec(n, w), None, None
+    grid = GridSpec(n, w + data.draw(st.integers(1, 6)))
+    lo = tuple(data.draw(st.integers(0, grid.m - w)) for _ in range(n))
+    return GridSpec(n, w), grid, lo
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_flat_labels_equal_per_point_labels(data):
+    # on top of any earlier label calls, the sweep evaluates exactly the
+    # points still missing, and matches a fresh labelling point by point
+    rnd = data.draw(st.randoms(use_true_random=False))
+    if data.draw(st.booleans()):
+        g = builtin(data.draw(st.sampled_from(SWEEP_CATALOG)))
+    else:
+        g = random_affine_map(data.draw(st.integers(1, 4)), rnd)
+    spec, grid, lo = random_box(data, g.n)
+    calls = Counter()
+
+    def counted(x):
+        calls[x] += 1
+        return g.fn(x)
+
+    lab = Labeling(spec, dataclasses.replace(g, fn=counted), grid, lo, keep_images=True)
+    points = flat_points(spec)
+    for c in data.draw(st.lists(st.sampled_from(points), max_size=12)):
+        lab.label(c)
+    fresh = Labeling(spec, g, grid, lo, keep_images=True)
+    assert lab.flat_labels() == [fresh.label(c) for c in points]
+    assert lab.images == fresh.images
+    assert sum(calls.values()) == spec.point_count == lab.evals
+    assert lab.flat_labels() == [fresh.label(c) for c in points]
+    assert sum(calls.values()) == spec.point_count
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from(["raise", "nan", "count", "text", "bytes"]))
+def test_flat_labels_fail_at_the_first_bad_point_in_flat_order(data, fault):
+    rnd = data.draw(st.randoms(use_true_random=False))
+    n = data.draw(st.integers(1, 3))
+    spec, grid, lo = random_box(data, n)
+    bad = set()
+
+    def fn(x):
+        if x not in bad:
+            return (0.5,) * n
+        if fault == "raise":
+            raise ZeroDivisionError("boom")
+        return {"nan": (0.5,) * (n - 1) + (float("nan"),), "count": (0.5,) * (n + 1),
+                "text": ("0.25",) * n, "bytes": (b"0.3",) * n}[fault]
+
+    g = MapFn(n, fn)
+    lab = Labeling(spec, g, grid, lo)
+    points = flat_points(spec)
+    real = [lab.grid.to_real(lab.grid_point(c)) for c in points]
+    bad.update(rnd.sample(real, rnd.randint(1, min(4, len(real)))))
+    first = next(i for i, x in enumerate(real) if x in bad)
+    with pytest.raises(MapEvaluationFailed) as expected:
+        g(real[first])
+    for c in rnd.sample(points[:first], rnd.randint(0, first)):
+        lab.label(c)  # cached points are read, never evaluated again
+    with pytest.raises(MapEvaluationFailed) as err:
+        lab.flat_labels()
+    assert err.value.point == expected.value.point == real[first]
+    assert str(err.value) == str(expected.value)
+    assert lab.evals == first
 
 
 # fully labeled queries

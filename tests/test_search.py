@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ExplicitLabeling, random_affine_map
 from stringchase import (
     BudgetExceeded,
-    ExplicitLabeling,
     GridSpec,
     Labeling,
     LabelingInvalid,
     LevelParity,
-    MapFn,
     ParityReport,
     StringK,
     builtin,
@@ -408,12 +407,6 @@ def tuple_keyed_parity(spec, lab):
     return ParityReport(tuple(levels))
 
 
-def random_affine_map(n, rnd):
-    """x -> A x + b with entries in [-1, 1], clamped into the cube by MapFn."""
-    rows = [[rnd.uniform(-1, 1) for _ in range(n + 1)] for _ in range(n)]
-    return MapFn(n, lambda x: [r[n] + sum(a * c for a, c in zip(r, x)) for r in rows])
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 5), st.sampled_from(["induced", "brouwer", "any"]),
        st.randoms(use_true_random=False))
@@ -447,6 +440,27 @@ def test_parity_reads_each_label_once(name, m):
     parity_check(spec, counting)
     assert set(counting.reads) == set(spec.points())
     assert sum(counting.reads.values()) == spec.point_count
+
+
+@pytest.mark.parametrize("name, m", [("rot90", 5), ("avg-0.3,0.6,0.2", 4), ("reflect1d", 6)])
+def test_parity_evaluates_each_point_once_on_a_labeling(name, m):
+    # the README example: a walk, then a parity check on the same labelling,
+    # which sweeps the grid and evaluates only the points the walk left
+    g = builtin(name)
+    calls = Counter()
+
+    def counted(x):
+        calls[x] += 1
+        return g.fn(x)
+
+    spec = GridSpec(g.n, m)
+    lab = Labeling(spec, dataclasses.replace(g, fn=counted))
+    path_follow(spec, lab)
+    walked = sum(calls.values())
+    assert 0 < walked < spec.point_count
+    assert parity_check(spec, lab) == parity_check(spec, Labeling(spec, g))
+    assert set(calls) == {spec.to_real(p) for p in spec.points()}
+    assert sum(calls.values()) == spec.point_count == lab.evals
 
 
 @pytest.mark.parametrize("case", ["rot90", "floor-door"])
