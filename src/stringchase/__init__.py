@@ -17,7 +17,6 @@ from .grid import (
     face_vertices,
     lift,
     pivot,
-    pivot_entry_index,
     string_count,
     vertices,
 )

@@ -111,27 +111,13 @@ def parity_payload(report: ParityReport) -> dict:
     }
 
 
-def trace_payload(trace: PathTrace) -> dict:
-    return {
-        "steps": [
-            {
-                "level": s.level,
-                "base": list(s.string.base),
-                "perm": list(s.string.perm),
-                "entry": s.entry,
-                "exit": s.exit,
-            }
-            for s in trace.steps
-        ],
-        "outcome": trace.outcome,
-    }
-
-
 def trace_json(trace: PathTrace) -> str:
-    """``dump_json(trace_payload(trace))``, written in one pass over the steps.
+    """The trace payload as ``dump_json`` writes it, in one pass over the steps.
 
-    Every step has the same shape and holds only ints and None, so each is
-    formatted directly instead of being built as a dict and walked again.
+    The payload is {"steps": [...], "outcome": ...}, each step
+    {"level", "base", "perm", "entry", "exit"}.  Every step has the same
+    shape and holds only ints and None, so each is formatted directly
+    instead of being built as a dict and walked again.
     """
     steps = ", ".join([
         '{"level": %d, "base": %s, "perm": %s, "entry": %s, "exit": %s}' % (
@@ -144,18 +130,18 @@ def trace_json(trace: PathTrace) -> str:
     return '{"steps": [%s], "outcome": %s}' % (steps, encode_basestring_ascii(trace.outcome))
 
 
-def _write_record(args, payload: dict) -> None:
-    """--record: the payload with its provenance (inputs, UTC time, version)."""
-    if getattr(args, "record", None):
-        record = {
+def _write_record(args, payload_json: str) -> None:
+    """--record: the payload's JSON bytes with their provenance (inputs, UTC time, version)."""
+    if args.record:
+        head = dump_json({
             "command": args.command,
             "arguments": list(args._argv),
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "version": __version__,
-            "payload": payload,
-        }
+        })
+        # the payload goes in as the head object's last value, byte for byte
         with open(args.record, "w", encoding="utf-8") as fh:
-            fh.write(dump_json(record) + "\n")
+            fh.write(f'{head[:-1]}, "payload": {payload_json}}}\n')
 
 
 class _Parser(argparse.ArgumentParser):
@@ -261,7 +247,7 @@ def cmd_solve(args) -> int:
         max_m=args.max_m, tol=args.tol, engine=args.engine, budget=_resolve_budget(args)
     )
     report = solve(g, cfg)
-    payload = solve_report_payload(report)
+    text = dump_json(solve_report_payload(report))
     if args.csv:
         lines = ["m,residual,diameter,evals"]
         lines += [
@@ -270,8 +256,8 @@ def cmd_solve(args) -> int:
         ]
         print("\n".join(lines))
     else:
-        print(dump_json(payload))
-    _write_record(args, payload)
+        print(text)
+    _write_record(args, text)
     return EXIT_OK if report.converged else EXIT_CHECK_FAILED
 
 
@@ -280,9 +266,9 @@ def cmd_verify_parity(args) -> int:
     spec = _grid(args, g)
     lab = Labeling(spec, g)
     report = parity_check(spec, lab, budget=_resolve_budget(args))
-    payload = parity_payload(report)
-    print(dump_json(payload))
-    _write_record(args, payload)
+    text = dump_json(parity_payload(report))
+    print(text)
+    _write_record(args, text)
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
 
@@ -293,12 +279,12 @@ def cmd_trace(args) -> int:
     spec = _grid(args, g)
     lab = Labeling(spec, g)
     _, trace = path_follow(spec, lab)
-    print(trace_json(trace))
+    text = trace_json(trace)
+    print(text)
     if args.svg is not None:
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(trace_svg(spec, lab, trace))
-    if args.record:
-        _write_record(args, trace_payload(trace))
+    _write_record(args, text)
     return EXIT_OK
 
 
@@ -307,7 +293,7 @@ def cmd_labels(args) -> int:
     spec = _grid(args, g)
     budget = _resolve_budget(args)
     if spec.point_count > budget:
-        raise BudgetExceeded(spec.point_count, budget)
+        raise BudgetExceeded(spec.point_count, budget, "points")
     n = spec.n
     header = [f"i{j}" for j in range(1, n + 1)] + [f"x{j}" for j in range(1, n + 1)] + ["label"]
     write = sys.stdout.write

@@ -52,7 +52,7 @@ class GridSpec:
         return tuple([c / m for c in p])
 
     def points(self) -> Iterator[GridPoint]:
-        """All grid points in lexicographic order."""
+        """All grid points in lexicographic order: the last axis varies fastest."""
         return itertools.product(range(self.m + 1), repeat=self.n)
 
 
@@ -136,22 +136,25 @@ def lift(c: StringK) -> StringK:
     return StringK._derived(k, c.base, c.perm + (k,))
 
 
-def pivot(spec: GridSpec, b: StringK, h: int) -> StringK:
-    """The other k-string sharing the face of ``b`` that omits vertex ``h``.
+def pivot(spec: GridSpec, b: StringK, h: int) -> tuple[StringK, int]:
+    """The other k-string sharing the face of ``b`` that omits vertex ``h``,
+    and the omitted index of that face in it.
 
     Three cases, by the position of the omitted vertex:
       * h = 0: drop the base, append a step on the first axis of ``perm``
-        beyond the top vertex (base moves up, perm cycles left);
-      * 0 < h < k: swap the two steps around the omitted vertex;
+        beyond the top vertex (base moves up, perm cycles left); the shared
+        face omits index k of the new string;
+      * 0 < h < k: swap the two steps around the omitted vertex; the shared
+        face omits index h;
       * h = k: drop the top, prepend a step below the base on the last axis
-        of ``perm`` (base moves down, perm cycles right).
+        of ``perm`` (base moves down, perm cycles right); the shared face
+        omits index 0.
 
-    Pivoting is an involution: pivoting the result through the shared face
-    (omitted index k, h, or 0 respectively) returns ``b``.  Raises
-    BoundaryFace when the new vertex would leave the grid; for h = k with
-    perm ending in k and a base on the floor of axis k, that face is the
-    downward door into the dimension below.  A pivot of a valid string is
-    valid, so the result is not checked again (see StringK).
+    Pivoting is an involution: ``pivot(spec, *pivot(spec, b, h)) == (b, h)``.
+    Raises BoundaryFace when the new vertex would leave the grid; for h = k
+    with perm ending in k and a base on the floor of axis k, that face is
+    the downward door into the dimension below.  A pivot of a valid string
+    is valid, so the result is not checked again (see StringK).
     """
     k = b.k
     if k < 1:
@@ -165,25 +168,16 @@ def pivot(spec: GridSpec, b: StringK, h: int) -> StringK:
         if b.base[axis - 1] + 2 > spec.m:
             raise BoundaryFace(f"step on axis {axis} above {b.base} leaves the grid")
         new_base = _bump(b.base, axis, +1)
-        return StringK._derived(k, new_base, b.perm[1:] + (axis,))
+        return StringK._derived(k, new_base, b.perm[1:] + (axis,)), k
     if h == k:
         axis = b.perm[-1]
         if b.base[axis - 1] == 0:
             raise BoundaryFace(f"step on axis {axis} below {b.base} leaves the grid")
         new_base = _bump(b.base, axis, -1)
-        return StringK._derived(k, new_base, (axis,) + b.perm[:-1])
+        return StringK._derived(k, new_base, (axis,) + b.perm[:-1]), 0
     swapped = list(b.perm)
     swapped[h - 1], swapped[h] = swapped[h], swapped[h - 1]
-    return StringK._derived(k, b.base, tuple(swapped))
-
-
-def pivot_entry_index(h: int, k: int) -> int:
-    """Omitted index of the shared face inside the string pivot(b, h)."""
-    if h == 0:
-        return k
-    if h == k:
-        return 0
-    return h
+    return StringK._derived(k, b.base, tuple(swapped)), h
 
 
 def enumerate_strings(spec: GridSpec, k: int) -> Iterator[StringK]:

@@ -107,10 +107,11 @@ class Labeling:
     within a resolution.
 
     Points are labeled one at a time by ``label``, which bounds-checks its
-    argument and evaluates through the ``MapFn``, or all at once by
-    ``flat_labels``, which visits only box points and calls the raw
-    evaluator ``source.fn`` behind the same clamp and checks.  Both share
-    the cache, so neither evaluates a point the other has labeled.
+    argument and evaluates through the ``MapFn``, or all at once in flat
+    order, the order of ``GridSpec.points()``, by ``flat_labels``, which
+    visits only box points and calls the raw evaluator ``source.fn`` behind
+    the same clamp and checks.  Both share the cache, so neither evaluates
+    a point the other has labeled.
     """
 
     def __init__(
@@ -153,26 +154,21 @@ class Labeling:
         return lab
 
     def flat_labels(self) -> list[int]:
-        """The label of every box point, in flat order.
+        """The label of every box point, in flat order: ``spec.points()`` order.
 
-        Flat order puts box point c at index sum(c_i * (w+1)^(i-1)), so c_1
-        varies fastest.  Real coordinates come from one table per axis,
-        (lo_i + c) / M for c in 0..w, the floats ``to_real`` gives.  Cached
-        points are read, the others evaluated and cached, so a failing map
-        raises MapEvaluationFailed at its first new failing point in flat
-        order, with the message ``MapFn`` gives.
+        Real coordinates come from one table per axis, (lo_i + c) / M for c
+        in 0..w, the floats ``to_real`` gives.  Cached points are read, the
+        others evaluated and cached, so a failing map raises
+        MapEvaluationFailed at its first new failing point in flat order,
+        with the message ``MapFn`` gives.
         """
         n, w = self.spec.n, self.spec.m
         fn, cache, images = self.source.fn, self._cache, self.images
-        # product() varies its last factor fastest, so axis n comes first
-        # and each point and real point is read back reversed
-        reals = [[(lo + c) / self.grid.m for c in range(w + 1)] for lo in reversed(self.lo)]
+        reals = [[(lo + c) / self.grid.m for c in range(w + 1)] for lo in self.lo]
         labels = []
-        for cr, xr in zip(product(range(w + 1), repeat=n), product(*reals)):
-            c = cr[::-1]
+        for c, x in zip(self.spec.points(), product(*reals)):
             lab = cache.get(c)
             if lab is None:
-                x = xr[::-1]
                 gx = _image(fn, n, x)
                 if images is not None:
                     images[c] = gx

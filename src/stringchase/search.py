@@ -25,7 +25,6 @@ from .grid import (
     face_vertices,
     lift,
     pivot,
-    pivot_entry_index,
     string_count,
     vertex,
     vertices,
@@ -47,10 +46,10 @@ OUTCOME_FOUND = "found_fully_labeled"
 
 
 class BudgetExceeded(RuntimeError):
-    """An exhaustive enumeration would visit more strings than allowed."""
+    """An exhaustive enumeration would visit more strings (or points) than allowed."""
 
-    def __init__(self, required: int, budget: int):
-        super().__init__(f"enumeration needs {required} strings, budget is {budget}")
+    def __init__(self, required: int, budget: int, unit: str):
+        super().__init__(f"enumeration needs {required} {unit}, budget is {budget}")
         self.required = required
         self.budget = budget
 
@@ -132,25 +131,26 @@ def exhaustive_fully_labeled(
     """All k-fully-labeled k-strings, lexicographic by base then perm."""
     required = string_count(spec, k)
     if required > budget:
-        raise BudgetExceeded(required, budget)
+        raise BudgetExceeded(required, budget, "strings")
     return [s for s in enumerate_strings(spec, k) if is_fully_labeled(lab, s)]
 
 
 def parity_check(spec: GridSpec, lab, budget: int = DEFAULT_BUDGET) -> ParityReport:
     """Count doors and door-bearing strings at every level 1..n.
 
-    Each grid point is labeled once, into a list in flat order: point c at
-    index sum(c_i * (m+1)^(i-1)), so c_1 varies fastest.  A ``Labeling`` of
-    ``spec`` fills the list in one sweep (``Labeling.flat_labels``), which
-    runs the map's checks but not ``label``'s bounds check, since every
-    point comes from the grid; any other labeling is read point by point
-    through ``label``.  A k-string is its flat base plus one of k! offset
-    rows, and its doors follow from its labels in O(k) (``doors_of``).
-    Within a level, strings with equal label vectors have equal doors, and
-    there are at most (n+1)^(k+1) distinct vectors under the boundary
-    rules, so each level keeps a door table keyed by the vector.  A door is
-    counted under its flat vertices in string order, which is canonical
-    because coordinate sums rise along a string.
+    Each grid point is labeled once, into a list in flat order, the order
+    of ``GridSpec.points()``, so axis i has stride (m+1)^(n-i).  A
+    ``Labeling`` of ``spec`` fills the list in one sweep
+    (``Labeling.flat_labels``), which runs the map's checks but not
+    ``label``'s bounds check, since every point comes from the grid; any
+    other labeling is read point by point through ``label``.  A k-string
+    is its flat base plus one of k! offset rows, and its doors follow from
+    its labels in O(k) (``doors_of``).  Within a level, strings with equal
+    label vectors have equal doors, and there are at most (n+1)^(k+1)
+    distinct vectors under the boundary rules, so each level keeps a door
+    table keyed by the vector.  A door is counted under its flat vertices
+    in string order, which is canonical because coordinate sums rise along
+    a string.
 
     For a labeling obeying the Brouwer boundary rules every level passes
     both the double-count identity and the oddness check; a failed level
@@ -158,15 +158,14 @@ def parity_check(spec: GridSpec, lab, budget: int = DEFAULT_BUDGET) -> ParityRep
     """
     required = sum(string_count(spec, k) for k in range(1, spec.n + 1))
     if required > budget:
-        raise BudgetExceeded(required, budget)
+        raise BudgetExceeded(required, budget, "strings")
 
     # the exact type: a subclass may label otherwise than the sweep does
     if type(lab) is Labeling and lab.spec == spec:
         labels = lab.flat_labels()
     else:
-        # points() varies c_1 slowest, so the reversed points come in flat order
-        labels = [lab.label(p[::-1]) for p in spec.points()]
-    strides = [(spec.m + 1) ** i for i in range(spec.n)]
+        labels = [lab.label(p) for p in spec.points()]
+    strides = [(spec.m + 1) ** (spec.n - i) for i in range(1, spec.n + 1)]
     bases = [0]
     levels = []
     for k in range(1, spec.n + 1):
@@ -252,7 +251,7 @@ def path_follow(spec: GridSpec, lab) -> tuple[StringK, PathTrace]:
             labels.append(lab.label(vertex(current, entry)))
             continue
         try:
-            current, entry = pivot(spec, current, exit_h), pivot_entry_index(exit_h, k)
+            current, entry = pivot(spec, current, exit_h)
         except BoundaryFace:
             floor_door = (
                 exit_h == k and current.perm[-1] == k and current.base[k - 1] == 0

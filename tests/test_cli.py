@@ -295,17 +295,40 @@ def test_labels_budget(capsys):
     assert code == EXIT_BUDGET
 
 
-def test_record_round_trip(capsys, tmp_path):
-    record_path = tmp_path / "run.json"
-    argv = ["solve", "--builtin", "reflect1d", "--tol", "1e-9", "--record", str(record_path)]
+def test_budget_errors_name_what_is_counted(capsys):
+    # labels enumerates grid points, verify-parity strings
+    code, out, err = run_cli(capsys, "labels", "--builtin", "rot90", "--m", "2", "--budget", "8")
+    assert (code, out, err) == (EXIT_BUDGET, "", "error: enumeration needs 9 points, budget is 8\n")
+    code, out, err = run_cli(
+        capsys, "verify-parity", "--builtin", "rot90", "--m", "2", "--budget", "8"
+    )
+    assert (code, out, err) == (EXIT_BUDGET, "", "error: enumeration needs 10 strings, budget is 8\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--builtin", "dottie", "--tol", "1e-3"],
+    ["solve", "--builtin", "rot90", "--tol", "1e-2", "--csv"],
+    ["verify-parity", "--builtin", "avg-0.3,0.6,0.9", "--m", "3"],
+    ["trace", "--builtin", "avg-0.3,0.6,0.2", "--m", "6"],
+], ids=["solve", "solve-csv", "verify-parity", "trace"])
+def test_record_payload_is_the_printed_json(capsys, tmp_path, argv):
+    # under --csv the record holds the JSON that solve prints without it
+    _, printed, _ = run_cli(capsys, *[a for a in argv if a != "--csv"])
+    path = tmp_path / "run.json"
+    argv = argv + ["--record", str(path)]
     code, out, _ = run_cli(capsys, *argv)
     assert code == EXIT_OK
-    record = json.loads(record_path.read_text())
+    if "--csv" in argv:
+        assert out.startswith("m,residual,diameter,evals\n")
+    else:
+        assert out == printed
+    text = path.read_text(encoding="utf-8")
+    record = json.loads(text)
     assert list(record) == ["command", "arguments", "timestamp", "version", "payload"]
-    assert record["command"] == "solve"
+    assert record["command"] == argv[0]
     assert record["arguments"] == argv
     assert record["version"] == __version__
-    assert record["payload"] == json.loads(out)
+    assert text.endswith(', "payload": ' + printed.rstrip("\n") + "}\n")
 
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -434,18 +457,7 @@ def test_trace_json_writes_dump_json_bytes():
     for g in _trace_maps():
         for m in (1, 2, 5, 8):
             t = _trace(g, m)
-            payload = cli.trace_payload(t)
+            steps = [{"level": s.level, "base": list(s.string.base), "perm": list(s.string.perm),
+                      "entry": s.entry, "exit": s.exit} for s in t.steps]
+            payload = {"steps": steps, "outcome": t.outcome}
             assert cli.trace_json(t) == cli.dump_json(payload) == json.dumps(payload), (g.name, m)
-
-
-def test_trace_record_is_written_from_the_payload(capsys, tmp_path):
-    path = tmp_path / "trace.json"
-    argv = ["trace", "--builtin", "avg-0.3,0.6,0.2", "--m", "6", "--record", str(path)]
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == EXIT_OK
-    t = _trace(builtin("avg-0.3,0.6,0.2"), 6)
-    assert out == cli.trace_json(t) + "\n"
-    text = path.read_text(encoding="utf-8")
-    record = {"command": "trace", "arguments": argv, "timestamp": json.loads(text)["timestamp"],
-              "version": __version__, "payload": cli.trace_payload(t)}
-    assert text == cli.dump_json(record) + "\n"

@@ -13,7 +13,6 @@ from stringchase import (
     face_vertices,
     lift,
     pivot,
-    pivot_entry_index,
     string_count,
     vertices,
 )
@@ -163,12 +162,14 @@ def test_lift_is_unique_container():
 
 def test_pivot_examples():
     spec = GridSpec(1, 4)
-    assert pivot(spec, StringK(1, (0,), (1,)), 0) == StringK(1, (1,), (1,))
+    assert pivot(spec, StringK(1, (0,), (1,)), 0) == (StringK(1, (1,), (1,)), 1)
     with pytest.raises(BoundaryFace):
         pivot(spec, StringK(1, (0,), (1,)), 1)
 
     b = StringK(2, (0, 0), (1, 2))
-    assert pivot(GridSpec(2, 2), b, 1) == StringK(2, (0, 0), (2, 1))
+    assert pivot(GridSpec(2, 2), b, 1) == (StringK(2, (0, 0), (2, 1)), 1)
+    assert pivot(GridSpec(2, 2), b, 0) == (StringK(2, (1, 0), (2, 1)), 2)
+    assert pivot(GridSpec(2, 2), StringK(2, (1, 0), (2, 1)), 2) == (b, 0)
 
 
 def test_pivot_boundary_top():
@@ -190,14 +191,14 @@ def _pivot_cases(spec):
         for b in enumerate_strings(spec, k):
             for h in range(k + 1):
                 try:
-                    yield b, h, pivot(spec, b, h)
+                    yield b, h, *pivot(spec, b, h)
                 except BoundaryFace:
                     continue
 
 
 def test_pivot_preserves_face_and_changes_one_vertex():
     for spec in all_small_specs():
-        for b, h, other in _pivot_cases(spec):
+        for b, h, other, _ in _pivot_cases(spec):
             old = vertices(b)
             shared = face_vertices(b, h)
             new_set = set(vertices(other))
@@ -209,10 +210,10 @@ def test_pivot_preserves_face_and_changes_one_vertex():
 
 
 def test_pivot_involution():
+    # pivoting back through the returned entry face restores string and face
     for spec in all_small_specs():
-        for b, h, other in _pivot_cases(spec):
-            back = pivot(spec, other, pivot_entry_index(h, b.k))
-            assert back == b
+        for b, h, other, entry in _pivot_cases(spec):
+            assert pivot(spec, other, entry) == (b, h)
 
 
 @given(specs_and_strings(), st.integers(0, 4))
@@ -222,11 +223,11 @@ def test_pivot_involution_random(sp, h):
         return
     h = h % (b.k + 1)
     try:
-        other = pivot(spec, b, h)
+        other, entry = pivot(spec, b, h)
     except BoundaryFace:
         return
-    assert pivot(spec, other, pivot_entry_index(h, b.k)) == b
-    assert face_vertices(b, h) < set(vertices(other))
+    assert pivot(spec, other, entry) == (b, h)
+    assert face_vertices(b, h) == face_vertices(other, entry)
 
 
 def test_derived_strings_pass_the_checked_constructor():
@@ -235,7 +236,7 @@ def test_derived_strings_pass_the_checked_constructor():
     # vertex must be the one vertices() lists at that index
     for spec in all_small_specs():
         strings = [s for k in range(spec.n + 1) for s in enumerate_strings(spec, k)]
-        derived = [other for _, _, other in _pivot_cases(spec)]
+        derived = [other for _, _, other, _ in _pivot_cases(spec)]
         derived += [lift(c) for c in strings if c.k < spec.n]
         for s in derived:
             checked = StringK(s.k, s.base, s.perm)
@@ -250,7 +251,7 @@ def test_pivot_exactly_two_strings_share_interior_face():
         by_level = {
             k: list(enumerate_strings(spec, k)) for k in range(1, spec.n + 1)
         }
-        for b, h, other in _pivot_cases(spec):
+        for b, h, other, _ in _pivot_cases(spec):
             shared = face_vertices(b, h)
             containers = [s for s in by_level[b.k] if shared <= set(vertices(s))]
             assert sorted(containers, key=str) == sorted([b, other], key=str)

@@ -162,11 +162,6 @@ SWEEP_CATALOG = ("reflect1d", "dottie", "squeeze", "rot90", "const-0.5,0.25",
                  "avg-0.3,0.6,0.9", "avg-0.2,0.9,0.4,0.7", "const-0,1,0.5,0.25")
 
 
-def flat_points(spec):
-    """The points of ``spec`` in flat order, c_1 varying fastest."""
-    return [p[::-1] for p in spec.points()]
-
-
 def random_box(data, n):
     """A box of at most 6 cells per axis: a whole grid or shifted in one."""
     w = data.draw(st.integers(1, 6))
@@ -195,7 +190,7 @@ def test_flat_labels_equal_per_point_labels(data):
         return g.fn(x)
 
     lab = Labeling(spec, dataclasses.replace(g, fn=counted), grid, lo, keep_images=True)
-    points = flat_points(spec)
+    points = list(spec.points())
     for c in data.draw(st.lists(st.sampled_from(points), max_size=12)):
         lab.label(c)
     fresh = Labeling(spec, g, grid, lo, keep_images=True)
@@ -224,7 +219,7 @@ def test_flat_labels_fail_at_the_first_bad_point_in_flat_order(data, fault):
 
     g = MapFn(n, fn)
     lab = Labeling(spec, g, grid, lo)
-    points = flat_points(spec)
+    points = list(spec.points())
     real = [lab.grid.to_real(lab.grid_point(c)) for c in points]
     bad.update(rnd.sample(real, rnd.randint(1, min(4, len(real)))))
     first = next(i for i, x in enumerate(real) if x in bad)
