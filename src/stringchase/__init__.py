@@ -21,15 +21,12 @@ from .grid import (
     vertices,
 )
 from .labeling import (
-    BrouwerReport,
     Labeling,
     MapEvaluationFailed,
     MapFn,
-    RuleViolation,
     count_fully_labeled_faces,
     is_fully_labeled,
     labels_of,
-    validate_brouwer,
 )
 from .functions import (
     ArityError,

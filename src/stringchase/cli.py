@@ -117,17 +117,29 @@ def trace_json(trace: PathTrace) -> str:
     The payload is {"steps": [...], "outcome": ...}, each step
     {"level", "base", "perm", "entry", "exit"}.  Every step has the same
     shape and holds only ints and None, so each is formatted directly
-    instead of being built as a dict and walked again.
+    instead of being built as a dict and walked again.  Most steps keep
+    their predecessor's base object (only a pivot through the first or
+    last vertex makes a new one), so a base is formatted again only when
+    it is a different object; each perm's text is kept by value.
     """
-    steps = ", ".join([
-        '{"level": %d, "base": %s, "perm": %s, "entry": %s, "exit": %s}' % (
-            s.level, list(s.string.base), list(s.string.perm),
+    steps = []
+    base = base_text = None
+    perm_texts: dict[tuple[int, ...], str] = {}
+    for s in trace.steps:
+        string = s.string
+        if string.base is not base:
+            base = string.base
+            base_text = str(list(base))
+        perm_text = perm_texts.get(string.perm)
+        if perm_text is None:
+            perm_text = perm_texts[string.perm] = str(list(string.perm))
+        steps.append('{"level": %d, "base": %s, "perm": %s, "entry": %s, "exit": %s}' % (
+            s.level, base_text, perm_text,
             "null" if s.entry is None else s.entry,
             "null" if s.exit is None else s.exit,
-        )
-        for s in trace.steps
-    ])
-    return '{"steps": [%s], "outcome": %s}' % (steps, encode_basestring_ascii(trace.outcome))
+        ))
+    return '{"steps": [%s], "outcome": %s}' % (
+        ", ".join(steps), encode_basestring_ascii(trace.outcome))
 
 
 def _write_record(args, payload_json: str) -> None:

@@ -107,11 +107,13 @@ class Labeling:
     within a resolution.
 
     Points are labeled one at a time by ``label``, which bounds-checks its
-    argument and evaluates through the ``MapFn``, or all at once in flat
-    order, the order of ``GridSpec.points()``, by ``flat_labels``, which
-    visits only box points and calls the raw evaluator ``source.fn`` behind
-    the same clamp and checks.  Both share the cache, so neither evaluates
-    a point the other has labeled.
+    argument, or all at once in flat order, the order of
+    ``GridSpec.points()``, by ``flat_labels``, which visits only box points.
+    Neither goes through ``MapFn.__call__``: both form the real point as
+    (lo_i + c_i) / M, the floats ``grid.to_real`` gives, and label it in
+    one miss path (``_miss``) that calls the raw evaluator ``source.fn``
+    behind MapFn's clamp and checks (``_image``).  Both share the cache, so
+    neither evaluates a point the other has labeled.
     """
 
     def __init__(
@@ -131,7 +133,6 @@ class Labeling:
         corner = self.grid_point((spec.m,) * spec.n)
         if not (self.grid.contains(self.lo) and self.grid.contains(corner)):
             raise ValueError(f"box {spec} at {self.lo} does not fit in {self.grid}")
-        self._shifted = any(self.lo)  # the whole-grid miss path skips the offset
         self.images: dict[GridPoint, tuple[float, ...]] | None = {} if keep_images else None
         self._cache: dict[GridPoint, int] = {}
 
@@ -146,11 +147,17 @@ class Labeling:
             spec = self.spec
             if len(c) != spec.n or min(c) < 0 or max(c) > spec.m:
                 raise ValueError(f"{c} is not a point of {spec}")
-            x = self.grid.to_real(self.grid_point(c) if self._shifted else c)
-            gx = self.source(x)
-            if self.images is not None:
-                self.images[c] = gx
-            lab = self._cache[c] = induced_label(c, self.spec.m, x, gx)
+            m = self.grid.m
+            lab = self._miss(c, tuple([(lo + a) / m for lo, a in zip(self.lo, c)]))
+        return lab
+
+    def _miss(self, c: GridPoint, x: tuple[float, ...]) -> int:
+        """Evaluate the map at ``x``, the real point of box point ``c``, and
+        cache (and, with ``keep_images``, keep) what ``c`` gets."""
+        gx = _image(self.source.fn, self.spec.n, x)
+        if self.images is not None:
+            self.images[c] = gx
+        lab = self._cache[c] = induced_label(c, self.spec.m, x, gx)
         return lab
 
     def flat_labels(self) -> list[int]:
@@ -162,17 +169,13 @@ class Labeling:
         MapEvaluationFailed at its first new failing point in flat order,
         with the message ``MapFn`` gives.
         """
-        n, w = self.spec.n, self.spec.m
-        fn, cache, images = self.source.fn, self._cache, self.images
-        reals = [[(lo + c) / self.grid.m for c in range(w + 1)] for lo in self.lo]
+        cache, miss = self._cache, self._miss
+        reals = [[(lo + c) / self.grid.m for c in range(self.spec.m + 1)] for lo in self.lo]
         labels = []
         for c, x in zip(self.spec.points(), product(*reals)):
             lab = cache.get(c)
             if lab is None:
-                gx = _image(fn, n, x)
-                if images is not None:
-                    images[c] = gx
-                lab = cache[c] = induced_label(c, w, x, gx)
+                lab = miss(c, x)
             labels.append(lab)
         return labels
 
@@ -227,43 +230,3 @@ def count_fully_labeled_faces(lab, s: StringK) -> tuple[int, list[int]]:
         raise ValueError("faces are defined for strings of dimension >= 1")
     doors = doors_of(labels_of(lab, s), s.k)
     return len(doors), doors
-
-
-@dataclass(frozen=True)
-class RuleViolation:
-    """One grid point breaking a Brouwer boundary rule."""
-
-    point: GridPoint
-    axis: int
-    label: int
-    rule: str  # "zero-face" or "one-face"
-
-
-@dataclass(frozen=True)
-class BrouwerReport:
-    """Result of checking the two boundary rules at every grid point."""
-
-    checked: int
-    violations: tuple[RuleViolation, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_brouwer(lab) -> BrouwerReport:
-    """Check the zero-face and one-face rules at every grid point.
-
-    Violations are data, not errors: labelings induced from a map never
-    produce any, hand-built ones may.
-    """
-    spec = lab.spec
-    violations = []
-    for p in spec.points():
-        value = lab.label(p)
-        for k in range(1, spec.n + 1):
-            if p[k - 1] == 0 and value == k:
-                violations.append(RuleViolation(p, k, value, "zero-face"))
-            if p[k - 1] == spec.m and value < k:
-                violations.append(RuleViolation(p, k, value, "one-face"))
-    return BrouwerReport(spec.point_count, tuple(violations))

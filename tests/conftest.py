@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable, Mapping
+from dataclasses import dataclass
 
 import pytest
 
@@ -75,6 +76,46 @@ class ExplicitLabeling:
 
     def label(self, x: GridPoint) -> int:
         return self._fn(tuple(x))
+
+
+@dataclass(frozen=True)
+class RuleViolation:
+    """One grid point breaking a Brouwer boundary rule."""
+
+    point: GridPoint
+    axis: int
+    label: int
+    rule: str  # "zero-face" or "one-face"
+
+
+@dataclass(frozen=True)
+class BrouwerReport:
+    """Result of checking the two boundary rules at every grid point."""
+
+    checked: int
+    violations: tuple[RuleViolation, ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def validate_brouwer(lab) -> BrouwerReport:
+    """Check the zero-face and one-face rules at every grid point.
+
+    Violations are data, not errors: labelings induced from a map never
+    produce any, hand-built ones may.
+    """
+    spec = lab.spec
+    violations = []
+    for p in spec.points():
+        value = lab.label(p)
+        for k in range(1, spec.n + 1):
+            if p[k - 1] == 0 and value == k:
+                violations.append(RuleViolation(p, k, value, "zero-face"))
+            if p[k - 1] == spec.m and value < k:
+                violations.append(RuleViolation(p, k, value, "one-face"))
+    return BrouwerReport(spec.point_count, tuple(violations))
 
 
 def random_affine_map(n: int, rnd: random.Random) -> MapFn:

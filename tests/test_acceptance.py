@@ -11,7 +11,7 @@ import math
 import random
 import time
 
-from conftest import ExplicitLabeling
+from conftest import ExplicitLabeling, validate_brouwer
 from stringchase import (
     GridSpec,
     SolveConfig,
@@ -21,7 +21,6 @@ from stringchase import (
     parity_check,
     path_follow,
     solve,
-    validate_brouwer,
     verify_trace,
     vertices,
 )

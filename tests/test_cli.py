@@ -1,5 +1,6 @@
 """CLI behaviour: exit codes, payload schemas, byte determinism."""
 
+import hashlib
 import json
 import re
 import shlex
@@ -8,7 +9,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import random_affine_map
 from stringchase import GridSpec, Labeling, __version__, builtin, cli, parse, path_follow, solver
 from stringchase.cli import (
     EXIT_BUDGET,
@@ -18,7 +21,8 @@ from stringchase.cli import (
     EXIT_USAGE,
     main,
 )
-from stringchase.search import LabelingInvalid, StepLimitExceeded
+from stringchase.grid import StringK
+from stringchase.search import LabelingInvalid, PathTrace, StepLimitExceeded, TraceStep
 
 
 def run_cli(capsys, *argv):
@@ -451,13 +455,75 @@ def _trace_maps():
         yield builtin(f"avg-{c}")
     yield parse("cos(x1)", 1).as_map_fn()
     yield parse("0.5*x1+0.3*x2^2; cos(x1*x2)", 2).as_map_fn()
+    # g1 < x1 only on an arc over the floor from x1 = 0.3 to 0.6, so the
+    # level-2 walk climbs over the arc and descends to the floor again
+    for n in (2, 3, 4):
+        yield parse("x1 + 0.2*x2 + (x1-0.3)*(x1-0.6); 0.8" + "; 0.5" * (n - 2), n).as_map_fn()
+
+
+def _trace_payload(t):
+    steps = [{"level": s.level, "base": list(s.string.base), "perm": list(s.string.perm),
+              "entry": s.entry, "exit": s.exit} for s in t.steps]
+    return {"steps": steps, "outcome": t.outcome}
 
 
 def test_trace_json_writes_dump_json_bytes():
+    descents = 0
     for g in _trace_maps():
         for m in (1, 2, 5, 8):
             t = _trace(g, m)
-            steps = [{"level": s.level, "base": list(s.string.base), "perm": list(s.string.perm),
-                      "entry": s.entry, "exit": s.exit} for s in t.steps]
-            payload = {"steps": steps, "outcome": t.outcome}
+            payload = _trace_payload(t)
             assert cli.trace_json(t) == cli.dump_json(payload) == json.dumps(payload), (g.name, m)
+            levels = [s.level for s in t.steps]
+            descents += sum(b < a for a, b in zip(levels, levels[1:]))
+    assert descents > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 8), st.randoms(use_true_random=False))
+def test_trace_json_on_random_affine_walks(n, m, rnd):
+    t = _trace(random_affine_map(n, rnd), m)
+    assert cli.trace_json(t) == cli.dump_json(_trace_payload(t))
+
+
+def test_trace_json_formats_each_base_object_afresh():
+    # consecutive bases equal in value but built apart, one base object
+    # shared by two steps, and perms equal in value but built apart
+    a, b = [1, 0, 2], [1, 1, 2]
+    strings = [StringK(3, tuple(a), (1, 2, 3)), StringK(3, tuple(a), (2, 1, 3)),
+               StringK(3, tuple(b), tuple([2, 1, 3]))]
+    strings.append(StringK(3, strings[-1].base, (3, 2, 1)))
+    strings.append(StringK(3, tuple(a), tuple([1, 2, 3])))
+    assert strings[0].base == strings[1].base and strings[0].base is not strings[1].base
+    steps = tuple(TraceStep(3, s, i % 4 or None, None if i % 3 else 2)
+                  for i, s in enumerate(strings))
+    t = PathTrace(steps, "found_fully_labeled")
+    assert cli.trace_json(t) == cli.dump_json(_trace_payload(t)) == json.dumps(_trace_payload(t))
+
+
+# sha256 of f"{exit code}\n{stdout}": the CLI's output contract, which the
+# walk, the labeller and the trace writer must keep byte for byte
+PINNED_STDOUT = [
+    (("trace", "--builtin", "avg-0.3", "--m", "64"),
+     "e19a212586cb6bc922f8e7f3abc8a8e8f6c217bbbe838d768e461a5874f89c71"),
+    (("trace", "--builtin", "avg-0.2,0.9,0.4,0.6", "--m", "16"),
+     "288097d241a4f7ee21e9f4754bd9387fa7a11957496f198442ec8a2133fbf994"),
+    (("trace", "--builtin", "avg-0.7,0.1,0.5,0.3,0.9,0.2", "--m", "8"),
+     "928cc3f877b68a170618a37a24045f3b1d5e0a6366c02e1487fa180a07294e09"),
+    (("trace", "--builtin", "rot90", "--m", "32"),
+     "c3a790f3f0f6d3c3e5707335f07fdc54120c33028009ee557b82dcc101145c52"),
+    (("verify-parity", "--builtin", "avg-0.3,0.6", "--m", "6"),
+     "3365a216e03ae1f69c492017f2c33e2cdf0cd5da6300d52035fbc74112721ce9"),
+    (("verify-parity", "--map", "0.5*x1+0.3*x2^2; cos(x1*x3); expneg(x2)", "--n", "3",
+      "--m", "4"),
+     "c51e90c5d80c0b1cef840a32d36a3311d33be170b96760bba17f99766a949736"),
+    (("solve", "--builtin", "dottie"),
+     "ec6528ebf5b77f37c33e739c0cea61803db6b3f632a0d348733065ae2add6dd7"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_STDOUT,
+                         ids=[" ".join(argv[:3]) for argv, _ in PINNED_STDOUT])
+def test_stdout_is_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == digest

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ExplicitLabeling, random_affine_map
+from conftest import ExplicitLabeling, random_affine_map, validate_brouwer
 from stringchase import (
     GridSpec,
     Labeling,
@@ -19,9 +19,9 @@ from stringchase import (
     enumerate_strings,
     is_fully_labeled,
     labels_of,
-    validate_brouwer,
     vertices,
 )
+from stringchase.labeling import induced_label
 
 REFLECT = builtin("reflect1d")
 CONST_HALF = builtin("const-0.5,0.5")
@@ -232,6 +232,71 @@ def test_flat_labels_fail_at_the_first_bad_point_in_flat_order(data, fault):
     assert err.value.point == expected.value.point == real[first]
     assert str(err.value) == str(expected.value)
     assert lab.evals == first
+
+
+def map_fn_reference(lab, c):
+    """Label and image of box point ``c`` through ``grid.to_real`` and ``MapFn``."""
+    x = lab.grid.to_real(lab.grid_point(c))
+    gx = lab.source(x)
+    return induced_label(c, lab.spec.m, x, gx), gx
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_label_equals_the_map_fn_reference(data):
+    # label forms (lo + c) / M itself and calls the raw evaluator; it must
+    # give the label and the kept image that to_real and MapFn give
+    rnd = data.draw(st.randoms(use_true_random=False))
+    if data.draw(st.booleans()):
+        g = builtin(data.draw(st.sampled_from(SWEEP_CATALOG)))
+    else:
+        g = random_affine_map(data.draw(st.integers(1, 4)), rnd)
+    spec, grid, lo = random_box(data, g.n)
+    lab = Labeling(spec, g, grid, lo, keep_images=True)
+    points = list(spec.points())
+    rnd.shuffle(points)
+    for c in points:
+        expected, gx = map_fn_reference(lab, c)
+        assert lab.label(c) == expected
+        assert lab.images[c] == gx and all(type(v) is float for v in gx)
+    assert lab.evals == spec.point_count
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from(["raise", "nan", "count", "text", "bytes"]))
+def test_label_fails_as_the_map_fn_does(data, fault):
+    # at a faulting point label raises MapFn's MapEvaluationFailed, with the
+    # same message and point, and caches nothing for it
+    rnd = data.draw(st.randoms(use_true_random=False))
+    n = data.draw(st.integers(1, 4))
+    spec, grid, lo = random_box(data, n)
+    bad = set()
+
+    def fn(x):
+        if x not in bad:
+            return [0.25 * (i % 4) for i in range(n)]
+        if fault == "raise":
+            raise ZeroDivisionError("boom")
+        return {"nan": (0.5,) * (n - 1) + (float("nan"),), "count": (0.5,) * (n + 1),
+                "text": ("0.25",) * n, "bytes": (b"0.3",) * n}[fault]
+
+    lab = Labeling(spec, MapFn(n, fn), grid, lo, keep_images=True)
+    points = list(spec.points())
+    bad.update(lab.grid.to_real(lab.grid_point(c))
+               for c in rnd.sample(points, rnd.randint(1, min(4, len(points)))))
+    rnd.shuffle(points)
+    for c in points:
+        try:
+            expected = map_fn_reference(lab, c)
+        except MapEvaluationFailed as exc:
+            with pytest.raises(MapEvaluationFailed) as err:
+                lab.label(c)
+            assert err.value.point == exc.point == lab.grid.to_real(lab.grid_point(c))
+            assert str(err.value) == str(exc)
+            assert c not in lab.images
+        else:
+            assert (lab.label(c), lab.images[c]) == expected
+    assert lab.evals == spec.point_count - len(bad)
 
 
 # fully labeled queries

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import validate_brouwer
 from stringchase import (
     Certificate,
     ConfigInvalid,
@@ -23,7 +24,6 @@ from stringchase import (
     residual,
     select_witness,
     solve,
-    validate_brouwer,
     verify_trace,
     vertices,
 )
