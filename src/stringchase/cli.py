@@ -21,7 +21,7 @@ from json.encoder import encode_basestring_ascii
 from . import __version__
 from .functions import MapParseError, UnknownBuiltin, _quote, builtin, parse
 from .grid import GridSpec
-from .labeling import Labeling, MapEvaluationFailed, MapFn, induced_label
+from .labeling import Labeling, MapEvaluationFailed, MapFn
 from .search import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -306,14 +306,16 @@ def cmd_labels(args) -> int:
     budget = _resolve_budget(args)
     if spec.point_count > budget:
         raise BudgetExceeded(spec.point_count, budget, "points")
-    n = spec.n
+    n, m = spec.n, spec.m
     header = [f"i{j}" for j in range(1, n + 1)] + [f"x{j}" for j in range(1, n + 1)] + ["label"]
+    # each axis value's index and real text, formatted once, not per point
+    index_text = [str(c) for c in range(m + 1)]
+    real_text = [fmt_float(c / m) for c in range(m + 1)]
     write = sys.stdout.write
     write(",".join(header) + "\n")
-    for p in spec.points():
-        real = spec.to_real(p)
-        cells = [str(c) for c in p] + [fmt_float(x) for x in real]
-        cells.append(str(induced_label(p, spec.m, real, g(real))))
+    for p, label in zip(spec.points(), Labeling(spec, g).sweep()):
+        cells = [index_text[c] for c in p] + [real_text[c] for c in p]
+        cells.append(str(label))
         write(",".join(cells) + "\n")
     return EXIT_OK
 

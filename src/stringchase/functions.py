@@ -326,8 +326,6 @@ def parse(text: str, n: int) -> MapSpec:
 # Builtin catalog.  Parameterized entries take their constants in the name,
 # e.g. "const-0.5,0.5" or "avg-0.8".
 
-DOTTIE = 0.7390851332151607  # cos's fixed point, correct to double precision
-
 
 def _parse_params(text: str, what: str) -> tuple[float, ...]:
     try:
@@ -350,25 +348,20 @@ def builtin(name: str) -> MapFn:
     avg-<c,...>      (x + c) / 2           fixed point c, L = 1/2
     """
     if name == "reflect1d":
-        return MapFn(1, lambda p: (1.0 - p[0],), name=name,
-                     lipschitz=1.0, fixed_points=((0.5,),))
+        return MapFn(1, lambda p: (1.0 - p[0],), name=name)
     if name == "dottie":
-        return MapFn(1, lambda p: (math.cos(p[0]),), name=name,
-                     lipschitz=math.sin(1.0), fixed_points=((DOTTIE,),))
+        return MapFn(1, lambda p: (math.cos(p[0]),), name=name)
     if name == "rot90":
-        return MapFn(2, lambda p: (1.0 - p[1], p[0]), name=name,
-                     lipschitz=1.0, fixed_points=((0.5, 0.5),))
+        return MapFn(2, lambda p: (1.0 - p[1], p[0]), name=name)
     if name == "squeeze":
-        return MapFn(1, lambda p: (p[0] * p[0],), name=name,
-                     lipschitz=2.0, fixed_points=((0.0,), (1.0,)))
+        return MapFn(1, lambda p: (p[0] * p[0],), name=name)
     if name.startswith("const-"):
         c = _parse_params(name[len("const-"):], "const")
-        return MapFn(len(c), lambda p, _c=c: _c, name=name,
-                     lipschitz=0.0, fixed_points=(c,))
+        return MapFn(len(c), lambda p, _c=c: _c, name=name)
     if name.startswith("avg-"):
         c = _parse_params(name[len("avg-"):], "avg")
         return MapFn(len(c), lambda p, _c=c: tuple((x + ci) / 2.0 for x, ci in zip(p, _c)),
-                     name=name, lipschitz=0.5, fixed_points=(c,))
+                     name=name)
     raise UnknownBuiltin(
         f"unknown builtin {_quote(name)}; available: reflect1d, dottie, rot90, squeeze, "
         f"const-<c,...>, avg-<c,...>"

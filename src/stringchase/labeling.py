@@ -21,7 +21,7 @@ genuine when it equals the point's label in the whole grid.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import product
 
@@ -44,16 +44,12 @@ class MapFn:
     ``fn`` may return any sequence of n numbers; calling the MapFn clamps
     each component into [0,1].  Evaluator exceptions, components that are
     not numbers, wrong component counts and NaNs are reported as
-    MapEvaluationFailed together with the input point.  ``lipschitz`` and
-    ``fixed_points`` are optional metadata for maps whose behaviour is
-    known exactly (see the builtin catalog).
+    MapEvaluationFailed together with the input point.
     """
 
     n: int
     fn: Callable[[tuple[float, ...]], Sequence[float]]
     name: str = "map"
-    lipschitz: float | None = None
-    fixed_points: tuple[tuple[float, ...], ...] = ()
 
     def __call__(self, p: Sequence[float]) -> tuple[float, ...]:
         return _image(self.fn, self.n, tuple(map(float, p)))
@@ -100,20 +96,19 @@ class Labeling:
     ``grid``; both default to the whole grid.  Box point c stands for grid
     point lo + c at the real point ``grid.to_real(lo + c)`` and gets
     ``induced_label(c, w, x, g(x))``, so both boundary rules hold on the
-    box.  Each point is labeled at most once; the map is evaluated exactly
-    once per labeled point.  With ``keep_images`` each g(x) is kept in
-    ``images``, keyed by box point.  Instances may be queried concurrently
-    (label computation is idempotent), and the cache is never invalidated
-    within a resolution.
+    box.
 
     Points are labeled one at a time by ``label``, which bounds-checks its
-    argument, or all at once in flat order, the order of
-    ``GridSpec.points()``, by ``flat_labels``, which visits only box points.
-    Neither goes through ``MapFn.__call__``: both form the real point as
-    (lo_i + c_i) / M, the floats ``grid.to_real`` gives, and label it in
-    one miss path (``_miss``) that calls the raw evaluator ``source.fn``
-    behind MapFn's clamp and checks (``_image``).  Both share the cache, so
-    neither evaluates a point the other has labeled.
+    argument and caches: the map is evaluated once per point, and with
+    ``keep_images`` each g(x) is kept in ``images``, keyed by box point.
+    Instances may be queried concurrently (label computation is
+    idempotent), and the cache is never invalidated within a resolution.
+    The whole box is labeled in flat order, the order of
+    ``GridSpec.points()``, by ``sweep``, which reads cached points and
+    caches nothing.  Neither goes through ``MapFn.__call__``: both form the
+    real point as (lo_i + c_i) / M, the floats ``grid.to_real`` gives, call
+    the raw evaluator ``source.fn`` behind MapFn's clamp and checks
+    (``_image``) and label it with ``induced_label``.
     """
 
     def __init__(
@@ -148,40 +143,33 @@ class Labeling:
             if len(c) != spec.n or min(c) < 0 or max(c) > spec.m:
                 raise ValueError(f"{c} is not a point of {spec}")
             m = self.grid.m
-            lab = self._miss(c, tuple([(lo + a) / m for lo, a in zip(self.lo, c)]))
+            x = tuple([(lo + a) / m for lo, a in zip(self.lo, c)])
+            gx = _image(self.source.fn, spec.n, x)
+            if self.images is not None:
+                self.images[c] = gx
+            lab = self._cache[c] = induced_label(c, spec.m, x, gx)
         return lab
 
-    def _miss(self, c: GridPoint, x: tuple[float, ...]) -> int:
-        """Evaluate the map at ``x``, the real point of box point ``c``, and
-        cache (and, with ``keep_images``, keep) what ``c`` gets."""
-        gx = _image(self.source.fn, self.spec.n, x)
-        if self.images is not None:
-            self.images[c] = gx
-        lab = self._cache[c] = induced_label(c, self.spec.m, x, gx)
-        return lab
-
-    def flat_labels(self) -> list[int]:
+    def sweep(self) -> Iterator[int]:
         """The label of every box point, in flat order: ``spec.points()`` order.
 
         Real coordinates come from one table per axis, (lo_i + c) / M for c
-        in 0..w, the floats ``to_real`` gives.  Cached points are read, the
-        others evaluated and cached, so a failing map raises
-        MapEvaluationFailed at its first new failing point in flat order,
-        with the message ``MapFn`` gives.
+        in 0..w, the floats ``to_real`` gives.  Cached points are read and
+        every other point is labeled from the map, but nothing is cached
+        and no image is kept, since a sweep visits each point once.  A
+        failing map raises MapEvaluationFailed at its first uncached
+        failing point in flat order, with the message ``MapFn`` gives.
         """
-        cache, miss = self._cache, self._miss
-        reals = [[(lo + c) / self.grid.m for c in range(self.spec.m + 1)] for lo in self.lo]
-        labels = []
+        cache, fn, n, w = self._cache, self.source.fn, self.spec.n, self.spec.m
+        reals = [[(lo + c) / self.grid.m for c in range(w + 1)] for lo in self.lo]
         for c, x in zip(self.spec.points(), product(*reals)):
             lab = cache.get(c)
-            if lab is None:
-                lab = miss(c, x)
-            labels.append(lab)
-        return labels
+            yield induced_label(c, w, x, _image(fn, n, x)) if lab is None else lab
 
     @property
     def evals(self) -> int:
-        """Number of distinct points labeled so far (= map evaluations)."""
+        """Number of distinct points labeled through ``label`` so far (= its
+        map evaluations; a sweep's are not counted)."""
         return len(self._cache)
 
 

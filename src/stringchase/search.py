@@ -141,16 +141,16 @@ def parity_check(spec: GridSpec, lab, budget: int = DEFAULT_BUDGET) -> ParityRep
     Each grid point is labeled once, into a list in flat order, the order
     of ``GridSpec.points()``, so axis i has stride (m+1)^(n-i).  A
     ``Labeling`` of ``spec`` fills the list in one sweep
-    (``Labeling.flat_labels``), which runs the map's checks but not
-    ``label``'s bounds check, since every point comes from the grid; any
-    other labeling is read point by point through ``label``.  A k-string
-    is its flat base plus one of k! offset rows, and its doors follow from
-    its labels in O(k) (``doors_of``).  Within a level, strings with equal
-    label vectors have equal doors, and there are at most (n+1)^(k+1)
-    distinct vectors under the boundary rules, so each level keeps a door
-    table keyed by the vector.  A door is counted under its flat vertices
-    in string order, which is canonical because coordinate sums rise along
-    a string.
+    (``Labeling.sweep``), which reads the points it has cached, labels the
+    rest without caching them and skips ``label``'s bounds check, since
+    every point comes from the grid; any other labeling is read point by
+    point through ``label``.  A k-string is its flat base plus one of k!
+    offset rows, and its doors follow from its labels in O(k)
+    (``doors_of``).  Within a level, strings with equal label vectors have
+    equal doors, and there are at most (n+1)^(k+1) distinct vectors under
+    the boundary rules, so each level keeps a door table keyed by the
+    vector.  A door is counted under its flat vertices in string order,
+    which is canonical because coordinate sums rise along a string.
 
     For a labeling obeying the Brouwer boundary rules every level passes
     both the double-count identity and the oddness check; a failed level
@@ -162,7 +162,7 @@ def parity_check(spec: GridSpec, lab, budget: int = DEFAULT_BUDGET) -> ParityRep
 
     # the exact type: a subclass may label otherwise than the sweep does
     if type(lab) is Labeling and lab.spec == spec:
-        labels = lab.flat_labels()
+        labels = list(lab.sweep())
     else:
         labels = [lab.label(p) for p in spec.points()]
     strides = [(spec.m + 1) ** (spec.n - i) for i in range(1, spec.n + 1)]

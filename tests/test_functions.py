@@ -9,6 +9,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import CATALOG_REFERENCE, DOTTIE
 from stringchase import (
     ArityError,
     ComponentCountMismatch,
@@ -244,10 +245,10 @@ def test_builtin_values():
 
 
 def test_builtin_fixed_points_verify():
-    for name in ("reflect1d", "rot90", "squeeze", "const-0.3,0.7", "avg-0.8"):
+    for name, (fixed_points, _) in CATALOG_REFERENCE.items():
         g = builtin(name)
-        for fp in g.fixed_points:
-            assert residual(g, fp) <= 1e-12
+        for fp in fixed_points:
+            assert residual(g, fp) <= 1e-12, name
 
 
 def test_dottie_fixed_point_against_bisection():
@@ -259,9 +260,8 @@ def test_dottie_fixed_point_against_bisection():
         else:
             hi = mid
     reference = (lo + hi) / 2
-    g = builtin("dottie")
-    assert abs(g.fixed_points[0][0] - reference) <= 1e-9
-    assert residual(g, g.fixed_points[0]) <= 1e-9
+    assert abs(DOTTIE - reference) <= 1e-9
+    assert residual(builtin("dottie"), (DOTTIE,)) <= 1e-9
 
 
 def test_unknown_builtin():
@@ -287,10 +287,15 @@ def test_induced_label_matches_labeling():
 
 
 def test_builtin_metadata():
-    g = builtin("avg-0.3,0.6")
-    assert g.n == 2
-    assert g.lipschitz == 0.5
-    assert g.fixed_points == ((0.3, 0.6),)
+    # the catalog's Lipschitz constants bound the sup-norm slope on sampled pairs
+    rnd = random.Random(7)
+    for name, (fixed_points, lipschitz) in CATALOG_REFERENCE.items():
+        g = builtin(name)
+        assert g.n == len(fixed_points[0]) and g.name == name
+        for _ in range(200):
+            x, y = ([rnd.random() for _ in range(g.n)] for _ in range(2))
+            gap = max(abs(a - b) for a, b in zip(g(x), g(y)))
+            assert gap <= lipschitz * max(abs(a - b) for a, b in zip(x, y)) + 1e-15, name
 
 
 REIMPORT = """

@@ -134,7 +134,7 @@ def test_non_numeric_component_is_evaluation_failure(component):
         g((0.5,))
     assert err.value.point == (0.5,)
     with pytest.raises(MapEvaluationFailed, match="evaluator raised") as err:
-        Labeling(GridSpec(1, 2), g).flat_labels()
+        next(Labeling(GridSpec(1, 2), g).sweep())
     assert err.value.point == (0.0,)
 
 
@@ -174,9 +174,10 @@ def random_box(data, n):
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
-def test_flat_labels_equal_per_point_labels(data):
-    # on top of any earlier label calls, the sweep evaluates exactly the
-    # points still missing, and matches a fresh labelling point by point
+def test_sweep_equals_per_point_labels(data):
+    # on top of any earlier label calls, the sweep reads the cached points,
+    # evaluates exactly the others, matches a fresh labelling point by point
+    # and leaves the cache, the kept images and evals as they were
     rnd = data.draw(st.randoms(use_true_random=False))
     if data.draw(st.booleans()):
         g = builtin(data.draw(st.sampled_from(SWEEP_CATALOG)))
@@ -191,19 +192,25 @@ def test_flat_labels_equal_per_point_labels(data):
 
     lab = Labeling(spec, dataclasses.replace(g, fn=counted), grid, lo, keep_images=True)
     points = list(spec.points())
-    for c in data.draw(st.lists(st.sampled_from(points), max_size=12)):
+    cached = set(data.draw(st.lists(st.sampled_from(points), max_size=12)))
+    for c in cached:
         lab.label(c)
-    fresh = Labeling(spec, g, grid, lo, keep_images=True)
-    assert lab.flat_labels() == [fresh.label(c) for c in points]
-    assert lab.images == fresh.images
-    assert sum(calls.values()) == spec.point_count == lab.evals
-    assert lab.flat_labels() == [fresh.label(c) for c in points]
-    assert sum(calls.values()) == spec.point_count
+    images, evals = dict(lab.images), lab.evals
+    uncached = Counter(lab.grid.to_real(lab.grid_point(c)) for c in points if c not in cached)
+    calls.clear()
+    fresh = Labeling(spec, g, grid, lo)
+    assert list(lab.sweep()) == [fresh.label(c) for c in points]
+    assert calls == uncached
+    assert (lab.images, lab.evals) == (images, evals)
+    # label then evaluates what the sweep evaluated once more: it cached none
+    calls.clear()
+    assert [lab.label(c) for c in points] == [fresh.label(c) for c in points]
+    assert calls == uncached
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.data(), st.sampled_from(["raise", "nan", "count", "text", "bytes"]))
-def test_flat_labels_fail_at_the_first_bad_point_in_flat_order(data, fault):
+def test_sweep_fails_at_the_first_bad_point_in_flat_order(data, fault):
     rnd = data.draw(st.randoms(use_true_random=False))
     n = data.draw(st.integers(1, 3))
     spec, grid, lo = random_box(data, n)
@@ -225,13 +232,17 @@ def test_flat_labels_fail_at_the_first_bad_point_in_flat_order(data, fault):
     first = next(i for i, x in enumerate(real) if x in bad)
     with pytest.raises(MapEvaluationFailed) as expected:
         g(real[first])
-    for c in rnd.sample(points[:first], rnd.randint(0, first)):
+    before = rnd.sample(points[:first], rnd.randint(0, first))
+    for c in before:
         lab.label(c)  # cached points are read, never evaluated again
+    labels = lab.sweep()
+    fresh = Labeling(spec, g, grid, lo)
+    assert [next(labels) for _ in range(first)] == [fresh.label(c) for c in points[:first]]
     with pytest.raises(MapEvaluationFailed) as err:
-        lab.flat_labels()
+        next(labels)
     assert err.value.point == expected.value.point == real[first]
     assert str(err.value) == str(expected.value)
-    assert lab.evals == first
+    assert lab.evals == len(before)  # the sweep cached nothing
 
 
 def map_fn_reference(lab, c):

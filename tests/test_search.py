@@ -1,13 +1,14 @@
 """Oracle enumeration, parity bookkeeping, and the door-in/door-out walk."""
 
 import dataclasses
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ExplicitLabeling, random_affine_map
+from conftest import ExplicitLabeling, random_affine_map, random_steep_affine_map
 from stringchase import (
     BudgetExceeded,
     GridSpec,
@@ -408,13 +409,15 @@ def tuple_keyed_parity(spec, lab):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 5), st.sampled_from(["induced", "brouwer", "any"]),
-       st.randoms(use_true_random=False))
+@given(st.integers(1, 4), st.integers(1, 5),
+       st.sampled_from(["induced", "steep", "brouwer", "any"]), st.randoms(use_true_random=False))
 def test_parity_check_matches_the_tuple_keyed_count(n, m, kind, rnd):
     # flat indices change how strings and faces are addressed, not the counts
     spec = GridSpec(n, m)
     if kind == "induced":
         lab = Labeling(spec, random_affine_map(n, rnd))
+    elif kind == "steep":
+        lab = Labeling(spec, random_steep_affine_map(n, rnd))
     elif kind == "brouwer":
         lab = ExplicitLabeling(spec, {p: rnd.choice(_legal_labels(p, m, n)) for p in spec.points()})
     else:  # boundary rules broken, so levels fail
@@ -445,7 +448,8 @@ def test_parity_reads_each_label_once(name, m):
 @pytest.mark.parametrize("name, m", [("rot90", 5), ("avg-0.3,0.6,0.2", 4), ("reflect1d", 6)])
 def test_parity_evaluates_each_point_once_on_a_labeling(name, m):
     # the README example: a walk, then a parity check on the same labelling,
-    # which sweeps the grid and evaluates only the points the walk left
+    # which sweeps the grid, reads the points the walk cached and evaluates
+    # only the others, caching none of them
     g = builtin(name)
     calls = Counter()
 
@@ -460,7 +464,22 @@ def test_parity_evaluates_each_point_once_on_a_labeling(name, m):
     assert 0 < walked < spec.point_count
     assert parity_check(spec, lab) == parity_check(spec, Labeling(spec, g))
     assert set(calls) == {spec.to_real(p) for p in spec.points()}
-    assert sum(calls.values()) == spec.point_count == lab.evals
+    assert sum(calls.values()) == spec.point_count
+    assert lab.evals == walked
+
+
+def test_some_steep_affine_walks_descend():
+    # the steep family is what takes the random-map tests through descents
+    descending = 0
+    for seed in range(40):
+        rnd = random.Random(seed)
+        n, m = 1 + seed % 4, rnd.randint(1, 8)
+        spec, lab = induced(random_steep_affine_map(n, rnd), m)
+        _, trace = path_follow(spec, lab)
+        verify_trace(lab, trace)
+        levels = [s.level for s in trace.steps]
+        descending += any(b < a for a, b in zip(levels, levels[1:]))
+    assert descending > 0
 
 
 @pytest.mark.parametrize("case", ["rot90", "floor-door"])
