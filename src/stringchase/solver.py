@@ -3,8 +3,8 @@
 The resolutions are m = 2, 4, 8, ... up to max_m.  At each one a fully
 labeled n-string is located; its vertices sandwich a fixed point
 componentwise, and the string's diameter sqrt(n)/m shrinks as m grows.
-The loop stops when the best vertex's residual ||g(z) - z||_inf reaches
-the tolerance, which is the computable surrogate for exact fixedness (it
+The loop stops when the witness's residual ||g(z) - z||_inf reaches the
+tolerance, which is the computable surrogate for exact fixedness (it
 is 0 exactly at true fixed points).  Residuals are not promised to fall
 monotonically between resolutions, only the diameter is; past max_m the
 best witness seen so far is returned with converged=False.
@@ -20,8 +20,15 @@ whole grid is searched only as the last doubling, where every label is
 genuine.  Two cells is the smallest box whose labels depend on the map: in
 a box of one cell every coordinate is 0 or the forced top, so every label
 is fixed without reading g(x).  Both engines search the same boxes.
-The solver's labellings keep g(x) next to each label, so the witness costs
-no map evaluations.
+
+The witness is the best of the certificate's vertices and one more point.
+A fully labeled n-string is a Kuhn simplex, and the affine zero of
+g(x) - x over it, clamped into the cube, is evaluated once and kept when
+its residual is strictly below the best vertex's (Kuhn 1968; Saigal
+1977).  Near a fixed point where g is smooth and I - Dg invertible, its
+residual falls like O(1/m^2), against the vertices' O(1/m).  The
+vertices' images come from the labelling, so a resolution's witness costs
+that one evaluation, or none when a vertex is exact.
 """
 
 from __future__ import annotations
@@ -107,19 +114,64 @@ def residual(g: MapFn, p) -> float:
     return max(abs(qi - pi) for qi, pi in zip(q, pt))
 
 
-def select_witness(lab: Labeling, s: StringK) -> tuple[tuple[float, ...], float]:
-    """The vertex of ``s`` (as a real point of the grid) with the smallest
-    residual, and that residual; ties go to the earlier vertex.  The
-    residuals come from the images ``lab`` keeps for the points it labels."""
+def select_witness(lab: Labeling, s: StringK) -> tuple[tuple[float, ...], float, int]:
+    """The witness of ``s``, its residual and the map evaluations it took.
+
+    The best vertex (as a real point of the grid; ties go to the earlier
+    vertex) is found from the images ``lab`` keeps for the points it
+    labels.  Unless its residual is 0, the secant point, the weights
+    lambda with sum_i lambda_i (g(v_i) - v_i) = 0 and sum_i lambda_i = 1
+    applied to the vertices and clamped into the cube, is evaluated once
+    and replaces the vertex when its residual is strictly smaller.  A
+    singular system or a weight that is not finite keeps the vertex
+    without an evaluation.
+    """
+    points, steps = [], []
     best_p = None
     best_r = math.inf
     for c in vertices(s):
         lab.label(c)
         p = lab.grid.to_real(lab.grid_point(c))
-        r = max(abs(qi - pi) for qi, pi in zip(lab.images[c], p))
+        d = [qi - pi for qi, pi in zip(lab.images[c], p)]
+        r = max(map(abs, d))
+        points.append(p)
+        steps.append(d)
         if r < best_r:
             best_p, best_r = p, r
-    return best_p, best_r
+    weights = _affine_zero(steps) if best_r > 0 else None
+    if weights is None:
+        return best_p, best_r, 0
+    z = tuple(
+        min(max(sum(w * p[k] for w, p in zip(weights, points)), 0.0), 1.0)
+        for k in range(len(best_p))
+    )
+    r = residual(lab.source, z)
+    return (z, r, 1) if r < best_r else (best_p, best_r, 1)
+
+
+def _affine_zero(steps: list[list[float]]) -> list[float] | None:
+    """Weights lambda_0..lambda_n with sum_i lambda_i steps[i] = 0 and
+    sum_i lambda_i = 1, for n+1 vectors of length n, by Gaussian
+    elimination with partial pivoting; None when a pivot is 0 or a weight
+    is not finite."""
+    size = len(steps)
+    rows = [[d[k] for d in steps] + [0.0] for k in range(size - 1)]
+    rows.append([1.0] * size + [1.0])
+    for col in range(size):
+        top = max(range(col, size), key=lambda i: abs(rows[i][col]))
+        if rows[top][col] == 0.0:
+            return None
+        rows[col], rows[top] = rows[top], rows[col]
+        pivot = rows[col]
+        for row in rows[col + 1:]:
+            f = row[col] / pivot[col]
+            for j in range(col, size + 1):
+                row[j] -= f * pivot[j]
+    weights = [0.0] * size
+    for i in range(size - 1, -1, -1):
+        row = rows[i]
+        weights[i] = (row[size] - sum(row[j] * weights[j] for j in range(i + 1, size))) / row[i]
+    return weights if all(map(math.isfinite, weights)) else None
 
 
 def solve_at(
@@ -135,7 +187,8 @@ def solve_at(
     that is the first box.  The engine decides only how a box is searched:
     the path engine walks it, the oracle enumerates its n-strings and takes
     the first fully labeled one.  The record counts the boxes searched and
-    every map evaluation of the resolution, all searches included.
+    every map evaluation of the resolution, all searches and the witness
+    included.
     """
     n, m = spec.n, spec.m
     w = m if near is None else min(2, m)
@@ -157,8 +210,8 @@ def solve_at(
         w = min(2 * w, m)
 
     cert = Certificate(m, StringK(n, lab.grid_point(s.base), s.perm), tuple(labels_of(lab, s)))
-    z, r = select_witness(lab, s)
-    return cert, z, ResolutionRecord(m, r, math.sqrt(n) / m, spent, boxes)
+    z, r, witness_evals = select_witness(lab, s)
+    return cert, z, ResolutionRecord(m, r, math.sqrt(n) / m, spent + witness_evals, boxes)
 
 
 def solve(g: MapFn, cfg: SolveConfig | None = None) -> SolveReport:

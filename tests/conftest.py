@@ -79,6 +79,39 @@ def random_poly_maps(count: int = N_RANDOM_MAPS, seed: int = CORPUS_SEED) -> lis
     return maps
 
 
+RECIPE_SEED = 5
+N_RECIPE_MAPS = 120
+RECIPE_TEMPLATES = ("x{i}", "x{i}^2", "sin(3*x{i})", "cos(5*x{j})", "x{i}*x{j}",
+                    "abs(x{i}-0.5)", "max2(x{i},x{j})", "expneg(4*x{j})")
+
+
+def recipe_maps(count: int = N_RECIPE_MAPS, seed: int = RECIPE_SEED) -> list[MapFn]:
+    """The recipe family: clamped sums of 1-3 weighted terms per component,
+    mostly not contractions, in dimensions 1..4.
+
+    The draw order is fixed (ROADMAP, "The recipe family"): n, then per
+    component the term count, then per term i, j, the coefficient and the
+    template; the component's constant comes last and is kept even when it
+    is 0.  Each map is named by its expression text.
+    """
+    rng = random.Random(seed)
+    maps = []
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        components = []
+        for _ in range(n):
+            terms = []
+            for _ in range(rng.randint(1, 3)):
+                i, j = rng.randint(1, n), rng.randint(1, n)
+                coef = rng.choice([0.3, 0.5, 0.9, 1.5, 2])
+                terms.append(f"{coef}*" + rng.choice(RECIPE_TEMPLATES).format(i=i, j=j))
+            terms.append(str(rng.choice([0, 0.1, 0.2])))
+            components.append(" + ".join(terms))
+        text = "; ".join(components)
+        maps.append(parse(text, n).as_map_fn(name=text))
+    return maps
+
+
 class ExplicitLabeling:
     """A labeling given directly as a table or function.
 

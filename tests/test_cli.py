@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import re
 import shlex
 import subprocess
@@ -230,14 +231,32 @@ def test_labels_stop_at_the_first_failing_point(capsys, monkeypatch):
 
 
 def test_solve_oracle_engine_respects_budget(capsys):
-    # m = 2 and the 2-cell boxes of m = 4, 8, 16 enumerate 8 strings each;
-    # at m = 16 the box grows to 4 cells, which needs 32
+    # m = 2 and the first 2-cell boxes enumerate 8 strings each; a box
+    # that grows to 4 cells needs 32
     code, _, err = run_cli(
         capsys,
-        "solve", "--builtin", "avg-0.3,0.6", "--engine", "oracle", "--budget", "10",
+        "solve", "--map", "0.9*x2+2*cos(5*x2)+0.2;0.3*x2^2+0.5*cos(5*x2)+0.2", "--n", "2",
+        "--engine", "oracle", "--budget", "10",
     )
     assert code == EXIT_BUDGET
-    assert "budget" in err
+    assert err == "error: enumeration needs 32 strings, budget is 10\n"
+
+
+def test_solve_fault_at_the_witness_is_one_error_line(capsys, monkeypatch):
+    # the map fails only off the grid points of m = 2, where the secant
+    # witness of the first certificate lies; it is reported like any other
+    # failing point of the cube
+    def fn(p):
+        if p[0] * 2 != int(p[0] * 2):
+            raise ValueError("off the grid")
+        return (math.cos(p[0]),)
+
+    monkeypatch.setattr(cli, "builtin", lambda name: MapFn(1, fn, name=name))
+    code, out, err = run_cli(capsys, "solve", "--builtin", "faulty")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: map evaluation failed at (0.") and err.count("\n") == 1
+    assert err.endswith("evaluator raised ValueError('off the grid')\n")
 
 
 def test_bad_grid_resolution_is_usage_error(capsys):
@@ -544,7 +563,7 @@ PINNED_STDOUT = [
       "--m", "4"),
      "c51e90c5d80c0b1cef840a32d36a3311d33be170b96760bba17f99766a949736"),
     (("solve", "--builtin", "dottie"),
-     "ec6528ebf5b77f37c33e739c0cea61803db6b3f632a0d348733065ae2add6dd7"),
+     "09e3488208ddb5069eeecdb1a817642b741dd9b7bde0b270ca71e44423d0c5bc"),
     (("labels", "--builtin", "rot90", "--m", "30"),
      "8650a608737eb02da6d0b571771449557eacf1cd98292e6fc28b853547f80ff4"),
     (("labels", "--map", "0.5*x1+0.3*x2^2; cos(x1*x3); expneg(x2)", "--n", "3", "--m", "7"),
