@@ -41,7 +41,6 @@ from .functions import (
     parse,
 )
 from .search import (
-    DEFAULT_BUDGET,
     BudgetExceeded,
     LabelingInvalid,
     LevelParity,
@@ -58,7 +57,6 @@ from .search import (
 from .solver import (
     Certificate,
     ConfigInvalid,
-    ResolutionRecord,
     SolveConfig,
     SolveReport,
     residual,

@@ -99,15 +99,15 @@ class Labeling:
     box.
 
     Points are labeled one at a time by ``label``, which bounds-checks its
-    argument and caches: the map is evaluated once per point, and with
-    ``keep_images`` each g(x) is kept in ``images``, keyed by box point.
-    Instances may be queried concurrently (label computation is
-    idempotent), and the cache is never invalidated within a resolution.
-    The whole box is labeled in flat order, the order of
-    ``GridSpec.points()``, by ``sweep``, which reads cached points and
+    argument and caches.  Given ``images``, a table from the real point x
+    to the clamped g(x), it reads g(x) there and stores every image it
+    evaluates, so the labellings of one table (a solve's boxes) evaluate g
+    once per real point.  The whole box is labeled in flat order, the order
+    of ``GridSpec.points()``, by ``sweep``, which reads cached points and
     caches nothing.  Neither goes through ``MapFn.__call__``: both form the
-    real point as (lo_i + c_i) / M, the floats ``grid.to_real`` gives, call
-    the raw evaluator ``source.fn`` behind MapFn's clamp and checks
+    real point as (lo_i + c_i) / M, the floats ``grid.to_real`` gives (a
+    correctly rounded quotient, so one rational is one key at every m),
+    call the raw evaluator ``source.fn`` behind MapFn's clamp and checks
     (``_image``) and label it with ``induced_label``.
     """
 
@@ -117,7 +117,7 @@ class Labeling:
         source: MapFn,
         grid: GridSpec | None = None,
         lo: GridPoint | None = None,
-        keep_images: bool = False,
+        images: dict | None = None,
     ):
         if spec.n != source.n:
             raise ValueError(f"grid dimension {spec.n} != map dimension {source.n}")
@@ -128,7 +128,7 @@ class Labeling:
         corner = self.grid_point((spec.m,) * spec.n)
         if not (self.grid.contains(self.lo) and self.grid.contains(corner)):
             raise ValueError(f"box {spec} at {self.lo} does not fit in {self.grid}")
-        self.images: dict[GridPoint, tuple[float, ...]] | None = {} if keep_images else None
+        self.images = images
         self._cache: dict[GridPoint, int] = {}
 
     def grid_point(self, c: GridPoint) -> GridPoint:
@@ -144,9 +144,10 @@ class Labeling:
                 raise ValueError(f"{c} is not a point of {spec}")
             m = self.grid.m
             x = tuple([(lo + a) / m for lo, a in zip(self.lo, c)])
-            gx = _image(self.source.fn, spec.n, x)
-            if self.images is not None:
-                self.images[c] = gx
+            if (images := self.images) is None:
+                gx = _image(self.source.fn, spec.n, x)
+            elif (gx := images.get(x)) is None:
+                gx = images[x] = _image(self.source.fn, spec.n, x)
             lab = self._cache[c] = induced_label(c, spec.m, x, gx)
         return lab
 
@@ -155,8 +156,8 @@ class Labeling:
 
         Real coordinates come from one table per axis, (lo_i + c) / M for c
         in 0..w, the floats ``to_real`` gives.  Cached points are read and
-        every other point is labeled from the map, but nothing is cached
-        and no image is kept, since a sweep visits each point once.  A
+        every other point is labeled from the map, but a sweep, which
+        visits each point once, neither caches nor uses ``images``.  A
         failing map raises MapEvaluationFailed at its first uncached
         failing point in flat order, with the message ``MapFn`` gives.
         """
@@ -168,8 +169,8 @@ class Labeling:
 
     @property
     def evals(self) -> int:
-        """Number of distinct points labeled through ``label`` so far (= its
-        map evaluations; a sweep's are not counted)."""
+        """Distinct points labeled through ``label`` so far, not a sweep's:
+        its map evaluations, unless a shared ``images`` table saved some."""
         return len(self._cache)
 
 

@@ -26,9 +26,9 @@ A fully labeled n-string is a Kuhn simplex, and the affine zero of
 g(x) - x over it, clamped into the cube, is evaluated once and kept when
 its residual is strictly below the best vertex's (Kuhn 1968; Saigal
 1977).  Near a fixed point where g is smooth and I - Dg invertible, its
-residual falls like O(1/m^2), against the vertices' O(1/m).  The
-vertices' images come from the labelling, so a resolution's witness costs
-that one evaluation, or none when a vertex is exact.
+residual falls like O(1/m^2), against the vertices' O(1/m).  The boxes
+and secant points of a solve share one table of images, so the witness
+costs at most the secant point's one evaluation.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ class ResolutionRecord:
     m: int
     residual: float
     diameter: float  # sqrt(n)/m, the certificate string's diameter
-    evals: int       # map evaluations spent at this resolution
+    evals: int       # fresh map evaluations at this resolution
     boxes: int       # boxes searched at this resolution; only the last is kept
 
 
@@ -101,38 +101,35 @@ class SolveReport:
 
 
 def is_genuine(lab: Labeling, c: GridPoint) -> bool:
-    """True iff the box label of ``c`` is its induced label in the grid,
-    from the image ``lab`` kept when it labelled ``c``."""
-    p = lab.grid_point(c)
-    return lab.label(c) == induced_label(p, lab.grid.m, lab.grid.to_real(p), lab.images[c])
+    """True iff the box label of ``c`` is its label in the whole grid."""
+    x = lab.grid.to_real(p := lab.grid_point(c))
+    return lab.label(c) == induced_label(p, lab.grid.m, x, lab.images[x])
 
 
 def residual(g: MapFn, p) -> float:
     """Sup-norm distance ||g(p) - p||_inf, with g clamped into the cube."""
     pt = tuple(float(c) for c in p)
-    q = g(pt)
-    return max(abs(qi - pi) for qi, pi in zip(q, pt))
+    return max(abs(qi - pi) for qi, pi in zip(g(pt), pt))
 
 
 def select_witness(lab: Labeling, s: StringK) -> tuple[tuple[float, ...], float, int]:
     """The witness of ``s``, its residual and the map evaluations it took.
 
     The best vertex (as a real point of the grid; ties go to the earlier
-    vertex) is found from the images ``lab`` keeps for the points it
-    labels.  Unless its residual is 0, the secant point, the weights
-    lambda with sum_i lambda_i (g(v_i) - v_i) = 0 and sum_i lambda_i = 1
-    applied to the vertices and clamped into the cube, is evaluated once
-    and replaces the vertex when its residual is strictly smaller.  A
-    singular system or a weight that is not finite keeps the vertex
-    without an evaluation.
+    vertex) is found from the table ``lab.images``.  Unless its residual
+    is 0, the secant point, the weights lambda with
+    sum_i lambda_i (g(v_i) - v_i) = 0 and sum_i lambda_i = 1 applied to the
+    vertices and clamped into the cube, is read from the table or evaluated
+    and stored, and replaces the vertex when its residual is strictly
+    smaller.  A singular system or a weight that is not finite keeps the
+    vertex without an evaluation.
     """
     points, steps = [], []
-    best_p = None
-    best_r = math.inf
+    best_p, best_r = None, math.inf
     for c in vertices(s):
         lab.label(c)
         p = lab.grid.to_real(lab.grid_point(c))
-        d = [qi - pi for qi, pi in zip(lab.images[c], p)]
+        d = [qi - pi for qi, pi in zip(lab.images[p], p)]
         r = max(map(abs, d))
         points.append(p)
         steps.append(d)
@@ -145,8 +142,11 @@ def select_witness(lab: Labeling, s: StringK) -> tuple[tuple[float, ...], float,
         min(max(sum(w * p[k] for w, p in zip(weights, points)), 0.0), 1.0)
         for k in range(len(best_p))
     )
-    r = residual(lab.source, z)
-    return (z, r, 1) if r < best_r else (best_p, best_r, 1)
+    evals = 0 if z in lab.images else 1
+    if evals:
+        lab.images[z] = lab.source(z)
+    r = max(abs(qi - zi) for qi, zi in zip(lab.images[z], z))
+    return (z, r, evals) if r < best_r else (best_p, best_r, evals)
 
 
 def _affine_zero(steps: list[list[float]]) -> list[float] | None:
@@ -175,7 +175,8 @@ def _affine_zero(steps: list[list[float]]) -> list[float] | None:
 
 
 def solve_at(
-    g: MapFn, spec: GridSpec, cfg: SolveConfig, near: tuple[float, ...] | None = None
+    g: MapFn, spec: GridSpec, cfg: SolveConfig, near: tuple[float, ...] | None = None,
+    images: dict | None = None,
 ) -> tuple[Certificate, tuple[float, ...], ResolutionRecord]:
     """One resolution: a fully labeled n-string of ``spec`` and its witness.
 
@@ -186,17 +187,18 @@ def solve_at(
     box is the whole grid, where every label is genuine; without ``near``
     that is the first box.  The engine decides only how a box is searched:
     the path engine walks it, the oracle enumerates its n-strings and takes
-    the first fully labeled one.  The record counts the boxes searched and
-    every map evaluation of the resolution, all searches and the witness
-    included.
+    the first fully labeled one.  Every box reads and fills ``images``
+    (a fresh table if None), and so does the witness.  The record counts
+    the boxes searched and the map evaluations: the table's growth.
     """
     n, m = spec.n, spec.m
     w = m if near is None else min(2, m)
-    spent = boxes = 0
+    images = {} if images is None else images
+    known, boxes = len(images), 0
     while True:
         boxes += 1
         lo = None if w == m else tuple(min(max(round(zi * m) - w // 2, 0), m - w) for zi in near)
-        lab = Labeling(GridSpec(n, w), g, spec, lo, keep_images=True)
+        lab = Labeling(GridSpec(n, w), g, spec, lo, images)
         if cfg.engine == ENGINE_ORACLE:
             found = exhaustive_fully_labeled(lab.spec, lab, n, budget=cfg.budget)
             if not found:
@@ -204,33 +206,32 @@ def solve_at(
             s = found[0]
         else:
             s, _ = path_follow(lab.spec, lab)
-        spent += lab.evals
         if w == m or all(is_genuine(lab, v) for v in vertices(s)):
             break
         w = min(2 * w, m)
 
     cert = Certificate(m, StringK(n, lab.grid_point(s.base), s.perm), tuple(labels_of(lab, s)))
-    z, r, witness_evals = select_witness(lab, s)
-    return cert, z, ResolutionRecord(m, r, math.sqrt(n) / m, spent + witness_evals, boxes)
+    z, r, _ = select_witness(lab, s)
+    return cert, z, ResolutionRecord(m, r, math.sqrt(n) / m, len(images) - known, boxes)
 
 
 def solve(g: MapFn, cfg: SolveConfig | None = None) -> SolveReport:
     """Refine the grid until a witness meets the residual tolerance.
 
-    Each resolution gets fresh labellings (cache keys depend on m, and
-    points of successive grids only partially coincide), and each walk
-    after the first starts near the previous witness (see ``solve_at``).
-    Engine errors propagate.
+    Each box gets a fresh labelling, but all share one image table, so no
+    grid point of any resolution is evaluated twice (every point of grid m
+    is one of grid 2m).  Each walk after the first starts near the previous
+    witness (see ``solve_at``).  Engine errors propagate.
     """
     cfg = cfg or SolveConfig()
     n = g.n
     history: list[ResolutionRecord] = []
     best: tuple[float, tuple[float, ...], Certificate] | None = None
-    z = None
+    z, images = None, {}
 
     m = 2
     while m <= cfg.max_m:
-        cert, z, record = solve_at(g, GridSpec(n, m), cfg, z)
+        cert, z, record = solve_at(g, GridSpec(n, m), cfg, z, images)
         history.append(record)
         r = record.residual
         if best is None or r < best[0]:

@@ -546,6 +546,32 @@ def test_trace_json_formats_each_base_object_afresh():
     assert cli.trace_json(t) == cli.dump_json(_trace_payload(t)) == json.dumps(_trace_payload(t))
 
 
+@pytest.mark.parametrize("argv", [
+    ("trace", "--builtin", "rot90", "--m", "8"),
+    ("verify-parity", "--builtin", "avg-0.3,0.6", "--m", "4"),
+    ("labels", "--builtin", "rot90", "--m", "5"),
+    ("solve", "--builtin", "dottie"),
+], ids=lambda argv: argv[0])
+def test_only_a_solve_keeps_an_image_table(capsys, monkeypatch, argv):
+    # path_follow, parity_check and the labels sweep run on a plain
+    # Labeling(spec, g) and keep no image; every box of a solve shares one table
+    made = []
+    init = Labeling.__init__
+
+    def recording(lab, *args, **kwargs):
+        init(lab, *args, **kwargs)
+        made.append(lab)
+
+    monkeypatch.setattr(Labeling, "__init__", recording)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK and made
+    if argv[0] == "solve":
+        assert len(made) > 1 and all(lab.images is made[0].images for lab in made)
+        assert isinstance(made[0].images, dict)
+    else:
+        assert all(lab.images is None for lab in made)
+
+
 # sha256 of f"{exit code}\n{stdout}": the CLI's output contract, which the
 # walk, the labeller and the trace writer must keep byte for byte
 PINNED_STDOUT = [
@@ -563,7 +589,7 @@ PINNED_STDOUT = [
       "--m", "4"),
      "c51e90c5d80c0b1cef840a32d36a3311d33be170b96760bba17f99766a949736"),
     (("solve", "--builtin", "dottie"),
-     "09e3488208ddb5069eeecdb1a817642b741dd9b7bde0b270ca71e44423d0c5bc"),
+     "6c0701b668acba946ae71d6ebf3a54ef3d3ce4029d34f8173e20e3f24a9a364c"),
     (("labels", "--builtin", "rot90", "--m", "30"),
      "8650a608737eb02da6d0b571771449557eacf1cd98292e6fc28b853547f80ff4"),
     (("labels", "--map", "0.5*x1+0.3*x2^2; cos(x1*x3); expneg(x2)", "--n", "3", "--m", "7"),

@@ -270,6 +270,16 @@ def test_grid_spec_validation():
     assert len(list(spec.points())) == 16
 
 
+@given(st.integers(1, 2 ** 51), st.data())
+def test_a_point_of_grid_m_is_the_same_float_in_grid_2m(m, data):
+    # c / m is a correctly rounded quotient of integers below 2^53, so the
+    # same rational at m and at 2m is the same float: a solve's image table
+    # keyed by real point finds grid m's points again in grid 2m
+    n = data.draw(st.integers(1, 3))
+    p = tuple(data.draw(st.integers(0, m)) for _ in range(n))
+    assert GridSpec(n, m).to_real(p) == GridSpec(n, 2 * m).to_real(tuple(2 * c for c in p))
+
+
 @pytest.mark.parametrize(
     "k, base, perm, message",
     [

@@ -177,7 +177,7 @@ def random_box(data, n):
 def test_sweep_equals_per_point_labels(data):
     # on top of any earlier label calls, the sweep reads the cached points,
     # evaluates exactly the others, matches a fresh labelling point by point
-    # and leaves the cache, the kept images and evals as they were
+    # and leaves the cache, the image table and evals as they were
     rnd = data.draw(st.randoms(use_true_random=False))
     if data.draw(st.booleans()):
         g = builtin(data.draw(st.sampled_from(SWEEP_CATALOG)))
@@ -190,7 +190,7 @@ def test_sweep_equals_per_point_labels(data):
         calls[x] += 1
         return g.fn(x)
 
-    lab = Labeling(spec, dataclasses.replace(g, fn=counted), grid, lo, keep_images=True)
+    lab = Labeling(spec, dataclasses.replace(g, fn=counted), grid, lo, images={})
     points = list(spec.points())
     cached = set(data.draw(st.lists(st.sampled_from(points), max_size=12)))
     for c in cached:
@@ -256,21 +256,23 @@ def map_fn_reference(lab, c):
 @given(st.data())
 def test_label_equals_the_map_fn_reference(data):
     # label forms (lo + c) / M itself and calls the raw evaluator; it must
-    # give the label and the kept image that to_real and MapFn give
+    # give the label, and store under the real point the image, that
+    # to_real and MapFn give
     rnd = data.draw(st.randoms(use_true_random=False))
     if data.draw(st.booleans()):
         g = builtin(data.draw(st.sampled_from(SWEEP_CATALOG)))
     else:
         g = random_affine_map(data.draw(st.integers(1, 4)), rnd)
     spec, grid, lo = random_box(data, g.n)
-    lab = Labeling(spec, g, grid, lo, keep_images=True)
+    lab = Labeling(spec, g, grid, lo, images={})
     points = list(spec.points())
     rnd.shuffle(points)
     for c in points:
         expected, gx = map_fn_reference(lab, c)
         assert lab.label(c) == expected
-        assert lab.images[c] == gx and all(type(v) is float for v in gx)
-    assert lab.evals == spec.point_count
+        x = lab.grid.to_real(lab.grid_point(c))
+        assert lab.images[x] == gx and all(type(v) is float for v in gx)
+    assert lab.evals == len(lab.images) == spec.point_count
 
 
 @settings(max_examples=80, deadline=None)
@@ -291,7 +293,7 @@ def test_label_fails_as_the_map_fn_does(data, fault):
         return {"nan": (0.5,) * (n - 1) + (float("nan"),), "count": (0.5,) * (n + 1),
                 "text": ("0.25",) * n, "bytes": (b"0.3",) * n}[fault]
 
-    lab = Labeling(spec, MapFn(n, fn), grid, lo, keep_images=True)
+    lab = Labeling(spec, MapFn(n, fn), grid, lo, images={})
     points = list(spec.points())
     bad.update(lab.grid.to_real(lab.grid_point(c))
                for c in rnd.sample(points, rnd.randint(1, min(4, len(points)))))
@@ -304,12 +306,45 @@ def test_label_fails_as_the_map_fn_does(data, fault):
                 lab.label(c)
             assert err.value.point == exc.point == lab.grid.to_real(lab.grid_point(c))
             assert str(err.value) == str(exc)
-            assert c not in lab.images
+            assert exc.point not in lab.images
         else:
-            assert (lab.label(c), lab.images[c]) == expected
+            x = lab.grid.to_real(lab.grid_point(c))
+            assert (lab.label(c), lab.images[x]) == expected
     assert lab.evals == spec.point_count - len(bad)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_labellings_sharing_an_image_table_evaluate_each_real_point_once(data):
+    # boxes of grid m and of grid 2m, as a solve's resolutions: the second
+    # reads the images the first stored, and every label is the one an
+    # unshared labelling gives
+    rnd = data.draw(st.randoms(use_true_random=False))
+    if data.draw(st.booleans()):
+        g = builtin(data.draw(st.sampled_from(SWEEP_CATALOG)))
+    else:
+        g = random_affine_map(data.draw(st.integers(1, 4)), rnd)
+    calls = Counter()
+
+    def counted(x):
+        calls[x] += 1
+        return g.fn(x)
+
+    shared = dataclasses.replace(g, fn=counted)
+    spec, grid, lo = random_box(data, g.n)
+    grid = grid or spec
+    w2 = data.draw(st.integers(1, 2 * grid.m))
+    lo2 = tuple(data.draw(st.integers(0, 2 * grid.m - w2)) for _ in range(g.n))
+    images = {}
+    boxes = [(spec, grid, lo), (GridSpec(g.n, w2), GridSpec(g.n, 2 * grid.m), lo2)]
+    for box, whole, at in boxes:
+        lab, fresh = Labeling(box, shared, whole, at, images), Labeling(box, g, whole, at)
+        assert [lab.label(c) for c in box.points()] == [fresh.label(c) for c in box.points()]
+    assert max(calls.values()) == 1 and len(images) == len(calls)
+    assert all(images[x] == g(x) for x in calls)
+
+
+# fully labeled queries
 # fully labeled queries
 
 def test_labels_of_and_fully_labeled():
