@@ -260,6 +260,7 @@ def cmd_solve(args) -> int:
     )
     report = solve(g, cfg)
     text = dump_json(solve_report_payload(report))
+    _write_record(args, text)
     if args.csv:
         lines = ["m,residual,diameter,evals"]
         lines += [
@@ -269,7 +270,6 @@ def cmd_solve(args) -> int:
         print("\n".join(lines))
     else:
         print(text)
-    _write_record(args, text)
     return EXIT_OK if report.converged else EXIT_CHECK_FAILED
 
 
@@ -279,8 +279,8 @@ def cmd_verify_parity(args) -> int:
     lab = Labeling(spec, g)
     report = parity_check(spec, lab, budget=_resolve_budget(args))
     text = dump_json(parity_payload(report))
-    print(text)
     _write_record(args, text)
+    print(text)
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
 
@@ -292,11 +292,11 @@ def cmd_trace(args) -> int:
     lab = Labeling(spec, g)
     _, trace = path_follow(spec, lab)
     text = trace_json(trace)
-    print(text)
     if args.svg is not None:
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(trace_svg(spec, lab, trace))
     _write_record(args, text)
+    print(text)
     return EXIT_OK
 
 

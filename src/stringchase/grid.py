@@ -64,10 +64,10 @@ class StringK:
     vertex; it is a permutation of 1..k.  All vertices keep coordinate 0 on
     every axis beyond k.
 
-    Calling ``StringK(...)`` validates all of this.  ``pivot`` and ``lift``
-    derive their results from a string already valid and build them through
-    ``_derived`` without checking again; ``search.verify_trace`` checks a
-    walk's strings independently of both.
+    Calling ``StringK(...)`` validates all of this.  ``pivot``, ``lift`` and
+    the solver, which moves a box's string into its grid, derive strings
+    from one already valid and build them through ``_derived`` without
+    checking again; ``search.verify_trace`` checks a walk's strings apart.
     """
 
     k: int

@@ -15,8 +15,8 @@ cannot break the one-face rule.  The comparison itself is an exact float
 
 A labeling may also cover a box of w cells per axis inside a finer grid,
 as the solver's restarts do.  The rule (``induced_label``) then forces the
-box's own top faces, so both rules hold on the box, and a box label is
-genuine when it equals the point's label in the whole grid.
+box's own top faces, so both rules hold on the box; a point on a forced
+face may carry a label that differs from its label in the whole grid.
 """
 
 from __future__ import annotations

@@ -12,14 +12,14 @@ best witness seen so far is returned with converged=False.
 The first resolution searches the whole grid.  Each later one restarts the
 search in a box of 2 cells per axis around the previous witness (Merrill's
 restart), with the box's own top faces forced into the labels so that the
-walk's boundary rules hold inside it.  The box's certificate is kept only
-when every vertex's box label is its label in the whole grid; then it is a
-fully labeled string of the whole grid.  Otherwise the box doubles in width
-around the same centre (4, 8, ... cells) and is searched again, so the
-whole grid is searched only as the last doubling, where every label is
-genuine.  Two cells is the smallest box whose labels depend on the map: in
-a box of one cell every coordinate is 0 or the forced top, so every label
-is fixed without reading g(x).  Both engines search the same boxes.
+walk's boundary rules hold inside it.  The box's string, moved into grid
+coordinates, is kept when it is fully labeled in the whole grid, the
+paper's certificate.  Otherwise the box doubles in width around the same
+centre (4, 8, ... cells) and is searched again, so the whole grid is
+searched only as the last doubling, where the box labels are the grid's.
+Two cells is the smallest box whose labels depend on the map: in a box of
+one cell every coordinate is 0 or the forced top, so every label is fixed
+without reading g(x).  Both engines search the same boxes.
 
 The witness is the best of the certificate's vertices and one more point.
 A fully labeled n-string is a Kuhn simplex, and the affine zero of
@@ -36,8 +36,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .grid import GridPoint, GridSpec, StringK, vertices
-from .labeling import Labeling, MapFn, induced_label, labels_of
+from .grid import GridSpec, StringK, vertices
+from .labeling import Labeling, MapFn, is_fully_labeled, labels_of
 from .search import DEFAULT_BUDGET, LabelingInvalid, exhaustive_fully_labeled, path_follow
 
 ENGINE_PATH = "path"
@@ -100,53 +100,45 @@ class SolveReport:
     history: tuple[ResolutionRecord, ...]
 
 
-def is_genuine(lab: Labeling, c: GridPoint) -> bool:
-    """True iff the box label of ``c`` is its label in the whole grid."""
-    x = lab.grid.to_real(p := lab.grid_point(c))
-    return lab.label(c) == induced_label(p, lab.grid.m, x, lab.images[x])
-
-
 def residual(g: MapFn, p) -> float:
     """Sup-norm distance ||g(p) - p||_inf, with g clamped into the cube."""
     pt = tuple(float(c) for c in p)
     return max(abs(qi - pi) for qi, pi in zip(g(pt), pt))
 
 
-def select_witness(lab: Labeling, s: StringK) -> tuple[tuple[float, ...], float, int]:
-    """The witness of ``s``, its residual and the map evaluations it took.
+def select_witness(g: MapFn, images: dict, points: list) -> tuple[tuple[float, ...], float]:
+    """The witness of the simplex with vertices ``points`` and its residual.
 
-    The best vertex (as a real point of the grid; ties go to the earlier
-    vertex) is found from the table ``lab.images``.  Unless its residual
-    is 0, the secant point, the weights lambda with
+    Every image is read from the table ``images``, from the real point x
+    to g(x), or evaluated and stored there.  The best vertex (ties go to
+    the earlier one) is replaced, unless its residual is 0, by the secant
+    point when that is strictly better: the weights lambda with
     sum_i lambda_i (g(v_i) - v_i) = 0 and sum_i lambda_i = 1 applied to the
-    vertices and clamped into the cube, is read from the table or evaluated
-    and stored, and replaces the vertex when its residual is strictly
-    smaller.  A singular system or a weight that is not finite keeps the
-    vertex without an evaluation.
+    vertices and clamped into the cube.  A singular system or a weight
+    that is not finite keeps the vertex without an evaluation.
     """
-    points, steps = [], []
+    def image(p):
+        if (gp := images.get(p)) is None:
+            gp = images[p] = g(p)
+        return gp
+
+    steps = []
     best_p, best_r = None, math.inf
-    for c in vertices(s):
-        lab.label(c)
-        p = lab.grid.to_real(lab.grid_point(c))
-        d = [qi - pi for qi, pi in zip(lab.images[p], p)]
+    for p in points:
+        d = [qi - pi for qi, pi in zip(image(p), p)]
         r = max(map(abs, d))
-        points.append(p)
         steps.append(d)
         if r < best_r:
             best_p, best_r = p, r
     weights = _affine_zero(steps) if best_r > 0 else None
     if weights is None:
-        return best_p, best_r, 0
+        return best_p, best_r
     z = tuple(
         min(max(sum(w * p[k] for w, p in zip(weights, points)), 0.0), 1.0)
         for k in range(len(best_p))
     )
-    evals = 0 if z in lab.images else 1
-    if evals:
-        lab.images[z] = lab.source(z)
-    r = max(abs(qi - zi) for qi, zi in zip(lab.images[z], z))
-    return (z, r, evals) if r < best_r else (best_p, best_r, evals)
+    r = max(abs(qi - zi) for qi, zi in zip(image(z), z))
+    return (z, r) if r < best_r else (best_p, best_r)
 
 
 def _affine_zero(steps: list[list[float]]) -> list[float] | None:
@@ -181,24 +173,25 @@ def solve_at(
     """One resolution: a fully labeled n-string of ``spec`` and its witness.
 
     Given the previous witness ``near``, the box of 2 cells per axis
-    around it, clamped into the grid, is searched, and its certificate is
-    kept when all its labels are genuine.  Otherwise the width doubles
-    around the same centre and the box is searched again.  At width m the
-    box is the whole grid, where every label is genuine; without ``near``
-    that is the first box.  The engine decides only how a box is searched:
-    the path engine walks it, the oracle enumerates its n-strings and takes
-    the first fully labeled one.  Every box reads and fills ``images``
-    (a fresh table if None), and so does the witness.  The record counts
-    the boxes searched and the map evaluations: the table's growth.
+    around it, clamped into the grid, is searched, and its string, moved
+    into grid coordinates, is kept when it is fully labeled in the whole
+    grid.  Otherwise the width doubles around the same centre and the box
+    is searched again.  At width m the box is the whole grid; without
+    ``near`` that is the first box.  The engine decides only how a box is
+    searched: the path engine walks it, the oracle enumerates its n-strings
+    and takes the first fully labeled one.  Every labelling reads and fills
+    ``images`` (a fresh table if None), and so does the witness.  The
+    record counts the boxes searched and the map evaluations: the table's growth.
     """
     n, m = spec.n, spec.m
     w = m if near is None else min(2, m)
     images = {} if images is None else images
     known, boxes = len(images), 0
+    whole = Labeling(spec, g, images=images)
     while True:
         boxes += 1
         lo = None if w == m else tuple(min(max(round(zi * m) - w // 2, 0), m - w) for zi in near)
-        lab = Labeling(GridSpec(n, w), g, spec, lo, images)
+        lab = whole if lo is None else Labeling(GridSpec(n, w), g, spec, lo, images)
         if cfg.engine == ENGINE_ORACLE:
             found = exhaustive_fully_labeled(lab.spec, lab, n, budget=cfg.budget)
             if not found:
@@ -206,12 +199,14 @@ def solve_at(
             s = found[0]
         else:
             s, _ = path_follow(lab.spec, lab)
-        if w == m or all(is_genuine(lab, v) for v in vertices(s)):
+        # a box string moved by lo >= 0 with lo + w <= m stays a string of the grid
+        s = StringK._derived(n, lab.grid_point(s.base), s.perm)
+        if is_fully_labeled(whole, s):
             break
         w = min(2 * w, m)
 
-    cert = Certificate(m, StringK(n, lab.grid_point(s.base), s.perm), tuple(labels_of(lab, s)))
-    z, r, _ = select_witness(lab, s)
+    cert = Certificate(m, s, tuple(labels_of(whole, s)))
+    z, r = select_witness(g, images, [spec.to_real(v) for v in vertices(s)])
     return cert, z, ResolutionRecord(m, r, math.sqrt(n) / m, len(images) - known, boxes)
 
 

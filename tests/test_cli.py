@@ -274,6 +274,8 @@ def test_bad_grid_resolution_is_usage_error(capsys):
         ("solve", "--builtin", "dottie", "--max-m", str(2 ** 52 + 1)),
         ("solve", "--builtin", "dottie", "--tol", "nan"),
         ("solve", "--builtin", "reflect1d", "--record", "missing-dir/run.json"),
+        ("verify-parity", "--builtin", "rot90", "--m", "3", "--record", "missing-dir/run.json"),
+        ("trace", "--builtin", "rot90", "--m", "3", "--svg", "."),
         ("solve", "--builtin", "dottie", "--max-m", "1"),
         ("solve", "--builtin", "dottie", "--initial-m", "4"),
         ("solve", "--builtin", "dottie", "--growth", "3"),
@@ -282,13 +284,17 @@ def test_bad_grid_resolution_is_usage_error(capsys):
         ("solve", "--map", "x" + "9" * 5000, "--n", "1"),
     ],
     ids=["m-zero", "m-negative", "n-zero", "max-m-above-2^52", "tol-nan", "record-unwritable",
+         "parity-record-unwritable", "svg-is-a-directory",
          "max-m-below-2", "no-initial-m", "no-growth", "no-json",
          "exponent-past-int-limit", "index-past-int-limit"],
 )
 def test_bad_arguments_are_usage_errors(capsys, tmp_path, monkeypatch, argv):
+    # the error is all the output: an unwritable --record or --svg file
+    # is found before the payload is printed
     monkeypatch.chdir(tmp_path)
-    code, _, err = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_USAGE
+    assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
 
 

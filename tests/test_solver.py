@@ -19,6 +19,7 @@ from stringchase import (
     SolveConfig,
     StringK,
     builtin,
+    is_fully_labeled,
     labels_of,
     parse,
     parity_check,
@@ -29,7 +30,7 @@ from stringchase import (
     verify_trace,
     vertices,
 )
-from stringchase.solver import MAX_M, is_genuine, solve_at
+from stringchase.solver import MAX_M, solve_at
 
 
 def test_residual_examples():
@@ -41,19 +42,33 @@ def test_residual_examples():
 
 def test_select_witness_prefers_smallest_residual():
     # a vertex of residual 0 wins without evaluating the secant point
-    g = builtin("reflect1d")
-    lab = Labeling(GridSpec(1, 4), g, images={})
-    s = StringK(1, (1,), (1,))  # vertices 1/4 and 1/2
-    assert select_witness(lab, s) == ((0.5,), 0.0, 0)
+    g, calls = _counted(builtin("reflect1d"))
+    assert select_witness(g, {}, [(0.25,), (0.5,)]) == ((0.5,), 0.0)
+    assert calls[0] == 2
 
-    g2 = builtin("const-0.5,0.5")
-    lab2 = Labeling(GridSpec(2, 2), g2, images={})
-    s2 = StringK(2, (0, 0), (1, 2))
-    assert select_witness(lab2, s2) == ((0.5, 0.5), 0.0, 0)
+    g2, calls = _counted(builtin("const-0.5,0.5"))
+    points = [(0.0, 0.0), (0.5, 0.0), (0.5, 0.5)]  # StringK(2, (0, 0), (1, 2)) at m = 2
+    assert select_witness(g2, {}, points) == ((0.5, 0.5), 0.0)
+    assert calls[0] == 3
 
-    # in a box, vertices are box coordinates and the witness a grid point
-    box = Labeling(GridSpec(1, 8), g, GridSpec(1, 64), (28,), images={})
-    assert select_witness(box, StringK(1, (3,), (1,))) == ((0.5,), 0.0, 0)
+    # the string of box points 3 and 4 of a box at 28 in grid 64 is the
+    # real points 31/64 and 32/64; the witness is a real point too
+    g, calls = _counted(builtin("reflect1d"))
+    assert select_witness(g, {}, [(31 / 64,), (32 / 64,)]) == ((0.5,), 0.0)
+    assert calls[0] == 2
+
+
+def test_select_witness_evaluates_each_point_once_into_the_table():
+    # no labelling has filled the table: each vertex is evaluated and
+    # stored, then the secant point; a second call evaluates nothing
+    g, calls = _counted(builtin("dottie"))
+    images, points = {}, [(0.5,), (0.75,)]
+    z, r = select_witness(g, images, points)
+    assert calls[0] == 3 and list(images) == [*points, z]
+    assert all(images[p] == g(p) for p in images)
+    assert r == residual(g, z) < residual(g, (0.75,)) < residual(g, (0.5,))
+    calls[0] = 0
+    assert select_witness(g, images, points) == (z, r) and calls[0] == 0
 
 
 def _stepped(inside):
@@ -73,13 +88,14 @@ def _stepped(inside):
 ], ids=["better", "tie", "worse"])
 def test_select_witness_keeps_the_secant_point_only_when_strictly_better(inside, kept):
     g, calls = _counted(_stepped(inside))
-    lab = Labeling(GridSpec(1, 4), g, images={})
-    s = StringK(1, (1,), (1,))
-    assert labels_of(lab, s) == [0, 1] and calls[0] == 2
-    z, r, evals = select_witness(lab, s)
-    assert evals == 1 and calls[0] == 3
+    images, points = {}, [(0.25,), (0.5,)]
+    lab = Labeling(GridSpec(1, 4), g, images=images)
+    assert labels_of(lab, StringK(1, (1,), (1,))) == [0, 1] and calls[0] == 2
+    # the vertices' images are read from the labelling's table
+    z, r = select_witness(g, images, points)
+    assert calls[0] == 3
     # the secant point's image is now in the table: asked again, it is read
-    assert select_witness(lab, s) == (z, r, 0) and calls[0] == 3
+    assert select_witness(g, images, points) == (z, r) and calls[0] == 3
     if kept:
         assert z == (pytest.approx(0.2 * 0.25 + 0.8 * 0.5),) and r == 0.0625 == residual(g, z)
     else:
@@ -90,11 +106,13 @@ def test_singular_secant_system_keeps_the_vertex():
     # g(x) - x is (1/4, 0) at every vertex: the weights are not determined,
     # so no secant point is formed and nothing is evaluated
     g, calls = _counted(MapFn(2, lambda p: (p[0] + 0.25, p[1])))
-    lab = Labeling(GridSpec(2, 4), g, images={})
+    images = {}
+    lab = Labeling(GridSpec(2, 4), g, images=images)
     s = StringK(2, (1, 1), (2, 1))
     labels_of(lab, s)
     calls[0] = 0
-    assert select_witness(lab, s) == ((0.25, 0.25), 0.25, 0)
+    points = [lab.grid.to_real(v) for v in vertices(s)]
+    assert select_witness(g, images, points) == ((0.25, 0.25), 0.25)
     assert calls[0] == 0
 
 
@@ -249,22 +267,22 @@ def _counted(g: MapFn):
 def test_box_walk_falls_back_to_the_full_walk():
     # at m = 64 a box at lo = 0 spans [0, w/64]; its forced top label 1 at
     # c = w is label 0 in the grid while w/64 < DOTTIE (e.g. cos(1/8) > 1/8
-    # at w = 8), so no box certificate is genuine until the box is the
-    # whole grid
+    # at w = 8), so no box string is fully labeled in the whole grid until
+    # the box is the whole grid
     g, calls = _counted(builtin("dottie"))
     spec = GridSpec(1, 64)
     box = Labeling(GridSpec(1, 8), g, spec, (0,), images={})
     s, trace = path_follow(box.spec, box)
     verify_trace(box, trace)
-    assert box.label((8,)) == 1 and not is_genuine(box, (8,))
-    assert not all(is_genuine(box, v) for v in vertices(s))
+    whole = Labeling(spec, g)
+    assert box.label((8,)) == 1 and whole.label((8,)) == 0
+    assert not is_fully_labeled(whole, StringK(1, box.grid_point(s.base), s.perm))
 
     calls[0] = 0
     cert, z, record = solve_at(g, spec, SolveConfig(), near=(0.0,))
     assert record.boxes == 6  # widths 2, 4, 8, 16, 32, 64
     assert calls[0] == record.evals
-    fresh = Labeling(spec, g)
-    assert labels_of(fresh, cert.string) == list(cert.labels) == [0, 1]
+    assert labels_of(whole, cert.string) == list(cert.labels) == [0, 1]
     assert min(spec.to_real(v)[0] for v in vertices(cert.string)) <= DOTTIE
     assert max(spec.to_real(v)[0] for v in vertices(cert.string)) >= DOTTIE
     assert record.residual <= min(residual(g, spec.to_real(v)) for v in vertices(cert.string))
@@ -380,6 +398,7 @@ def test_witness_beats_its_vertices_and_every_map_call_is_in_the_history(g, engi
             calls[0] = 0
             cert, z, record = solve_at(g, spec, cfg, z, images)
             assert calls[0] == record.evals
+            assert list(cert.labels) == labels_of(Labeling(spec, g), cert.string)
             vertex_residuals = [residual(g, spec.to_real(v)) for v in vertices(cert.string)]
             assert record.residual <= min(vertex_residuals)
             assert residual(g, z) == record.residual
@@ -422,8 +441,9 @@ def test_recipe_family_converges_within_its_evaluation_bound():
 
 
 def test_growing_box_converges_where_the_whole_grid_is_slow():
-    # the first box fails the genuineness check at many resolutions; a
-    # whole-grid walk at m = 2^19 alone costs about 10^6 evals
+    # the first box's string is not fully labeled in the whole grid at
+    # many resolutions; a whole-grid walk at m = 2^19 alone costs about
+    # 10^6 evals
     text = "0.9*x2 + 2*cos(5*x2) + 0.2; 0.3*x2^2 + 0.5*cos(5*x2) + 0.2"
     g, calls = _counted(parse(text, 2).as_map_fn())
     report = solve(g, SolveConfig(tol=1e-6))
