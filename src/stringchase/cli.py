@@ -7,12 +7,17 @@ same invocation always produces identical stdout.  Exit codes: 0 success
 converged, 3 enumeration budget exceeded, 4 internal error (a walk broke
 an invariant that induced labellings guarantee).  Each error is one line
 on stderr.
+
+``main(argv)`` returns the exit code and may be called any number of times
+in one process.  The argument parser does not depend on argv, so the first
+call builds it and later calls reuse it; importing the module builds nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import os
 import re
 import sys
@@ -178,7 +183,13 @@ def _add_budget_argument(sp) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser of every command, built on the first call and shared after.
+
+    Each handler looks up the library functions it calls (``solve``,
+    ``path_follow``, ...) when it runs, so patching those names still works.
+    """
     p = _Parser(prog="stringchase", description="Combinatorial fixed-point solver on [0,1]^n.")
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)

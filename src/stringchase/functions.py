@@ -67,10 +67,13 @@ class UnknownBuiltin(ValueError):
 
 
 def _quote(token: str | None) -> str:
-    """``token`` (None past the end of the input) as an error message shows
-    it: quoted, and past 20 characters cut to its first 20 plus its length,
-    so that an error on long input stays one short line."""
-    if token is None or len(token) <= 20:
+    """``token`` as an error message shows it: quoted, and past 20
+    characters cut to its first 20 plus its length, so that an error on
+    long input stays one short line.  None, the token past the end of the
+    input, reads ``end of input``."""
+    if token is None:
+        return "end of input"
+    if len(token) <= 20:
         return repr(token)
     return f"{token[:20]!r}... ({len(token)} characters)"
 

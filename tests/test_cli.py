@@ -323,6 +323,15 @@ def test_long_tokens_are_cut_in_errors(capsys, argv):
     assert len(err.encode()) < 200
 
 
+@pytest.mark.parametrize("text", ["x1 +", "(x1", ""], ids=["operand", "close", "empty"])
+def test_parse_error_at_the_end_of_the_input_names_it(capsys, text):
+    code, out, err = run_cli(capsys, "solve", "--n", "1", "--map", text)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "found end of input" in err and "None" not in err
+
+
 @pytest.mark.parametrize(
     "owner, argv, exc",
     [
@@ -466,6 +475,57 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["converged"] is True
+
+
+def run_cli_or_exit(capsys, argv):
+    """run_cli, with a SystemExit (as from --version) read as its code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch):
+    # an option given to one call (--csv, --budget) must not reach the
+    # next, nor may an error or --version leave state behind
+    monkeypatch.delenv("STRINGCHASE_BUDGET", raising=False)
+    calls = [
+        ("solve", "--builtin", "rot90", "--tol", "1e-2", "--csv"),
+        ("solve", "--builtin", "rot90", "--tol", "1e-2"),
+        ("verify-parity", "--builtin", "rot90", "--m", "3", "--budget", "5"),
+        ("verify-parity", "--builtin", "rot90", "--m", "3"),
+        ("--version",),
+        ("solve", "--map", "x1", "--builtin", "dottie"),
+        ("solve", "--builtin", "dottie", "--tol", "abc"),
+        ("trace", "--builtin", "avg-0.3", "--m", "8"),
+    ]
+    cli.build_parser.cache_clear()
+    shared = [run_cli_or_exit(capsys, argv) for argv in calls]
+    assert cli.build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run_cli_or_exit(capsys, argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [
+        EXIT_OK, EXIT_OK, EXIT_BUDGET, EXIT_OK, 0, EXIT_USAGE, EXIT_USAGE, EXIT_OK]
+    assert shared[0][1].startswith("m,residual") and shared[1][1].startswith("{")
+
+
+def test_build_parser_returns_one_parser():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_importing_the_cli_builds_no_parser():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import stringchase.cli as c; print(c.build_parser.cache_info().currsize)"],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
 
 def test_float_formatting_17_digits(capsys):
