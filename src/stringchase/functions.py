@@ -363,7 +363,7 @@ def builtin(name: str) -> MapFn:
         return MapFn(len(c), lambda p, _c=c: _c, name=name)
     if name.startswith("avg-"):
         c = _parse_params(name[len("avg-"):], "avg")
-        return MapFn(len(c), lambda p, _c=c: tuple((x + ci) / 2.0 for x, ci in zip(p, _c)),
+        return MapFn(len(c), lambda p, _c=c: tuple([(x + ci) / 2.0 for x, ci in zip(p, _c)]),
                      name=name)
     raise UnknownBuiltin(
         f"unknown builtin {_quote(name)}; available: reflect1d, dottie, rot90, squeeze, "

@@ -108,14 +108,6 @@ def vertices(s: StringK) -> list[GridPoint]:
     return out
 
 
-def vertex(s: StringK, i: int) -> GridPoint:
-    """Vertex ``i`` of ``s`` alone: the base plus the steps ``perm[:i]``."""
-    cur = list(s.base)
-    for axis in s.perm[:i]:
-        cur[axis - 1] += 1
-    return tuple(cur)
-
-
 def face_vertices(s: StringK, omitted: int) -> frozenset[GridPoint]:
     """Vertex set of the face of ``s`` that drops vertex ``omitted``."""
     verts = vertices(s)

@@ -83,9 +83,12 @@ def induced_label(c: GridPoint, top: int, x: Sequence[float], gx: Sequence[float
     the c_k == top alternative changes nothing, since g_k(x) <= 1 = x_k
     there; on a smaller box it forces the box's top faces.
     """
-    for k in range(len(c), 0, -1):
-        if c[k - 1] > 0 and (c[k - 1] == top or gx[k - 1] <= x[k - 1]):
-            return k
+    k = len(c)
+    while k:
+        k -= 1
+        ck = c[k]
+        if ck > 0 and (ck == top or gx[k] <= x[k]):
+            return k + 1
     return 0
 
 
@@ -109,6 +112,11 @@ class Labeling:
     correctly rounded quotient, so one rational is one key at every m),
     call the raw evaluator ``source.fn`` behind MapFn's clamp and checks
     (``_image``) and label it with ``induced_label``.
+
+    The per-box constants are bound once, at construction: the box width
+    w, n, the grid's M and ``source.fn``.  A miss in ``label`` then does
+    the bounds check, forms one real-point tuple, evaluates and labels;
+    at ``lo`` = 0 it forms c_i / M, the same float as (0 + c_i) / M.
     """
 
     def __init__(
@@ -130,6 +138,8 @@ class Labeling:
             raise ValueError(f"box {spec} at {self.lo} does not fit in {self.grid}")
         self.images = images
         self._cache: dict[GridPoint, int] = {}
+        self._w, self._n, self._m, self._fn = spec.m, spec.n, self.grid.m, source.fn
+        self._offset = any(self.lo)
 
     def grid_point(self, c: GridPoint) -> GridPoint:
         """The grid point that box point ``c`` stands for."""
@@ -139,16 +149,18 @@ class Labeling:
         c = tuple(c)
         lab = self._cache.get(c)
         if lab is None:
-            spec = self.spec
-            if len(c) != spec.n or min(c) < 0 or max(c) > spec.m:
-                raise ValueError(f"{c} is not a point of {spec}")
-            m = self.grid.m
-            x = tuple([(lo + a) / m for lo, a in zip(self.lo, c)])
+            n, w, m = self._n, self._w, self._m
+            if len(c) != n or min(c) < 0 or max(c) > w:
+                raise ValueError(f"{c} is not a point of {self.spec}")
+            if self._offset:
+                x = tuple([(lo + a) / m for lo, a in zip(self.lo, c)])
+            else:
+                x = tuple([a / m for a in c])
             if (images := self.images) is None:
-                gx = _image(self.source.fn, spec.n, x)
+                gx = _image(self._fn, n, x)
             elif (gx := images.get(x)) is None:
-                gx = images[x] = _image(self.source.fn, spec.n, x)
-            lab = self._cache[c] = induced_label(c, spec.m, x, gx)
+                gx = images[x] = _image(self._fn, n, x)
+            lab = self._cache[c] = induced_label(c, w, x, gx)
         return lab
 
     def sweep(self) -> Iterator[int]:
@@ -161,8 +173,8 @@ class Labeling:
         failing map raises MapEvaluationFailed at its first uncached
         failing point in flat order, with the message ``MapFn`` gives.
         """
-        cache, fn, n, w = self._cache, self.source.fn, self.spec.n, self.spec.m
-        reals = [[(lo + c) / self.grid.m for c in range(w + 1)] for lo in self.lo]
+        cache, fn, n, w, m = self._cache, self._fn, self._n, self._w, self._m
+        reals = [[(lo + c) / m for c in range(w + 1)] for lo in self.lo]
         for c, x in zip(self.spec.points(), product(*reals)):
             lab = cache.get(c)
             yield induced_label(c, w, x, _image(fn, n, x)) if lab is None else lab

@@ -26,7 +26,6 @@ from .grid import (
     lift,
     pivot,
     string_count,
-    vertex,
     vertices,
 )
 # count_fully_labeled_faces is not called here (the walk and the parity
@@ -37,7 +36,6 @@ from .labeling import (  # noqa: F401
     count_fully_labeled_faces,
     doors_of,
     is_fully_labeled,
-    labels_of,
 )
 
 DEFAULT_BUDGET = 10_000_000
@@ -206,9 +204,17 @@ def path_follow(spec: GridSpec, lab) -> tuple[StringK, PathTrace]:
     floor door in the zero slab of level k, where the walk descends to the
     face, which it enters through that face's lift (None).  Since no string
     has more than two links, the walk is a simple path and can only end at
-    a fully labeled n-string.  Labels are carried from string to string: a
-    lift or pivot forms and reads only the vertex it brings in, a descent
-    none.  A string's links depend on its label vector alone, so the walk
+    a fully labeled n-string.  The vertices and their labels are carried
+    from string to string, in two lists beside the current string: a lift
+    or pivot forms and labels only the vertex it brings in, a descent none.
+    The new vertex at entry 0 is the new base; at any other entry e it is
+    vertex e - 1 plus one step on axis ``perm[e - 1]`` of the new string
+    (after a lift, the old top plus a step on axis k + 1), so no vertex is
+    rebuilt from the base.  Each step's ``TraceStep`` is built without the
+    dataclass ``__init__``: ``object.__new__``, then ``object.__setattr__``
+    per field, which keeps the instance's attributes inline (112 bytes a
+    step on CPython 3.11; filling ``__dict__`` would make a dict of its
+    own, 248).  A string's links depend on its label vector alone, so the walk
     keeps a link table keyed by the vector, filled from ``doors_of`` (and
     the one-door check) the first time a vector occurs.  Long walks repeat
     few vectors: over the 40 ``avg-`` walks of a benchmark seed (n = 4..8,
@@ -221,14 +227,17 @@ def path_follow(spec: GridSpec, lab) -> tuple[StringK, PathTrace]:
     cycles are impossible when the degree bound holds).
     """
     n = spec.n
+    label = lab.label
     origin = StringK(0, (0,) * n, ())
-    if lab.label(origin.base) != 0:
+    if label(origin.base) != 0:
         raise LabelingInvalid("the origin must carry label 0")
+    new_step, set_field = object.__new__, object.__setattr__
     steps = [TraceStep(0, origin, None, None)]
     limits = [string_count(spec, k) + 1 for k in range(n + 1)]
     visits = [0] * (n + 1)
     current, entry = lift(origin), 1
-    labels = labels_of(lab, current)
+    verts = vertices(current)
+    labels = [label(v) for v in verts]
     link_table: dict[tuple[int, ...], list[int | None]] = {}
 
     while True:
@@ -252,34 +261,49 @@ def path_follow(spec: GridSpec, lab) -> tuple[StringK, PathTrace]:
         if entry not in links:
             raise LabelingInvalid(f"entry {entry} of {current} is not one of its links {links}")
         exit_h = links[1] if links[0] == entry else links[0]
-        steps.append(TraceStep(k, current, entry, exit_h))
+        # TraceStep(k, current, entry, exit_h) without the dataclass __init__
+        step = new_step(TraceStep)
+        set_field(step, "level", k)
+        set_field(step, "string", current)
+        set_field(step, "entry", entry)
+        set_field(step, "exit", exit_h)
+        steps.append(step)
 
         if exit_h is None:
             if k == n:
                 return current, PathTrace(tuple(steps), OUTCOME_FOUND)
             current, entry = lift(current), k + 1
-            labels.append(lab.label(vertex(current, entry)))
-            continue
-        try:
-            current, entry = pivot(spec, current, exit_h)
-        except BoundaryFace:
-            floor_door = (
-                exit_h == k and current.perm[-1] == k and current.base[k - 1] == 0
-            )
-            if not floor_door:
-                raise LabelingInvalid(
-                    f"door {exit_h} of {current} is pinned to the grid boundary, "
-                    "which the boundary rules forbid"
-                ) from None
-            if k == 1:
-                raise LabelingInvalid(
-                    "walk descended back to the origin; labeling is not Brouwer"
-                ) from None
-            current, entry = StringK(k - 1, current.base, current.perm[:-1]), None
-            labels.pop()
-            continue
-        del labels[exit_h]
-        labels.insert(entry, lab.label(vertex(current, entry)))
+        else:
+            try:
+                current, entry = pivot(spec, current, exit_h)
+            except BoundaryFace:
+                floor_door = (
+                    exit_h == k and current.perm[-1] == k and current.base[k - 1] == 0
+                )
+                if not floor_door:
+                    raise LabelingInvalid(
+                        f"door {exit_h} of {current} is pinned to the grid boundary, "
+                        "which the boundary rules forbid"
+                    ) from None
+                if k == 1:
+                    raise LabelingInvalid(
+                        "walk descended back to the origin; labeling is not Brouwer"
+                    ) from None
+                current, entry = StringK(k - 1, current.base, current.perm[:-1]), None
+                labels.pop()
+                verts.pop()
+                continue
+            del labels[exit_h], verts[exit_h]
+        # the vertex brought in is the base, or its neighbour below it in
+        # the string plus one step on the axis between them
+        if entry:
+            v = list(verts[entry - 1])
+            v[current.perm[entry - 1] - 1] += 1
+            v = tuple(v)
+        else:
+            v = current.base
+        verts.insert(entry, v)
+        labels.insert(entry, label(v))
 
 
 def verify_trace(lab, trace: PathTrace) -> None:

@@ -15,7 +15,16 @@ from dataclasses import dataclass
 
 import pytest
 
-from stringchase import GridPoint, GridSpec, Labeling, MapFn, builtin, parse
+from stringchase import GridPoint, GridSpec, Labeling, MapFn, StringK, builtin, parse
+from stringchase.grid import BoundaryFace, lift, pivot, string_count
+from stringchase.labeling import doors_of, labels_of
+from stringchase.search import (
+    OUTCOME_FOUND,
+    LabelingInvalid,
+    PathTrace,
+    StepLimitExceeded,
+    TraceStep,
+)
 
 CORPUS_SEED = 20260810
 N_RANDOM_MAPS = 100
@@ -165,6 +174,56 @@ def validate_brouwer(lab) -> BrouwerReport:
             if p[k - 1] == spec.m and value < k:
                 violations.append(RuleViolation(p, k, value, "one-face"))
     return BrouwerReport(spec.point_count, tuple(violations))
+
+
+def reference_walk(spec: GridSpec, lab) -> tuple[StringK, PathTrace]:
+    """``path_follow``'s walk the long way: every string's labels read
+    afresh with ``labels_of``, its links from ``doors_of``, and every move
+    made by ``pivot`` or ``lift``.  It raises where ``path_follow`` raises,
+    with the same exception class and message."""
+    n = spec.n
+    origin = StringK(0, (0,) * n, ())
+    if lab.label(origin.base) != 0:
+        raise LabelingInvalid("the origin must carry label 0")
+    steps = [TraceStep(0, origin, None, None)]
+    visits = [0] * (n + 1)
+    current, entry = lift(origin), 1
+    while True:
+        k = current.k
+        visits[k] += 1
+        limit = string_count(spec, k) + 1
+        if visits[k] > limit:
+            raise StepLimitExceeded(f"more than {limit} strings visited at level {k}")
+        labels = labels_of(lab, current)
+        links: list[int | None] = doors_of(labels, k)
+        if len(links) == 1:
+            if labels[links[0]] != k:
+                raise LabelingInvalid(
+                    f"{current} has one door but is not fully labeled; labels exceed the level"
+                )
+            links.append(None)
+        if entry not in links:
+            raise LabelingInvalid(f"entry {entry} of {current} is not one of its links {links}")
+        exit_h = links[1] if links[0] == entry else links[0]
+        steps.append(TraceStep(k, current, entry, exit_h))
+        if exit_h is None:
+            if k == n:
+                return current, PathTrace(tuple(steps), OUTCOME_FOUND)
+            current, entry = lift(current), k + 1
+            continue
+        try:
+            current, entry = pivot(spec, current, exit_h)
+        except BoundaryFace:
+            if not (exit_h == k and current.perm[-1] == k and current.base[k - 1] == 0):
+                raise LabelingInvalid(
+                    f"door {exit_h} of {current} is pinned to the grid boundary, "
+                    "which the boundary rules forbid"
+                ) from None
+            if k == 1:
+                raise LabelingInvalid(
+                    "walk descended back to the origin; labeling is not Brouwer"
+                ) from None
+            current, entry = StringK(k - 1, current.base, current.perm[:-1]), None
 
 
 def random_affine_map(n: int, rnd: random.Random) -> MapFn:

@@ -649,6 +649,12 @@ PINNED_STDOUT = [
      "928cc3f877b68a170618a37a24045f3b1d5e0a6366c02e1487fa180a07294e09"),
     (("trace", "--builtin", "rot90", "--m", "32"),
      "c3a790f3f0f6d3c3e5707335f07fdc54120c33028009ee557b82dcc101145c52"),
+    # 42 steps, one of them a descent through a floor door
+    (("trace", "--n", "3", "--m", "8", "--map",
+      "1.5*x1 + 0.3*x2 - 0.2; 3*x2 + 0.5*x3 - 0.2; 3*x3 + 0.3*x2 - 1"),
+     "cf2234a0fa2b97219e5fe65c06b8550a2e721a20f2ad58f5cfb359d4dfa32e77"),
+    (("trace", "--builtin", "avg-0.4,0.7,0.8,0.7,0.6,0.5,0.3,0.5", "--m", "12"),
+     "86602c541ff6f3e0e3c0a7250bf6e33ae5bee5cf499deab2e752e6b381b92ad1"),
     (("verify-parity", "--builtin", "avg-0.3,0.6", "--m", "6"),
      "3365a216e03ae1f69c492017f2c33e2cdf0cd5da6300d52035fbc74112721ce9"),
     (("verify-parity", "--map", "0.5*x1+0.3*x2^2; cos(x1*x3); expneg(x2)", "--n", "3",

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ExplicitLabeling, random_affine_map, random_steep_affine_map
+from conftest import (
+    ExplicitLabeling,
+    random_affine_map,
+    random_steep_affine_map,
+    reference_walk,
+)
 from stringchase import (
     BudgetExceeded,
     GridSpec,
@@ -29,7 +34,7 @@ from stringchase import (
     vertices,
 )
 from stringchase.labeling import doors_of
-from stringchase.search import OUTCOME_FOUND, TraceInvalid
+from stringchase.search import OUTCOME_FOUND, PathTrace, TraceInvalid, TraceStep
 
 
 def induced(g, m):
@@ -497,3 +502,98 @@ def test_walk_reads_one_label_per_move(case):
     descents = sum(b < a for a, b in zip(levels, levels[1:]))
     assert descents == (case == "floor-door")
     assert sum(counting.reads.values()) == len(trace.steps) + 1 - descents
+
+
+class RecordingLabeling:
+    """A labelling that records every point read, in order."""
+
+    def __init__(self, lab):
+        self.spec, self._lab, self.reads = lab.spec, lab, []
+
+    def label(self, p):
+        self.reads.append(tuple(p))
+        return self._lab.label(p)
+
+
+def _outcome(walk, spec, lab):
+    """A walk's (string, trace), or the class and message it raised."""
+    try:
+        return walk(spec, lab)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _assert_walk_matches_reference(spec, lab):
+    """path_follow gives what reference_walk gives, and every vertex the walk
+    brings in is the vertex at the entry index of the string it enters."""
+    recording = RecordingLabeling(lab)
+    got = _outcome(path_follow, spec, recording)
+    assert got == _outcome(reference_walk, spec, lab)
+    if not isinstance(got[1], PathTrace):
+        return got
+    steps = got[1].steps
+    # the origin and the first 1-string are read in full, then one new
+    # vertex per lift or pivot and none on a descent (entry None)
+    assert recording.reads[:3] == [steps[0].string.base] + vertices(steps[1].string)
+    brought_in = [vertices(s.string)[s.entry] for s in steps[2:] if s.entry is not None]
+    assert recording.reads[3:] == brought_in
+    return got
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 6),
+       st.sampled_from(["steep", "box", "brouwer", "any"]), st.randoms(use_true_random=False))
+def test_walk_matches_the_reference_walk(n, m, kind, rnd):
+    spec = GridSpec(n, m)
+    if kind == "steep":
+        lab = Labeling(spec, random_steep_affine_map(n, rnd))
+    elif kind == "box":
+        # a box of width m away from the origin of a finer grid, labelled
+        # with its own top faces forced, as the solver's restarts label it
+        grid = GridSpec(n, m + rnd.randint(1, 2 * m))
+        lo = [rnd.randint(0, grid.m - m) for _ in range(n)]
+        lo[rnd.randrange(n)] = rnd.randint(1, grid.m - m)
+        g = rnd.choice([random_affine_map, random_steep_affine_map])(n, rnd)
+        lab = Labeling(spec, g, grid=grid, lo=tuple(lo))
+    elif kind == "brouwer":
+        lab = ExplicitLabeling(spec, {p: rnd.choice(_legal_labels(p, m, n)) for p in spec.points()})
+    else:  # boundary rules broken, so most walks raise
+        table = {p: rnd.randint(0, n) for p in spec.points()}
+        if rnd.random() < 0.8:  # mostly past the origin's check
+            table[(0,) * n] = 0
+        lab = ExplicitLabeling(spec, table)
+    got = _assert_walk_matches_reference(spec, lab)
+    if kind != "any":
+        assert isinstance(got[1], PathTrace)
+
+
+def test_descending_walks_match_the_reference_walk():
+    # the steep seeds of test_some_steep_affine_walks_descend, some of which
+    # leave a level through its floor door
+    descending = 0
+    for seed in range(40):
+        rnd = random.Random(seed)
+        n, m = 1 + seed % 4, rnd.randint(1, 8)
+        spec, lab = induced(random_steep_affine_map(n, rnd), m)
+        _, trace = _assert_walk_matches_reference(spec, lab)
+        descending += any(s.entry is None for s in trace.steps[1:])
+    assert descending > 0
+
+
+@pytest.mark.parametrize("case", ["rot90", "floor-door"])
+def test_walk_steps_are_frozen_trace_steps(case):
+    # path_follow builds its steps without TraceStep's __init__; each must
+    # still be the frozen dataclass the constructor gives
+    if case == "rot90":
+        spec, lab = induced(builtin("rot90"), 5)
+    else:
+        spec = GridSpec(2, 3)
+        lab = ExplicitLabeling(spec, FLOOR_DOOR_TABLE)
+    _, trace = path_follow(spec, lab)
+    for s in trace.steps:
+        built = TraceStep(s.level, s.string, s.entry, s.exit)
+        assert type(s) is TraceStep
+        assert s == built and hash(s) == hash(built) and repr(s) == repr(built)
+        assert dataclasses.replace(s, exit=0) == TraceStep(s.level, s.string, s.entry, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.exit = 0
