@@ -199,7 +199,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--tol", type=float, default=SolveConfig.tol,
                     help="residual tolerance (sup norm)")
     sp.add_argument("--max-m", type=int, default=SolveConfig.max_m,
-                    help="largest resolution; m doubles from 2 (at most 2^52)")
+                    help="largest resolution; m runs over powers of two from 2, "
+                         "jumping by the last residual (at most 2^52)")
     sp.add_argument("--engine", choices=["path", "oracle"], default="path")
     sp.add_argument("--csv", action="store_true",
                     help="print the per-resolution history as CSV instead of JSON")

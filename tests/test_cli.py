@@ -661,7 +661,7 @@ PINNED_STDOUT = [
       "--m", "4"),
      "c51e90c5d80c0b1cef840a32d36a3311d33be170b96760bba17f99766a949736"),
     (("solve", "--builtin", "dottie"),
-     "6c0701b668acba946ae71d6ebf3a54ef3d3ce4029d34f8173e20e3f24a9a364c"),
+     "35c68932c0f9deb48f0de9c7f102392e2c60b4c2de11146115c1cd391a529184"),
     (("labels", "--builtin", "rot90", "--m", "30"),
      "8650a608737eb02da6d0b571771449557eacf1cd98292e6fc28b853547f80ff4"),
     (("labels", "--map", "0.5*x1+0.3*x2^2; cos(x1*x3); expneg(x2)", "--n", "3", "--m", "7"),

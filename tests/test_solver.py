@@ -5,7 +5,7 @@ import math
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CATALOG_REFERENCE, DOTTIE, recipe_maps, validate_brouwer
@@ -30,6 +30,7 @@ from stringchase import (
     verify_trace,
     vertices,
 )
+from stringchase import solver
 from stringchase.solver import MAX_M, solve_at
 
 
@@ -177,11 +178,11 @@ def test_oracle_engine_agrees_with_path_engine():
 
 def test_oracle_searches_the_growing_boxes():
     # the oracle enumerates the boxes the walk walks; on the whole grid at
-    # every resolution this solve took about 2 * 10^6 evals
+    # every resolution m = 2, 4, ... this solve took about 2 * 10^6 evals
     g = builtin("dottie")
     report = solve(g, SolveConfig(engine="oracle"))
-    assert report.converged and report.m_final == 2 ** 8
-    assert sum(h.evals for h in report.history) <= 40
+    assert report.converged and report.m_final == 2048
+    assert sum(h.evals for h in report.history) <= 12
     _assert_genuine_certificate(g, report)
 
 
@@ -291,8 +292,9 @@ def test_box_walk_falls_back_to_the_full_walk():
 
 def test_default_solve_cost_on_the_catalog():
     # the measured costs: boxes start at 2 cells, the witness may be the
-    # secant point, and a solve evaluates each real point once
-    costs = {"dottie": 18, "rot90": 5, "squeeze": 2, "avg-0.3,0.6": 6,
+    # secant point, a solve evaluates each real point once, and dottie's
+    # resolutions are m = 2, 16, 2048 (18 evals when m doubled)
+    costs = {"dottie": 11, "rot90": 5, "squeeze": 2, "avg-0.3,0.6": 6,
              "const-0.3,0.7,0.1": 7}
     for name, evals in costs.items():
         report = solve(builtin(name))
@@ -425,19 +427,78 @@ def test_a_solve_evaluates_no_real_point_twice(g, engine):
 
 
 def test_recipe_family_converges_within_its_evaluation_bound():
-    # solving the 120 maps to 1e-6 takes 23,833 evaluations (worst map
-    # 5,039), against 134,996 (33,377) with the best vertex as the witness
-    # and an image table per box
+    # solving the 120 maps to 1e-6 takes 15,373 evaluations (worst map
+    # 3,065), against 23,833 (5,039) when m doubled at every resolution and
+    # 134,996 (33,377) with, besides, the best vertex as the witness and an
+    # image table per box
     costs = []
     for g in recipe_maps():
         g, calls = _counted(g)
         report = solve(g, SolveConfig(tol=1e-6))
         assert report.converged, g.name
         assert calls[0] == sum(h.evals for h in report.history)
-        _assert_genuine_certificate(g, report)
         costs.append(calls[0])
-    assert sum(costs) <= 25_000
-    assert max(costs) <= 5_300
+        _assert_genuine_certificate(g, report)
+    assert sum(costs) <= 16_000
+    assert max(costs) <= 3_300
+
+
+def test_a_jump_whose_box_outgrows_twice_the_last_grid_resolves_there_instead(monkeypatch):
+    # two fixed points; the secant point of m = 2 (residual 0.025) asks for
+    # m = 16, where the box around it grows past 2 * 2 = 4 cells without a
+    # certificate, so the solve gives the jump up and resolves at m = 4
+    walks = [[]]  # (grid m, box width) of the walks after each resolution
+
+    def recorded_walk(spec, lab):
+        walks[-1].append((lab.grid.m, spec.m))
+        return path_follow(spec, lab)
+
+    def recorded_witness(*args):
+        walks.append([])
+        return select_witness(*args)
+
+    monkeypatch.setattr(solver, "path_follow", recorded_walk)
+    monkeypatch.setattr(solver, "select_witness", recorded_witness)
+    inputs = Counter()
+    g = parse("1.5*x1^2 + 0.1", 1).as_map_fn()
+    fn = g.fn
+
+    def counted(x):
+        inputs[x] += 1
+        return fn(x)
+
+    g = dataclasses.replace(g, fn=counted)
+    report = solve(g, SolveConfig(tol=1e-6))
+    # the walks of the jump given up are in the next record, and no real
+    # point is evaluated twice
+    assert max(inputs.values()) == 1
+    assert sum(inputs.values()) == sum(h.evals for h in report.history)
+    assert report.converged
+    _assert_genuine_certificate(g, report)
+    assert [h.m for h in report.history] == [2, 4, 16, 2048]
+    assert walks[1] == [(16, 2), (16, 4), (4, 2), (4, 4)]
+    for h, after in zip(report.history, walks[1:]):
+        assert all(w <= 2 * h.m for _, w in after)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(smooth_contractions(), clamped_sums()),
+       st.sampled_from([64, 100, 2 ** 20 + 1, MAX_M]))
+@example(builtin("dottie"), 100)  # m = 2, 16, then 64, not 100 or 2048
+def test_resolutions_are_powers_of_two_at_least_doubling_up_to_max_m(g, max_m):
+    report = solve(g, SolveConfig(tol=1e-6, max_m=max_m))
+    ms = [h.m for h in report.history]
+    assert ms[0] == 2
+    assert all(m & (m - 1) == 0 and m <= max_m for m in ms)
+    assert all(b >= 2 * a for a, b in zip(ms, ms[1:]))
+    if report.converged:
+        assert report.m_final == ms[-1] and report.residual <= 1e-6
+    else:
+        assert ms[-1] == 1 << (max_m.bit_length() - 1)
+        best = min(report.history, key=lambda h: h.residual)
+        assert (report.residual, report.m_final) == (best.residual, best.m)
+        assert report.certificate.m == best.m
+        assert residual(g, report.z) == report.residual
 
 
 def test_growing_box_converges_where_the_whole_grid_is_slow():
