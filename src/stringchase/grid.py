@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 GridPoint = tuple[int, ...]
 
+_new, _set = object.__new__, object.__setattr__
+
 
 class BoundaryFace(ValueError):
     """The requested pivot step would leave the grid."""
@@ -92,9 +94,16 @@ class StringK:
 
     @classmethod
     def _derived(cls, k: int, base: GridPoint, perm: tuple[int, ...]) -> StringK:
-        """A string that is valid by construction, built without checks."""
-        s = object.__new__(cls)
-        s.__dict__.update(k=k, base=base, perm=perm)
+        """A string that is valid by construction, built without checks.
+
+        The fields are set one by one with ``object.__setattr__``, as the
+        frozen ``__init__`` does, which keeps them inline: filling
+        ``__dict__`` would give every string a dict of its own.
+        """
+        s = _new(cls)
+        _set(s, "k", k)
+        _set(s, "base", base)
+        _set(s, "perm", perm)
         return s
 
 

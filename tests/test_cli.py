@@ -660,6 +660,14 @@ PINNED_STDOUT = [
     (("verify-parity", "--map", "0.5*x1+0.3*x2^2; cos(x1*x3); expneg(x2)", "--n", "3",
       "--m", "4"),
      "c51e90c5d80c0b1cef840a32d36a3311d33be170b96760bba17f99766a949736"),
+    # the parity benchmark's n = 2 size, where most cells lack a label below k
+    (("verify-parity", "--builtin", "avg-0.3,0.6", "--m", "90"),
+     "c3275c693de74e742a7e90b7465281649dd064e8c7ec44552214917d1da9e401"),
+    # n = 4 with three fully labelled strings at every level
+    (("verify-parity", "--map",
+      "1.5*x1^2 + 0.1; 0.9*sin(3*x2) + 0.2; 2*cos(5*x3) + 0.2; abs(x4-0.5) + 0.3*x1",
+      "--n", "4", "--m", "5"),
+     "68a487f13931ccc165cd55bb692ad7eda2b3a2be991d495bf229c250e063b97b"),
     (("solve", "--builtin", "dottie"),
      "35c68932c0f9deb48f0de9c7f102392e2c60b4c2de11146115c1cd391a529184"),
     (("labels", "--builtin", "rot90", "--m", "30"),
@@ -671,8 +679,17 @@ PINNED_STDOUT = [
 ]
 
 
-@pytest.mark.parametrize("argv, digest", PINNED_STDOUT,
-                         ids=[" ".join(argv[:3]) for argv, _ in PINNED_STDOUT])
+def _pinned_ids():
+    # a case is named by its first three arguments, or all of them when an
+    # earlier case already has that name
+    ids = []
+    for argv, _ in PINNED_STDOUT:
+        short = " ".join(argv[:3])
+        ids.append(" ".join(argv) if short in ids else short)
+    return ids
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_STDOUT, ids=_pinned_ids())
 def test_stdout_is_pinned(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == digest

@@ -430,6 +430,18 @@ def test_parity_check_matches_the_tuple_keyed_count(n, m, kind, rnd):
     assert parity_check(spec, lab) == tuple_keyed_parity(spec, lab)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 2), st.integers(6, 40), st.sampled_from(["induced", "steep"]),
+       st.randoms(use_true_random=False))
+def test_parity_check_matches_the_tuple_keyed_count_on_fine_grids(n, m, kind, rnd):
+    # on a fine grid most cells of an induced labelling lack one of the
+    # labels 0..k-1, so parity_check skips their strings unread
+    spec = GridSpec(n, m)
+    g = random_affine_map(n, rnd) if kind == "induced" else random_steep_affine_map(n, rnd)
+    lab = Labeling(spec, g)
+    assert parity_check(spec, lab) == tuple_keyed_parity(spec, lab)
+
+
 class CountingLabeling:
     """A labelling that counts how often each point's label is read."""
 
