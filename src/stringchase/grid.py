@@ -58,7 +58,7 @@ class GridSpec:
         return itertools.product(range(self.m + 1), repeat=self.n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StringK:
     """A k-string, stored as (base vertex, axis order).
 
@@ -94,12 +94,7 @@ class StringK:
 
     @classmethod
     def _derived(cls, k: int, base: GridPoint, perm: tuple[int, ...]) -> StringK:
-        """A string that is valid by construction, built without checks.
-
-        The fields are set one by one with ``object.__setattr__``, as the
-        frozen ``__init__`` does, which keeps them inline: filling
-        ``__dict__`` would give every string a dict of its own.
-        """
+        """A string that is valid by construction, built without checks."""
         s = _new(cls)
         _set(s, "k", k)
         _set(s, "base", base)

@@ -130,7 +130,6 @@ class Labeling:
         if spec.n != source.n:
             raise ValueError(f"grid dimension {spec.n} != map dimension {source.n}")
         self.spec = spec
-        self.source = source
         self.grid = spec if grid is None else grid
         self.lo = (0,) * spec.n if lo is None else tuple(lo)
         corner = self.grid_point((spec.m,) * spec.n)

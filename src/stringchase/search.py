@@ -104,7 +104,7 @@ class ParityReport:
         return all(lv.identity_ok and lv.odd_ok for lv in self.levels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceStep:
     """One visited string.
 
@@ -235,16 +235,13 @@ def path_follow(spec: GridSpec, lab) -> tuple[StringK, PathTrace]:
     The new vertex at entry 0 is the new base; at any other entry e it is
     vertex e - 1 plus one step on axis ``perm[e - 1]`` of the new string
     (after a lift, the old top plus a step on axis k + 1), so no vertex is
-    rebuilt from the base.  Each step's ``TraceStep`` is built without the
-    dataclass ``__init__``: ``object.__new__``, then ``object.__setattr__``
-    per field, which keeps the instance's attributes inline (112 bytes a
-    step on CPython 3.11; filling ``__dict__`` would make a dict of its
-    own, 248).  A string's links depend on its label vector alone, so the walk
-    keeps a link table keyed by the vector, filled from ``doors_of`` (and
-    the one-door check) the first time a vector occurs.  Long walks repeat
-    few vectors: over the 40 ``avg-`` walks of a benchmark seed (n = 4..8,
-    about 65,000 steps) 1,120 are distinct, so 98% of lookups hit; the
-    short box walks of a solve hit about 22% of the time.
+    rebuilt from the base.  A string's links depend on its label vector
+    alone, so the walk keeps a link table keyed by the vector, filled from
+    ``doors_of`` (and the one-door check) the first time a vector occurs.
+    Long walks repeat few vectors: over the 40 ``avg-`` walks of a
+    benchmark seed (n = 4..8, about 65,000 steps) 1,120 are distinct, so
+    98% of lookups hit; the short box walks of a solve hit about 22% of
+    the time.
 
     Raises LabelingInvalid as soon as the labeling breaks one of the
     boundary rules the walk relies on, and StepLimitExceeded if more
@@ -256,7 +253,6 @@ def path_follow(spec: GridSpec, lab) -> tuple[StringK, PathTrace]:
     origin = StringK(0, (0,) * n, ())
     if label(origin.base) != 0:
         raise LabelingInvalid("the origin must carry label 0")
-    new_step, set_field = object.__new__, object.__setattr__
     steps = [TraceStep(0, origin, None, None)]
     limits = [string_count(spec, k) + 1 for k in range(n + 1)]
     visits = [0] * (n + 1)
@@ -286,13 +282,7 @@ def path_follow(spec: GridSpec, lab) -> tuple[StringK, PathTrace]:
         if entry not in links:
             raise LabelingInvalid(f"entry {entry} of {current} is not one of its links {links}")
         exit_h = links[1] if links[0] == entry else links[0]
-        # TraceStep(k, current, entry, exit_h) without the dataclass __init__
-        step = new_step(TraceStep)
-        set_field(step, "level", k)
-        set_field(step, "string", current)
-        set_field(step, "entry", entry)
-        set_field(step, "exit", exit_h)
-        steps.append(step)
+        steps.append(TraceStep(k, current, entry, exit_h))
 
         if exit_h is None:
             if k == n:

@@ -8,7 +8,9 @@ to share between tests.
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import random
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
@@ -174,6 +176,18 @@ def validate_brouwer(lab) -> BrouwerReport:
             if p[k - 1] == spec.m and value < k:
                 violations.append(RuleViolation(p, k, value, "one-face"))
     return BrouwerReport(spec.point_count, tuple(violations))
+
+
+def assert_slotted_record(record) -> None:
+    """``record`` has no ``__dict__``, and every pickle protocol's round
+    trip, ``copy.copy`` and ``copy.deepcopy`` give an equal record with an
+    equal hash."""
+    assert not hasattr(record, "__dict__")
+    twins = [pickle.loads(pickle.dumps(record, protocol))
+             for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in twins + [copy.copy(record), copy.deepcopy(record)]:
+        assert type(twin) is type(record)
+        assert twin == record and hash(twin) == hash(record)
 
 
 def reference_walk(spec: GridSpec, lab) -> tuple[StringK, PathTrace]:

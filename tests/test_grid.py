@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import assert_slotted_record
 from stringchase import (
     BoundaryFace,
     GridSpec,
@@ -231,7 +232,7 @@ def test_pivot_involution_random(sp, h):
 
 def test_derived_strings_pass_the_checked_constructor():
     # pivot and lift skip StringK's checks; what they build must be exactly
-    # what the checked constructor accepts
+    # what the checked constructor accepts, with the same slotted layout
     for spec in all_small_specs():
         strings = [s for k in range(spec.n + 1) for s in enumerate_strings(spec, k)]
         derived = [other for _, _, other, _ in _pivot_cases(spec)]
@@ -239,6 +240,8 @@ def test_derived_strings_pass_the_checked_constructor():
         for s in derived:
             checked = StringK(s.k, s.base, s.perm)
             assert checked == s and hash(checked) == hash(s)
+            assert_slotted_record(s)
+            assert_slotted_record(checked)
 
 
 def test_pivot_exactly_two_strings_share_interior_face():

@@ -245,10 +245,11 @@ def test_sweep_fails_at_the_first_bad_point_in_flat_order(data, fault):
     assert lab.evals == len(before)  # the sweep cached nothing
 
 
-def map_fn_reference(lab, c):
-    """Label and image of box point ``c`` through ``grid.to_real`` and ``MapFn``."""
+def map_fn_reference(lab, g, c):
+    """Label and image of box point ``c`` through ``grid.to_real`` and the
+    ``MapFn`` ``g`` that ``lab`` labels by."""
     x = lab.grid.to_real(lab.grid_point(c))
-    gx = lab.source(x)
+    gx = g(x)
     return induced_label(c, lab.spec.m, x, gx), gx
 
 
@@ -268,7 +269,7 @@ def test_label_equals_the_map_fn_reference(data):
     points = list(spec.points())
     rnd.shuffle(points)
     for c in points:
-        expected, gx = map_fn_reference(lab, c)
+        expected, gx = map_fn_reference(lab, g, c)
         assert lab.label(c) == expected
         x = lab.grid.to_real(lab.grid_point(c))
         assert lab.images[x] == gx and all(type(v) is float for v in gx)
@@ -293,14 +294,15 @@ def test_label_fails_as_the_map_fn_does(data, fault):
         return {"nan": (0.5,) * (n - 1) + (float("nan"),), "count": (0.5,) * (n + 1),
                 "text": ("0.25",) * n, "bytes": (b"0.3",) * n}[fault]
 
-    lab = Labeling(spec, MapFn(n, fn), grid, lo, images={})
+    g = MapFn(n, fn)
+    lab = Labeling(spec, g, grid, lo, images={})
     points = list(spec.points())
     bad.update(lab.grid.to_real(lab.grid_point(c))
                for c in rnd.sample(points, rnd.randint(1, min(4, len(points)))))
     rnd.shuffle(points)
     for c in points:
         try:
-            expected = map_fn_reference(lab, c)
+            expected = map_fn_reference(lab, g, c)
         except MapEvaluationFailed as exc:
             with pytest.raises(MapEvaluationFailed) as err:
                 lab.label(c)

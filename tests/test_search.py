@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     ExplicitLabeling,
+    assert_slotted_record,
     random_affine_map,
     random_steep_affine_map,
     reference_walk,
@@ -594,8 +595,8 @@ def test_descending_walks_match_the_reference_walk():
 
 @pytest.mark.parametrize("case", ["rot90", "floor-door"])
 def test_walk_steps_are_frozen_trace_steps(case):
-    # path_follow builds its steps without TraceStep's __init__; each must
-    # still be the frozen dataclass the constructor gives
+    # each step path_follow records, and the string it holds, must be the
+    # frozen slotted record the constructor gives, and survive pickle and copy
     if case == "rot90":
         spec, lab = induced(builtin("rot90"), 5)
     else:
@@ -609,3 +610,5 @@ def test_walk_steps_are_frozen_trace_steps(case):
         assert dataclasses.replace(s, exit=0) == TraceStep(s.level, s.string, s.entry, 0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             s.exit = 0
+        assert_slotted_record(s)
+        assert_slotted_record(s.string)
