@@ -17,6 +17,12 @@ A labeling may also cover a box of w cells per axis inside a finer grid,
 as the solver's restarts do.  The rule (``induced_label``) then forces the
 box's own top faces, so both rules hold on the box; a point on a forced
 face may carry a label that differs from its label in the whole grid.
+
+Where the rule fixes a label, the label does not depend on g: at the
+origin it is 0, and at a point whose highest nonzero coordinate K is on
+the top face (x_K = 1 in a whole grid, c_K = w in a box) it is K.
+``Labeling`` gives those points their label without evaluating g there, so
+a map that faults only at such points labels without error.
 """
 
 from __future__ import annotations
@@ -101,22 +107,28 @@ class Labeling:
     ``induced_label(c, w, x, g(x))``, so both boundary rules hold on the
     box.
 
-    Points are labeled one at a time by ``label``, which bounds-checks its
-    argument and caches.  Given ``images``, a table from the real point x
-    to the clamped g(x), it reads g(x) there and stores every image it
-    evaluates, so the labellings of one table (a solve's boxes) evaluate g
-    once per real point.  The whole box is labeled in flat order, the order
-    of ``GridSpec.points()``, by ``sweep``, which reads cached points and
-    caches nothing.  Neither goes through ``MapFn.__call__``: both form the
-    real point as (lo_i + c_i) / M, the floats ``grid.to_real`` gives (a
-    correctly rounded quotient, so one rational is one key at every m),
-    call the raw evaluator ``source.fn`` behind MapFn's clamp and checks
-    (``_image``) and label it with ``induced_label``.
+    The forced points, the origin and the points whose highest nonzero
+    coordinate is w, get their label without reading g; every other point
+    is evaluated.  Points are labeled one at a time by ``label``, which
+    bounds-checks its argument and caches.  Given ``images``, a table from
+    the real point x to the clamped g(x), it reads g(x) there and stores
+    every image it evaluates, so the labellings of one table (a solve's
+    boxes) evaluate g once per real point.  The whole box is labeled in
+    flat order, the order of ``GridSpec.points()``, by ``sweep``, which
+    reads cached points and caches nothing.  Neither goes through
+    ``MapFn.__call__``: both form the real point as (lo_i + c_i) / M, the
+    floats ``grid.to_real`` gives (a correctly rounded quotient, so one
+    rational is one key at every m), call the raw evaluator ``source.fn``
+    behind MapFn's clamp and checks (``_image``) and label it with
+    ``induced_label``.
 
     The per-box constants are bound once, at construction: the box width
     w, n, the grid's M and ``source.fn``.  A miss in ``label`` then does
-    the bounds check, forms one real-point tuple, evaluates and labels;
-    at ``lo`` = 0 it forms c_i / M, the same float as (0 + c_i) / M.
+    the bounds check, whose maximum coordinate tells whether the point can
+    be forced: only when it is 0 or w does it scan down from the top axis
+    to the highest nonzero coordinate.  An unforced point forms one
+    real-point tuple, is evaluated and labeled.  At ``lo`` = 0 it forms
+    c_i / M, the same float as (0 + c_i) / M.
     """
 
     def __init__(
@@ -137,6 +149,7 @@ class Labeling:
             raise ValueError(f"box {spec} at {self.lo} does not fit in {self.grid}")
         self.images = images
         self._cache: dict[GridPoint, int] = {}
+        self._forced = 0  # cached points whose label was forced
         self._w, self._n, self._m, self._fn = spec.m, spec.n, self.grid.m, source.fn
         self._offset = any(self.lo)
 
@@ -149,8 +162,16 @@ class Labeling:
         lab = self._cache.get(c)
         if lab is None:
             n, w, m = self._n, self._w, self._m
-            if len(c) != n or min(c) < 0 or max(c) > w:
+            if len(c) != n or min(c) < 0 or (top := max(c)) > w:
                 raise ValueError(f"{c} is not a point of {self.spec}")
+            if top == w or not top:  # the origin, or maybe on a top face
+                k = n
+                while k and not c[k - 1]:
+                    k -= 1
+                if not k or c[k - 1] == w:
+                    self._forced += 1
+                    lab = self._cache[c] = k
+                    return lab
             if self._offset:
                 x = tuple([(lo + a) / m for lo, a in zip(self.lo, c)])
             else:
@@ -166,23 +187,33 @@ class Labeling:
         """The label of every box point, in flat order: ``spec.points()`` order.
 
         Real coordinates come from one table per axis, (lo_i + c) / M for c
-        in 0..w, the floats ``to_real`` gives.  Cached points are read and
-        every other point is labeled from the map, but a sweep, which
-        visits each point once, neither caches nor uses ``images``.  A
-        failing map raises MapEvaluationFailed at its first uncached
-        failing point in flat order, with the message ``MapFn`` gives.
+        in 0..w, the floats ``to_real`` gives.  Cached points are read,
+        forced points get their label without g, and every other point is
+        labeled from the map, but a sweep, which visits each point once,
+        neither caches nor uses ``images``.  A failing map raises
+        MapEvaluationFailed at its first failing point in flat order that
+        is neither cached nor forced, with the message ``MapFn`` gives.
         """
         cache, fn, n, w, m = self._cache, self._fn, self._n, self._w, self._m
         reals = [[(lo + c) / m for c in range(w + 1)] for lo in self.lo]
         for c, x in zip(self.spec.points(), product(*reals)):
             lab = cache.get(c)
-            yield induced_label(c, w, x, _image(fn, n, x)) if lab is None else lab
+            if lab is None:
+                k = n
+                while k and not c[k - 1]:
+                    k -= 1
+                if not k or c[k - 1] == w:
+                    lab = k
+                else:
+                    lab = induced_label(c, w, x, _image(fn, n, x))
+            yield lab
 
     @property
     def evals(self) -> int:
-        """Distinct points labeled through ``label`` so far, not a sweep's:
-        its map evaluations, unless a shared ``images`` table saved some."""
-        return len(self._cache)
+        """Distinct points labeled through ``label`` so far whose label read
+        g(x), not a sweep's and not the forced ones: its map evaluations,
+        unless a shared ``images`` table saved some."""
+        return len(self._cache) - self._forced
 
 
 def labels_of(lab, s: StringK) -> list[int]:

@@ -29,8 +29,8 @@ doubling m would search; past that the jump is given up and the
 resolution is made at 2m from the same witness, so no resolution walks a
 wider box than doubling would.  Two cells is the smallest box whose labels
 depend on the map: in a box of one cell every coordinate is 0 or the
-forced top, so every label is fixed without reading g(x).  Both engines
-search the same boxes.
+forced top, so every label is fixed, and ``Labeling`` labels such a box
+without a single evaluation.  Both engines search the same boxes.
 
 The witness is the best of the certificate's vertices and one more point.
 A fully labeled n-string is a Kuhn simplex, and the affine zero of
@@ -39,7 +39,9 @@ its residual is strictly below the best vertex's (Kuhn 1968; Saigal
 1977).  Near a fixed point where g is smooth and I - Dg invertible, its
 residual falls like O(1/m^2), against the vertices' O(1/m).  The boxes
 and secant points of a solve share one table of images, so the witness
-costs at most the secant point's one evaluation.
+costs at most the secant point's one evaluation, plus one for each
+certificate vertex whose label the cube's boundary rules forced (the
+origin, a point on a top face), which no labelling evaluated.
 """
 
 from __future__ import annotations
@@ -59,10 +61,10 @@ MAX_M = 2 ** 52  # (lo + c) / m stays exact in binary64 up to here
 # After a residual r the next grid has about 1/(JUMP*r) cells per axis (see
 # ``solve``).  Solving to 1e-6, box bound included, CPython 3.11, evals:
 #   rule      recipe family  worst map  resolutions  refine seed 1  dottie m
-#   double    23,833         5,039      844          337            2, 4, ..., 256
-#   JUMP = 1  15,959         3,057      434          351            2, 64, 65536
-#   JUMP = 2  15,736         3,071      475          250            2, 32, 8192
-#   JUMP = 4  15,373         3,065      509          243            2, 16, 2048
+#   double    22,411         4,949      844          298            2, 4, ..., 256
+#   JUMP = 1  14,975         2,988      434          306            2, 64, 65536
+#   JUMP = 2  14,776         3,002      475          211            2, 32, 8192
+#   JUMP = 4  14,413         2,996      509          205            2, 16, 2048
 # JUMP = 1 costs more than doubling on refine; JUMP = 4 is cheapest on both.
 JUMP = 4
 

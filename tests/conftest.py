@@ -178,6 +178,16 @@ def validate_brouwer(lab) -> BrouwerReport:
     return BrouwerReport(spec.point_count, tuple(violations))
 
 
+def forced_label(c: GridPoint, top: int) -> int | None:
+    """The label the boundary rules fix at point ``c`` of a box {0..top}^n,
+    or None where it depends on the map: 0 at the origin, and K where the
+    highest nonzero coordinate K is on the top face (c_K = top)."""
+    nonzero = [k for k in range(1, len(c) + 1) if c[k - 1]]
+    if not nonzero:
+        return 0
+    return nonzero[-1] if c[nonzero[-1] - 1] == top else None
+
+
 def assert_slotted_record(record) -> None:
     """``record`` has no ``__dict__``, and every pickle protocol's round
     trip, ``copy.copy`` and ``copy.deepcopy`` give an equal record with an

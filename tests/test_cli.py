@@ -668,8 +668,9 @@ PINNED_STDOUT = [
       "1.5*x1^2 + 0.1; 0.9*sin(3*x2) + 0.2; 2*cos(5*x3) + 0.2; abs(x4-0.5) + 0.3*x1",
       "--n", "4", "--m", "5"),
      "68a487f13931ccc165cd55bb692ad7eda2b3a2be991d495bf229c250e063b97b"),
+    # history evals 3, 3, 3: the forced labels at 0 and 1 read no g(x)
     (("solve", "--builtin", "dottie"),
-     "35c68932c0f9deb48f0de9c7f102392e2c60b4c2de11146115c1cd391a529184"),
+     "45af152dd907b3ee2ee1dbefa60b8a12d1819926687d5d8765e4254a9aec98cc"),
     (("labels", "--builtin", "rot90", "--m", "30"),
      "8650a608737eb02da6d0b571771449557eacf1cd98292e6fc28b853547f80ff4"),
     (("labels", "--map", "0.5*x1+0.3*x2^2; cos(x1*x3); expneg(x2)", "--n", "3", "--m", "7"),

@@ -2,9 +2,11 @@
 
 import json
 import math
+import operator
 import random
 import subprocess
 import sys
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -119,13 +121,15 @@ def test_depth_bound():
     for _ in range(d):
         sin_value = math.sin(sin_value)
     long_sum = " + ".join(["0.001*x1"] * d)  # d - 1 additions over products
+    # the parsed sums add left to right, as reduce does; sum compensates
+    # from Python 3.12 on
     cases = [  # (text, x1, value)
         ("-(" * half + "x1" + ")" * half, 0.5, 0.5),  # neg and group per pair
         (nested_sin, 0.5, sin_value),
         ("min2(" * d + "x1" + ", 0.25)" * d, 0.5, 0.25),
         ("(" * half + "x1" + "^1)" * half, 0.5, 0.5),  # ((x1^1)^1)...
-        (" + ".join(["x1"] * (d + 1)), 0.001, sum([0.001] * (d + 1))),
-        (long_sum, 0.5, sum([0.001 * 0.5] * d)),
+        (" + ".join(["x1"] * (d + 1)), 0.001, reduce(operator.add, [0.001] * (d + 1))),
+        (long_sum, 0.5, reduce(operator.add, [0.001 * 0.5] * d)),
     ]
     for text, x, value in cases:
         assert parse(text, 1).as_map_fn()((x,)) == (value,)
@@ -223,9 +227,28 @@ def test_huge_literal_is_a_constant_not_source(capsys):
     digits = "9" * 400  # parses to inf
     assert main(["solve", "--map", digits, "--n", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["z"] == [1]
-    assert main(["solve", "--map", digits + "*x1", "--n", "1"]) == 1
+    # inf*x1 - inf*x1 is NaN at every x1; the walk's first unforced point is 1/2
+    assert main(["solve", "--map", f"{digits}*x1 - {digits}*x1", "--n", "1"]) == 1
     assert capsys.readouterr().err == (
-        "error: map evaluation failed at (0.0,): evaluator produced NaN\n")
+        "error: map evaluation failed at (0.5,): evaluator produced NaN\n")
+
+
+def test_map_faulting_only_at_forced_points_solves(capsys):
+    # inf*x1 is NaN only at x1 = 0, where the label is forced to 0 and g is
+    # never read; everywhere else it clamps to 1, the fixed point
+    digits = "9" * 400
+    assert main(["solve", "--map", digits + "*x1", "--n", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["z"] == [1]
+    assert main(["labels", "--map", digits + "*x1", "--n", "1", "--m", "4"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "0,0,0", "1,0.25,0", "2,0.5,0", "3,0.75,0", "4,1,1"]
+    assert main(["verify-parity", "--map", digits + "*x1", "--n", "1", "--m", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["levels"][0]["S1"] == 1
+    # the witness still reads g at every certificate vertex: inf*(1 - x1) is
+    # NaN only at the forced x1 = 1, a vertex of the certificate
+    assert main(["solve", "--map", f"{digits}*(1 - x1)", "--n", "1"]) == 1
+    assert capsys.readouterr().err == (
+        "error: map evaluation failed at (1.0,): evaluator produced NaN\n")
 
 
 def test_unknown_op_fails_at_compile_time():

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ExplicitLabeling, random_affine_map, validate_brouwer
+from conftest import ExplicitLabeling, forced_label, random_affine_map, validate_brouwer
 from stringchase import (
     GridSpec,
     Labeling,
@@ -103,8 +103,9 @@ def test_label_rejects_points_outside_grid():
 
 def test_one_cell_box_labels_ignore_the_map():
     # in a box of width 1 every coordinate is 0 or the forced top, so every
-    # label is max{k : c_k = 1} whatever g(x) is: the solver's boxes start
-    # at 2 cells, the smallest width whose labels read the map
+    # label is max{k : c_k = 1} whatever g(x) is, and none is evaluated: the
+    # solver's boxes start at 2 cells, the smallest width whose labels read
+    # the map
     for name in ("reflect1d", "dottie", "squeeze", "rot90", "const-0,1", "avg-0.3,0.6,0.9"):
         g = builtin(name)
         grid = GridSpec(g.n, 16)
@@ -114,6 +115,7 @@ def test_one_cell_box_labels_ignore_the_map():
             for c in box.spec.points():
                 top = [k for k in range(1, g.n + 1) if c[k - 1] == 1]
                 assert box.label(c) == max(top, default=0)
+            assert box.evals == 0
 
 
 def test_map_evaluation_failure_carries_point():
@@ -133,9 +135,10 @@ def test_non_numeric_component_is_evaluation_failure(component):
     with pytest.raises(MapEvaluationFailed, match="evaluator raised") as err:
         g((0.5,))
     assert err.value.point == (0.5,)
+    # the sweep labels 0 and 1 by the boundary rules alone and fails at 1/2
     with pytest.raises(MapEvaluationFailed, match="evaluator raised") as err:
-        next(Labeling(GridSpec(1, 2), g).sweep())
-    assert err.value.point == (0.0,)
+        list(Labeling(GridSpec(1, 2), g).sweep())
+    assert err.value.point == (0.5,)
 
 
 def test_map_clamps_and_rejects_nan():
@@ -176,8 +179,9 @@ def random_box(data, n):
 @given(st.data())
 def test_sweep_equals_per_point_labels(data):
     # on top of any earlier label calls, the sweep reads the cached points,
-    # evaluates exactly the others, matches a fresh labelling point by point
-    # and leaves the cache, the image table and evals as they were
+    # gives the forced ones their label without evaluating, evaluates
+    # exactly the others, matches a fresh labelling point by point and
+    # leaves the cache, the image table and evals as they were
     rnd = data.draw(st.randoms(use_true_random=False))
     if data.draw(st.booleans()):
         g = builtin(data.draw(st.sampled_from(SWEEP_CATALOG)))
@@ -196,13 +200,15 @@ def test_sweep_equals_per_point_labels(data):
     for c in cached:
         lab.label(c)
     images, evals = dict(lab.images), lab.evals
-    uncached = Counter(lab.grid.to_real(lab.grid_point(c)) for c in points if c not in cached)
+    uncached = Counter(lab.grid.to_real(lab.grid_point(c)) for c in points
+                       if c not in cached and forced_label(c, spec.m) is None)
     calls.clear()
     fresh = Labeling(spec, g, grid, lo)
     assert list(lab.sweep()) == [fresh.label(c) for c in points]
     assert calls == uncached
     assert (lab.images, lab.evals) == (images, evals)
-    # label then evaluates what the sweep evaluated once more: it cached none
+    # label then evaluates what the sweep evaluated once more: it cached
+    # none, and neither reads g at a forced point
     calls.clear()
     assert [lab.label(c) for c in points] == [fresh.label(c) for c in points]
     assert calls == uncached
@@ -211,6 +217,9 @@ def test_sweep_equals_per_point_labels(data):
 @settings(max_examples=80, deadline=None)
 @given(st.data(), st.sampled_from(["raise", "nan", "count", "text", "bytes"]))
 def test_sweep_fails_at_the_first_bad_point_in_flat_order(data, fault):
+    # bad points are drawn from the whole box; the sweep fails at the first
+    # one in flat order whose label is not forced, or not at all when every
+    # bad point is forced, since a forced label reads no g(x)
     rnd = data.draw(st.randoms(use_true_random=False))
     n = data.draw(st.integers(1, 3))
     spec, grid, lo = random_box(data, n)
@@ -229,20 +238,26 @@ def test_sweep_fails_at_the_first_bad_point_in_flat_order(data, fault):
     points = list(spec.points())
     real = [lab.grid.to_real(lab.grid_point(c)) for c in points]
     bad.update(rnd.sample(real, rnd.randint(1, min(4, len(real)))))
-    first = next(i for i, x in enumerate(real) if x in bad)
-    with pytest.raises(MapEvaluationFailed) as expected:
-        g(real[first])
+    failing = [i for i, (c, x) in enumerate(zip(points, real))
+               if x in bad and forced_label(c, spec.m) is None]
+    first = failing[0] if failing else len(points)
     before = rnd.sample(points[:first], rnd.randint(0, first))
     for c in before:
         lab.label(c)  # cached points are read, never evaluated again
+    evals = lab.evals
     labels = lab.sweep()
     fresh = Labeling(spec, g, grid, lo)
     assert [next(labels) for _ in range(first)] == [fresh.label(c) for c in points[:first]]
-    with pytest.raises(MapEvaluationFailed) as err:
-        next(labels)
-    assert err.value.point == expected.value.point == real[first]
-    assert str(err.value) == str(expected.value)
-    assert lab.evals == len(before)  # the sweep cached nothing
+    if failing:
+        with pytest.raises(MapEvaluationFailed) as expected:
+            g(real[first])
+        with pytest.raises(MapEvaluationFailed) as err:
+            next(labels)
+        assert err.value.point == expected.value.point == real[first]
+        assert str(err.value) == str(expected.value)
+    else:
+        assert next(labels, None) is None
+    assert lab.evals == evals == sum(forced_label(c, spec.m) is None for c in before)
 
 
 def map_fn_reference(lab, g, c):
@@ -258,7 +273,8 @@ def map_fn_reference(lab, g, c):
 def test_label_equals_the_map_fn_reference(data):
     # label forms (lo + c) / M itself and calls the raw evaluator; it must
     # give the label, and store under the real point the image, that
-    # to_real and MapFn give
+    # to_real and MapFn give.  A forced label is the reference label too,
+    # and stores no image
     rnd = data.draw(st.randoms(use_true_random=False))
     if data.draw(st.booleans()):
         g = builtin(data.draw(st.sampled_from(SWEEP_CATALOG)))
@@ -268,25 +284,31 @@ def test_label_equals_the_map_fn_reference(data):
     lab = Labeling(spec, g, grid, lo, images={})
     points = list(spec.points())
     rnd.shuffle(points)
+    unforced = set()
     for c in points:
         expected, gx = map_fn_reference(lab, g, c)
         assert lab.label(c) == expected
         x = lab.grid.to_real(lab.grid_point(c))
-        assert lab.images[x] == gx and all(type(v) is float for v in gx)
-    assert lab.evals == len(lab.images) == spec.point_count
+        if forced_label(c, spec.m) is None:
+            unforced.add(x)
+            assert lab.images[x] == gx and all(type(v) is float for v in gx)
+    assert set(lab.images) == unforced
+    assert lab.evals == len(unforced)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.data(), st.sampled_from(["raise", "nan", "count", "text", "bytes"]))
 def test_label_fails_as_the_map_fn_does(data, fault):
     # at a faulting point label raises MapFn's MapEvaluationFailed, with the
-    # same message and point, and caches nothing for it
+    # same message and point, and caches nothing for it; at a forced point it
+    # gives the forced label without calling the evaluator, faulting or not
     rnd = data.draw(st.randoms(use_true_random=False))
     n = data.draw(st.integers(1, 4))
     spec, grid, lo = random_box(data, n)
-    bad = set()
+    bad, called = set(), set()
 
     def fn(x):
+        called.add(x)
         if x not in bad:
             return [0.25 * (i % 4) for i in range(n)]
         if fault == "raise":
@@ -300,7 +322,12 @@ def test_label_fails_as_the_map_fn_does(data, fault):
     bad.update(lab.grid.to_real(lab.grid_point(c))
                for c in rnd.sample(points, rnd.randint(1, min(4, len(points)))))
     rnd.shuffle(points)
+    unforced = [c for c in points if forced_label(c, spec.m) is None]
     for c in points:
+        x = lab.grid.to_real(lab.grid_point(c))
+        if (forced := forced_label(c, spec.m)) is not None:
+            assert lab.label(c) == forced and x not in called and x not in lab.images
+            continue
         try:
             expected = map_fn_reference(lab, g, c)
         except MapEvaluationFailed as exc:
@@ -310,9 +337,9 @@ def test_label_fails_as_the_map_fn_does(data, fault):
             assert str(err.value) == str(exc)
             assert exc.point not in lab.images
         else:
-            x = lab.grid.to_real(lab.grid_point(c))
             assert (lab.label(c), lab.images[x]) == expected
-    assert lab.evals == spec.point_count - len(bad)
+    failed = sum(lab.grid.to_real(lab.grid_point(c)) in bad for c in unforced)
+    assert lab.evals == len(lab.images) == len(unforced) - failed
 
 
 @settings(max_examples=80, deadline=None)
@@ -320,7 +347,8 @@ def test_label_fails_as_the_map_fn_does(data, fault):
 def test_labellings_sharing_an_image_table_evaluate_each_real_point_once(data):
     # boxes of grid m and of grid 2m, as a solve's resolutions: the second
     # reads the images the first stored, and every label is the one an
-    # unshared labelling gives
+    # unshared labelling gives.  The real points evaluated are those of the
+    # points either box does not force, each once
     rnd = data.draw(st.randoms(use_true_random=False))
     if data.draw(st.booleans()):
         g = builtin(data.draw(st.sampled_from(SWEEP_CATALOG)))
@@ -337,12 +365,14 @@ def test_labellings_sharing_an_image_table_evaluate_each_real_point_once(data):
     grid = grid or spec
     w2 = data.draw(st.integers(1, 2 * grid.m))
     lo2 = tuple(data.draw(st.integers(0, 2 * grid.m - w2)) for _ in range(g.n))
-    images = {}
+    images, unforced = {}, set()
     boxes = [(spec, grid, lo), (GridSpec(g.n, w2), GridSpec(g.n, 2 * grid.m), lo2)]
     for box, whole, at in boxes:
         lab, fresh = Labeling(box, shared, whole, at, images), Labeling(box, g, whole, at)
         assert [lab.label(c) for c in box.points()] == [fresh.label(c) for c in box.points()]
-    assert max(calls.values()) == 1 and len(images) == len(calls)
+        unforced.update(whole.to_real(lab.grid_point(c)) for c in box.points()
+                        if forced_label(c, box.m) is None)
+    assert set(calls) == set(images) == unforced and max(calls.values(), default=1) == 1
     assert all(images[x] == g(x) for x in calls)
 
 
