@@ -16,7 +16,10 @@ Unary minus binds tighter than "^", so ``-x1^2`` means ``(-x1)^2``.
 Expressions nest at most MAX_DEPTH (100) levels deep, counting every
 operator, function call and parenthesized group; deeper input is an
 ExprSyntaxError.  The bound keeps the parser's recursion, and the bracket
-nesting of the Python source each map is compiled to, within Python's limits.
+nesting of the Python source each map is compiled to, within Python's limits:
+that source writes +, -, * and unary minus infix, ``(a + b)`` and ``(-a)``,
+and every other op as a call, one bracket per level either way; sqrt stays
+a call because ``sqrt(max(t, 0.0))`` inline would spend two.
 Division is deliberately absent and sqrt is totalized as sqrt(max(t, 0)),
 so evaluation never faults on [0,1]^n; outputs are clamped into [0,1]
 componentwise, which keeps every parseable map usable as a labeling source.
@@ -109,15 +112,15 @@ class Pow:
 
 ExprNode = Const | Var | Unary | Binary | Pow
 
-# Operator tables: node op -> float function.  A compiled tree calls these
-# directly.  The ops outside _INFIX are also the grammar's FUNC names;
-# sqrt is totalized as sqrt(max(t, 0)).
+# Operator tables: node op -> float function, the reference semantics of
+# each op.  The ops outside _INFIX are also the grammar's FUNC names; sqrt is
+# totalized as sqrt(max(t, 0)).
 UNARY_OPS = {"neg": operator.neg, "sin": math.sin, "cos": math.cos,
              "expneg": lambda t: math.exp(-t), "sqrt": lambda t: math.sqrt(max(t, 0.0)),
              "abs": abs}
 BINARY_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
               "min2": min, "max2": max}
-_INFIX = frozenset({"neg", "add", "sub", "mul"})  # spelled -, +, -, *
+_INFIX = {"neg": "-", "add": "+", "sub": "-", "mul": "*"}  # the compiled spelling
 
 # Deepest allowed nesting: every operator, function call and parenthesized
 # group counts one level.  The parser and the emitter recurse a few times per
@@ -129,9 +132,13 @@ MAX_DEPTH = 100
 def _emit(node: ExprNode, names: dict[str, object]) -> str:
     """The tree as one Python expression over the point ``p``.
 
-    Every op is a call of its table function and every power is bracketed,
-    so the source needs no precedence rules.  Constants and functions are
-    bound in ``names``, and an op is named only after its table lookup, so
+    +, -, * and unary minus are written infix, which evaluates as their
+    ``operator`` functions do, ``expneg(t)`` as ``exp(-t)``, and every other
+    op as a call of its table function.  Each op and power is bracketed, so
+    the source needs no precedence rules and nests one bracket per level.
+    sqrt stays a call: ``sqrt(max(t, 0.0))`` inline would nest two, and
+    MAX_DEPTH of them would pass CPython's 200.  Constants and functions are
+    bound in ``names``, and an op is spelled only after its table lookup, so
     no text from the input reaches the source.
     """
     if isinstance(node, Const):
@@ -143,10 +150,19 @@ def _emit(node: ExprNode, names: dict[str, object]) -> str:
     if isinstance(node, Pow):
         return f"({_emit(node.base, names)} ** {node.exponent:d})"
     if isinstance(node, Unary):
+        arg = _emit(node.arg, names)
+        if node.op in _INFIX:
+            return f"({_INFIX[node.op]}{arg})"
+        if node.op == "expneg":
+            names["exp"] = math.exp
+            return f"exp(-{arg})"
         names[node.op] = UNARY_OPS[node.op]
-        return f"{node.op}({_emit(node.arg, names)})"
+        return f"{node.op}({arg})"
+    left, right = _emit(node.left, names), _emit(node.right, names)
+    if node.op in _INFIX:
+        return f"({left} {_INFIX[node.op]} {right})"
     names[node.op] = BINARY_OPS[node.op]
-    return f"{node.op}({_emit(node.left, names)}, {_emit(node.right, names)})"
+    return f"{node.op}({left}, {right})"
 
 
 @dataclass(frozen=True)

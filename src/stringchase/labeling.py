@@ -114,13 +114,15 @@ class Labeling:
     the real point x to the clamped g(x), it reads g(x) there and stores
     every image it evaluates, so the labellings of one table (a solve's
     boxes) evaluate g once per real point.  The whole box is labeled in
-    flat order, the order of ``GridSpec.points()``, by ``sweep``, which
-    reads cached points and caches nothing.  Neither goes through
-    ``MapFn.__call__``: both form the real point as (lo_i + c_i) / M, the
-    floats ``grid.to_real`` gives (a correctly rounded quotient, so one
-    rational is one key at every m), call the raw evaluator ``source.fn``
-    behind MapFn's clamp and checks (``_image``) and label it with
-    ``induced_label``.
+    flat order, the order of ``GridSpec.points()``, by ``sweep``, one row
+    along the last axis at a time: it forces each row's c_n = w point and,
+    where the rest of the row fixes it, its c_n = 0 point, reads cached
+    points only when the cache is non-empty, and caches nothing.  Neither
+    goes through ``MapFn.__call__``: both form the real point as
+    (lo_i + c_i) / M, the floats ``grid.to_real`` gives (a correctly
+    rounded quotient, so one rational is one key at every m), call the raw
+    evaluator ``source.fn`` behind MapFn's clamp and checks (``_image``)
+    and label it by ``induced_label``'s rule.
 
     The per-box constants are bound once, at construction: the box width
     w, n, the grid's M and ``source.fn``.  A miss in ``label`` then does
@@ -186,27 +188,51 @@ class Labeling:
     def sweep(self) -> Iterator[int]:
         """The label of every box point, in flat order: ``spec.points()`` order.
 
-        Real coordinates come from one table per axis, (lo_i + c) / M for c
-        in 0..w, the floats ``to_real`` gives.  Cached points are read,
-        forced points get their label without g, and every other point is
-        labeled from the map, but a sweep, which visits each point once,
-        neither caches nor uses ``images``.  A failing map raises
-        MapEvaluationFailed at its first failing point in flat order that
-        is neither cached nor forced, with the message ``MapFn`` gives.
+        The box is read as rows along axis n, the last, fastest axis: one row
+        per head, the first n-1 coordinates in flat order.  A head's highest
+        nonzero axis f and its real coordinates, (lo_i + c) / M as
+        ``to_real`` gives them, are found once per row.  c_n = w is forced
+        to label n, cached or not.  Below it, a point in the cache is read,
+        the cache only when it is non-empty, and c_n = 0 is forced to label
+        f when f = 0 or head_f = w.  Every other point is evaluated through
+        ``_image`` and gets ``induced_label``'s label: n when c_n > 0 and
+        g_n(x) <= x_n, else the largest k <= f with head_k > 0 and
+        (head_k = w or g_k(x) <= x_k), else 0.  A sweep, which visits each
+        point once, neither caches nor uses ``images``.  A failing map
+        raises MapEvaluationFailed at its first failing point in flat order
+        that is neither cached nor forced, with the message ``MapFn`` gives.
         """
         cache, fn, n, w, m = self._cache, self._fn, self._n, self._w, self._m
         reals = [[(lo + c) / m for c in range(w + 1)] for lo in self.lo]
-        for c, x in zip(self.spec.points(), product(*reals)):
-            lab = cache.get(c)
-            if lab is None:
-                k = n
-                while k and not c[k - 1]:
-                    k -= 1
-                if not k or c[k - 1] == w:
-                    lab = k
+        row = list(enumerate(reals[-1][:w]))  # (c_n, x_n) for c_n < w
+        for head, prefix in zip(product(range(w + 1), repeat=n - 1), product(*reals[:-1])):
+            # the axes k <= f that g decides, from f down to the first on
+            # the top face, whose label k is then the row's fallback
+            checks, low = [], 0
+            for i in range(n - 2, -1, -1):
+                if head[i] == w:
+                    low = i + 1
+                    break
+                if head[i]:
+                    checks.append((i, prefix[i]))
+            for cn, xn in row:
+                if cache and (lab := cache.get(head + (cn,))) is not None:
+                    yield lab
+                    continue
+                if not checks and not cn:  # forced: f = 0 or head_f = w
+                    yield low
+                    continue
+                gx = _image(fn, n, prefix + (xn,))
+                if cn and gx[-1] <= xn:
+                    yield n
+                    continue
+                for i, xi in checks:
+                    if gx[i] <= xi:
+                        yield i + 1
+                        break
                 else:
-                    lab = induced_label(c, w, x, _image(fn, n, x))
-            yield lab
+                    yield low
+            yield n
 
     @property
     def evals(self) -> int:

@@ -143,11 +143,13 @@ def parity_check(spec: GridSpec, lab, budget: int = DEFAULT_BUDGET) -> ParityRep
     Each grid point's label is read once, into a list in flat order, the
     order of ``GridSpec.points()``, so axis i has stride (m+1)^(n-i).  A
     ``Labeling`` of ``spec`` fills the list in one sweep
-    (``Labeling.sweep``), which reads the points it has cached, labels the
-    rest without caching them, evaluating the map only where the boundary
-    rules do not force the label, and skips ``label``'s bounds check,
-    since every point comes from the grid; any other labeling is read
-    point by point through ``label``.  A k-string is its flat base plus
+    (``Labeling.sweep``), row by row along axis n.  It reads the points it
+    has cached (only when it has any), labels the rest without caching
+    them, evaluating the map only where the boundary rules do not force
+    the label (each row's c_n = m point, and its c_n = 0 point when the
+    rest of the row fixes it), and skips ``label``'s bounds check, since
+    every point comes from the grid; any other labeling is read point by
+    point through ``label``.  A k-string is its flat base plus
     one of k! offset rows, and its doors follow from its labels in O(k)
     (``doors_of``).  Within a level, strings with equal label vectors have
     equal doors, and there are at most (n+1)^(k+1) distinct vectors under

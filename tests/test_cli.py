@@ -1,5 +1,6 @@
 """CLI behaviour: exit codes, payload schemas, byte determinism."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -7,16 +8,18 @@ import re
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_affine_map, random_steep_affine_map
+from conftest import forced_label, random_affine_map, random_steep_affine_map
 from stringchase import (
     GridSpec,
     Labeling,
     MapFn,
+    MapSpec,
     __version__,
     builtin,
     cli,
@@ -636,6 +639,33 @@ def test_only_a_solve_keeps_an_image_table(capsys, monkeypatch, argv):
         assert isinstance(made[0].images, dict)
     else:
         assert all(lab.images is None for lab in made)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--builtin", "avg-0.3,0.6"),
+    ("--map", "0.5*x1 + 0.3*x2^2; expneg(x1) - 0.2*x2", "--n", "2"),
+], ids=["builtin", "map"])
+def test_parity_calls_the_counted_evaluator_once_per_unforced_point(capsys, monkeypatch, argv):
+    # the benchmark counts map evaluations by wrapping the raw evaluator of
+    # every map that builtin and MapSpec.as_map_fn return; a map built
+    # through both would count each evaluation twice
+    calls = Counter()
+
+    def counted(g):
+        def fn(x):
+            calls[x] += 1
+            return g.fn(x)
+        return dataclasses.replace(g, fn=fn)
+
+    make_builtin, as_map_fn = cli.builtin, MapSpec.as_map_fn
+    monkeypatch.setattr(cli, "builtin", lambda name: counted(make_builtin(name)))
+    monkeypatch.setattr(MapSpec, "as_map_fn",
+                        lambda spec, *args, **kwargs: counted(as_map_fn(spec, *args, **kwargs)))
+    code, _, _ = run_cli(capsys, "verify-parity", *argv, "--m", "6")
+    spec = GridSpec(2, 6)
+    assert code == EXIT_OK
+    assert calls == Counter(spec.to_real(c) for c in spec.points()
+                            if forced_label(c, spec.m) is None)
 
 
 # sha256 of f"{exit code}\n{stdout}": the CLI's output contract, which the

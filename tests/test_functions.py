@@ -112,27 +112,41 @@ def test_syntax_error_reports_position():
         assert err.value.position == position
 
 
+def nested_value(fn, x, d):
+    """``fn`` applied ``d`` times to ``x``."""
+    for _ in range(d):
+        x = fn(x)
+    return x
+
+
 def test_depth_bound():
-    """Each node kind nested exactly MAX_DEPTH deep parses, compiles (one
-    bracket of emitted source per level) and evaluates; deeper is rejected."""
+    """Each FUNC and operator nested exactly MAX_DEPTH deep parses, compiles
+    (one bracket of emitted source per level) and evaluates; deeper is
+    rejected."""
     d, half = MAX_DEPTH, MAX_DEPTH // 2
     nested_sin = "sin(" * d + "x1" + ")" * d
-    sin_value = 0.5
-    for _ in range(d):
-        sin_value = math.sin(sin_value)
     long_sum = " + ".join(["0.001*x1"] * d)  # d - 1 additions over products
     # the parsed sums add left to right, as reduce does; sum compensates
     # from Python 3.12 on
-    cases = [  # (text, x1, value)
+    cases = [  # (text, x1, value of the raw evaluator)
         ("-(" * half + "x1" + ")" * half, 0.5, 0.5),  # neg and group per pair
-        (nested_sin, 0.5, sin_value),
+        ("-cos(" * half + "x1" + ")" * half, 0.5,  # neg and call per pair
+         nested_value(lambda t: -math.cos(t), 0.5, half)),
+        (nested_sin, 0.5, nested_value(math.sin, 0.5, d)),
+        ("cos(" * d + "x1" + ")" * d, 0.5, nested_value(math.cos, 0.5, d)),
+        ("expneg(" * d + "x1" + ")" * d, 0.5, nested_value(lambda t: math.exp(-t), 0.5, d)),
+        ("sqrt(" * d + "x1" + ")" * d, 0.5, nested_value(math.sqrt, 0.5, d)),
+        ("abs(" * d + "x1" + ")" * d, 0.5, 0.5),
         ("min2(" * d + "x1" + ", 0.25)" * d, 0.5, 0.25),
+        ("max2(" * d + "x1" + ", 0.25)" * d, 0.125, 0.25),
         ("(" * half + "x1" + "^1)" * half, 0.5, 0.5),  # ((x1^1)^1)...
         (" + ".join(["x1"] * (d + 1)), 0.001, reduce(operator.add, [0.001] * (d + 1))),
         (long_sum, 0.5, reduce(operator.add, [0.001 * 0.5] * d)),
+        ("1" + " - x1" * d, 0.001, reduce(operator.sub, [1.0] + [0.001] * d)),
+        ("*".join(["x1"] * (d + 1)), 0.999, reduce(operator.mul, [0.999] * (d + 1))),
     ]
     for text, x, value in cases:
-        assert parse(text, 1).as_map_fn()((x,)) == (value,)
+        assert parse(text, 1).as_map_fn().fn((x,)) == (value,), text[:12]
         with pytest.raises(ExprSyntaxError, match="deeper than"):
             parse("(" + text + ")", 1)
 
@@ -172,10 +186,13 @@ def test_eval_stays_in_cube_at_random_points():
 # compiled maps against a reference evaluator
 
 def expr_trees(n: int):
+    # inf, 1e300 and 1e-300 are what huge and tiny literals parse to; with
+    # powers up to 8 they reach NaN, OverflowError and math domain errors
     leaves = st.one_of(
         st.builds(
             Const,
-            st.floats(min_value=0.0, max_value=1000.0, allow_nan=False).map(abs),
+            st.floats(min_value=0.0, max_value=1000.0, allow_nan=False).map(abs)
+            | st.sampled_from([math.inf, 1e300, 1e-300]),
         ),
         st.builds(Var, st.integers(1, n)),
     )
@@ -184,7 +201,7 @@ def expr_trees(n: int):
         return st.one_of(
             st.builds(Unary, st.sampled_from(["neg", "sin", "cos", "expneg", "sqrt", "abs"]), children),
             st.builds(Binary, st.sampled_from(["add", "sub", "mul", "min2", "max2"]), children, children),
-            st.builds(Pow, children, st.integers(0, 4)),
+            st.builds(Pow, children, st.integers(0, 8)),
         )
 
     return st.recursive(leaves, extend, max_leaves=12)
