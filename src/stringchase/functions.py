@@ -16,17 +16,18 @@ Unary minus binds tighter than "^", so ``-x1^2`` means ``(-x1)^2``.
 Expressions nest at most MAX_DEPTH (100) levels deep, counting every
 operator, function call and parenthesized group; deeper input is an
 ExprSyntaxError.  The bound keeps the parser's recursion, and the bracket
-nesting of the Python source each map is compiled to, within Python's limits:
-that source writes +, -, * and unary minus infix, ``(a + b)`` and ``(-a)``,
-and every other op as a call, one bracket per level either way; sqrt stays
-a call because ``sqrt(max(t, 0.0))`` inline would spend two.
+nesting of the Python source each map is compiled to (``_emit``), within
+Python's limits.
 Division is deliberately absent and sqrt is totalized as sqrt(max(t, 0)),
 so evaluation never faults on [0,1]^n; outputs are clamped into [0,1]
 componentwise, which keeps every parseable map usable as a labeling source.
+The builtin catalog is built as trees and compiled the same way, and the
+compile step is cached by source, so maps of one shape share one code object.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -141,6 +142,12 @@ def _emit(node: ExprNode, names: dict[str, object]) -> str:
     bound in ``names``, and an op is spelled only after its table lookup, so
     no text from the input reaches the source.
     """
+    if isinstance(node, Binary):  # the commonest node first
+        left, right = _emit(node.left, names), _emit(node.right, names)
+        if node.op in _INFIX:
+            return f"({left} {_INFIX[node.op]} {right})"
+        names[node.op] = BINARY_OPS[node.op]
+        return f"{node.op}({left}, {right})"
     if isinstance(node, Const):
         key = f"c{len(names)}"  # fresh, since names only grows
         names[key] = node.value
@@ -149,20 +156,14 @@ def _emit(node: ExprNode, names: dict[str, object]) -> str:
         return f"p[{node.index - 1:d}]"
     if isinstance(node, Pow):
         return f"({_emit(node.base, names)} ** {node.exponent:d})"
-    if isinstance(node, Unary):
-        arg = _emit(node.arg, names)
-        if node.op in _INFIX:
-            return f"({_INFIX[node.op]}{arg})"
-        if node.op == "expneg":
-            names["exp"] = math.exp
-            return f"exp(-{arg})"
-        names[node.op] = UNARY_OPS[node.op]
-        return f"{node.op}({arg})"
-    left, right = _emit(node.left, names), _emit(node.right, names)
+    arg = _emit(node.arg, names)
     if node.op in _INFIX:
-        return f"({left} {_INFIX[node.op]} {right})"
-    names[node.op] = BINARY_OPS[node.op]
-    return f"{node.op}({left}, {right})"
+        return f"({_INFIX[node.op]}{arg})"
+    if node.op == "expneg":
+        names["exp"] = math.exp
+        return f"exp(-{arg})"
+    names[node.op] = UNARY_OPS[node.op]
+    return f"{node.op}({arg})"
 
 
 @dataclass(frozen=True)
@@ -174,9 +175,17 @@ class MapSpec:
 
     def as_map_fn(self, name: str = "expr") -> MapFn:
         """The map compiled once, behind MapFn's clamp and checks."""
-        names: dict[str, object] = {"__builtins__": {}}
-        body = "".join(_emit(c, names) + ", " for c in self.components)
-        return MapFn(n=self.n, fn=eval(f"lambda p: ({body})", names), name=name)
+        return _compile(self.n, self.components, name)
+
+
+_compile_source = functools.lru_cache(maxsize=256)(lambda src: compile(src, "<map>", "eval"))
+
+
+def _compile(n: int, components: tuple[ExprNode, ...], name: str) -> MapFn:
+    """The trees as one function of ``p``, with its own ``names`` bound."""
+    names: dict[str, object] = {"__builtins__": {}}
+    body = "".join(_emit(c, names) + ", " for c in components)
+    return MapFn(n=n, fn=eval(_compile_source(f"lambda p: ({body})"), names), name=name)
 
 
 _TOKEN = re.compile(
@@ -342,10 +351,6 @@ def parse(text: str, n: int) -> MapSpec:
     return _Parser(text, n).parse_map()
 
 
-# Builtin catalog.  Parameterized entries take their constants in the name,
-# e.g. "const-0.5,0.5" or "avg-0.8".
-
-
 def _parse_params(text: str, what: str) -> tuple[float, ...]:
     try:
         values = tuple(float(part) for part in text.split(","))
@@ -356,32 +361,35 @@ def _parse_params(text: str, what: str) -> tuple[float, ...]:
     return values
 
 
+_FIXED = {"reflect1d": (Binary("sub", Const(1.0), Var(1)),), "dottie": (Unary("cos", Var(1)),),
+          "rot90": (Binary("sub", Const(1.0), Var(2)), Var(1)),
+          "squeeze": (Binary("mul", Var(1), Var(1)),)}
+
+
 def builtin(name: str) -> MapFn:
-    """Catalog of maps with documented fixed points and Lipschitz constants:
+    """Catalog of maps with documented fixed points and Lipschitz constants,
+    built as trees and compiled as ``--map`` maps are (the compile step is
+    cached by source); parameterized entries take constants in the name,
+    e.g. "const-0.5,0.5" or "avg-0.8":
 
     reflect1d        1 - x                 fixed point 1/2, L = 1
     dottie           cos x                 fixed point 0.7390851332..., L = sin 1
     rot90            (x, y) -> (1-y, x)    fixed point (1/2, 1/2), L = 1
     squeeze          x^2                   fixed points 0 and 1, L = 2
     const-<c,...>    constant c            fixed point c, L = 0
-    avg-<c,...>      (x + c) / 2           fixed point c, L = 1/2
+    avg-<c,...>      0.5*(x + c)           fixed point c, L = 1/2
     """
-    if name == "reflect1d":
-        return MapFn(1, lambda p: (1.0 - p[0],), name=name)
-    if name == "dottie":
-        return MapFn(1, lambda p: (math.cos(p[0]),), name=name)
-    if name == "rot90":
-        return MapFn(2, lambda p: (1.0 - p[1], p[0]), name=name)
-    if name == "squeeze":
-        return MapFn(1, lambda p: (p[0] * p[0],), name=name)
-    if name.startswith("const-"):
-        c = _parse_params(name[len("const-"):], "const")
-        return MapFn(len(c), lambda p, _c=c: _c, name=name)
-    if name.startswith("avg-"):
-        c = _parse_params(name[len("avg-"):], "avg")
-        return MapFn(len(c), lambda p, _c=c: tuple([(x + ci) / 2.0 for x, ci in zip(p, _c)]),
-                     name=name)
-    raise UnknownBuiltin(
-        f"unknown builtin {_quote(name)}; available: reflect1d, dottie, rot90, squeeze, "
-        f"const-<c,...>, avg-<c,...>"
-    )
+    kind, dash, params = name.partition("-")
+    tree = _FIXED.get(name)
+    if dash and kind == "const":
+        tree = tuple(map(Const, _parse_params(params, kind)))
+    elif dash and kind == "avg":
+        half = Const(0.5)
+        tree = tuple(Binary("mul", half, Binary("add", Var(i), Const(c)))
+                     for i, c in enumerate(_parse_params(params, kind), 1))
+    if tree is None:
+        raise UnknownBuiltin(
+            f"unknown builtin {_quote(name)}; available: reflect1d, dottie, rot90, squeeze, "
+            f"const-<c,...>, avg-<c,...>"
+        )
+    return _compile(len(tree), tree, name)

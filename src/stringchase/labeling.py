@@ -114,23 +114,15 @@ class Labeling:
     the real point x to the clamped g(x), it reads g(x) there and stores
     every image it evaluates, so the labellings of one table (a solve's
     boxes) evaluate g once per real point.  The whole box is labeled in
-    flat order, the order of ``GridSpec.points()``, by ``sweep``, one row
-    along the last axis at a time: it forces each row's c_n = w point and,
-    where the rest of the row fixes it, its c_n = 0 point, reads cached
-    points only when the cache is non-empty, and caches nothing.  Neither
-    goes through ``MapFn.__call__``: both form the real point as
-    (lo_i + c_i) / M, the floats ``grid.to_real`` gives (a correctly
-    rounded quotient, so one rational is one key at every m), call the raw
-    evaluator ``source.fn`` behind MapFn's clamp and checks (``_image``)
-    and label it by ``induced_label``'s rule.
+    flat order, the order of ``GridSpec.points()``, by ``sweep``, which
+    caches nothing.  Neither goes through ``MapFn.__call__``: both form the
+    real point as (lo_i + c_i) / M, the floats ``grid.to_real`` gives (a
+    correctly rounded quotient, so one rational is one key at every m),
+    call the raw evaluator ``source.fn`` behind MapFn's clamp and checks
+    (``_image``) and label it by ``induced_label``'s rule.
 
-    The per-box constants are bound once, at construction: the box width
-    w, n, the grid's M and ``source.fn``.  A miss in ``label`` then does
-    the bounds check, whose maximum coordinate tells whether the point can
-    be forced: only when it is 0 or w does it scan down from the top axis
-    to the highest nonzero coordinate.  An unforced point forms one
-    real-point tuple, is evaluated and labeled.  At ``lo`` = 0 it forms
-    c_i / M, the same float as (0 + c_i) / M.
+    w, n, M and ``source.fn`` are bound at construction.  At ``lo`` = 0
+    ``label`` forms c_i / M, the same float as (0 + c_i) / M.
     """
 
     def __init__(

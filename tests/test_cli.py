@@ -35,7 +35,7 @@ from stringchase.cli import (
     EXIT_USAGE,
     main,
 )
-from stringchase.grid import StringK
+from stringchase.grid import StringK, vertices
 from stringchase.search import LabelingInvalid, PathTrace, StepLimitExceeded, TraceStep
 
 
@@ -641,14 +641,12 @@ def test_only_a_solve_keeps_an_image_table(capsys, monkeypatch, argv):
         assert all(lab.images is None for lab in made)
 
 
-@pytest.mark.parametrize("argv", [
-    ("--builtin", "avg-0.3,0.6"),
-    ("--map", "0.5*x1 + 0.3*x2^2; expneg(x1) - 0.2*x2", "--n", "2"),
-], ids=["builtin", "map"])
-def test_parity_calls_the_counted_evaluator_once_per_unforced_point(capsys, monkeypatch, argv):
-    # the benchmark counts map evaluations by wrapping the raw evaluator of
-    # every map that builtin and MapSpec.as_map_fn return; a map built
-    # through both would count each evaluation twice
+@pytest.fixture
+def counted_calls(monkeypatch):
+    """Calls of the raw evaluator per real point, counted as the benchmark
+    counts map evaluations: by wrapping the raw evaluator of every map that
+    builtin and MapSpec.as_map_fn return, each on its own.  A map built
+    through both would count each evaluation twice."""
     calls = Counter()
 
     def counted(g):
@@ -661,11 +659,36 @@ def test_parity_calls_the_counted_evaluator_once_per_unforced_point(capsys, monk
     monkeypatch.setattr(cli, "builtin", lambda name: counted(make_builtin(name)))
     monkeypatch.setattr(MapSpec, "as_map_fn",
                         lambda spec, *args, **kwargs: counted(as_map_fn(spec, *args, **kwargs)))
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    ("--builtin", "avg-0.3,0.6"),
+    ("--map", "0.5*x1 + 0.3*x2^2; expneg(x1) - 0.2*x2", "--n", "2"),
+], ids=["builtin", "map"])
+def test_parity_calls_the_counted_evaluator_once_per_unforced_point(capsys, counted_calls, argv):
     code, _, _ = run_cli(capsys, "verify-parity", *argv, "--m", "6")
     spec = GridSpec(2, 6)
     assert code == EXIT_OK
-    assert calls == Counter(spec.to_real(c) for c in spec.points()
-                            if forced_label(c, spec.m) is None)
+    assert counted_calls == Counter(spec.to_real(c) for c in spec.points()
+                                    if forced_label(c, spec.m) is None)
+
+
+def test_trace_calls_the_counted_evaluator_once_per_unforced_walk_point(capsys, counted_calls):
+    code, out, _ = run_cli(capsys, "trace", "--builtin", "avg-0.2,0.9,0.4,0.6", "--m", "16")
+    spec = GridSpec(4, 16)
+    walked = {v for step in json.loads(out)["steps"]
+              for v in vertices(StringK(step["level"], tuple(step["base"]), tuple(step["perm"])))}
+    assert code == EXIT_OK
+    assert counted_calls == Counter(spec.to_real(c) for c in walked
+                                    if forced_label(c, spec.m) is None)
+
+
+def test_solve_calls_the_counted_evaluator_once_per_counted_evaluation(capsys, counted_calls):
+    code, out, _ = run_cli(capsys, "solve", "--builtin", "dottie")
+    assert code == EXIT_OK
+    assert set(counted_calls.values()) == {1}
+    assert sum(counted_calls.values()) == sum(h["evals"] for h in json.loads(out)["history"])
 
 
 # sha256 of f"{exit code}\n{stdout}": the CLI's output contract, which the

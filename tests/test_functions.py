@@ -284,6 +284,60 @@ def test_builtin_values():
     assert builtin("rot90")((0.0, 1.0)) == (0.0, 0.0)
 
 
+# the catalog's formulas as hand-written lambdas, the reference the compiled
+# trees must reproduce bit for bit
+CATALOG_FORMULAS = {
+    "reflect1d": lambda p, c: (1.0 - p[0],),
+    "dottie": lambda p, c: (math.cos(p[0]),),
+    "rot90": lambda p, c: (1.0 - p[1], p[0]),
+    "squeeze": lambda p, c: (p[0] * p[0],),
+    "const": lambda p, c: c,
+    "avg": lambda p, c: tuple([(x + ci) / 2.0 for x, ci in zip(p, c)]),
+}
+
+
+def test_compiled_catalog_matches_reference_formulas_bit_for_bit():
+    rng = random.Random(26)
+    for _ in range(250):
+        n = rng.randint(1, 8)
+        m = rng.choice([rng.randint(1, 64), rng.randint(1, 2**40)])
+        c = tuple(rng.choice([rng.random(), 0.0, 1.0, 1e-20, 5e-324]) for _ in range(n))
+        params = ",".join(map(repr, c))
+        for name, formula in CATALOG_FORMULAS.items():
+            g = builtin(f"{name}-{params}" if name in ("const", "avg") else name)
+            for _ in range(20):
+                p = tuple(rng.randint(0, m) / m for _ in range(g.n))
+                got, want = g.fn(p), formula(p, c)
+                assert [v.hex() for v in got] == [v.hex() for v in want], (g.name, p)
+
+
+def test_wide_builtins_build_and_evaluate():
+    rng = random.Random(300)
+    c = tuple(rng.random() for _ in range(300))
+    p = tuple(rng.randint(0, 7) / 7 for _ in range(300))
+    params = ",".join(map(repr, c))
+    for name in ("const", "avg"):
+        g = builtin(f"{name}-{params}")
+        assert g.n == 300 and g(p) == CATALOG_FORMULAS[name](p, c)
+
+
+def test_maps_of_one_shape_share_code_but_not_constants():
+    # the compile step is cached by source; each map still binds its own
+    # constants, so a cache of compiled functions would mix them up
+    pairs = [
+        (builtin("avg-0.2,0.9"), builtin("avg-0.7,0.1"),
+         lambda p: ((p[0] + 0.2) / 2.0, (p[1] + 0.9) / 2.0),
+         lambda p: ((p[0] + 0.7) / 2.0, (p[1] + 0.1) / 2.0)),
+        (parse("0.3*x1 + 0.1", 1).as_map_fn(), parse("0.6*x1 + 0.2", 1).as_map_fn(),
+         lambda p: (0.3 * p[0] + 0.1,), lambda p: (0.6 * p[0] + 0.2,)),
+    ]
+    for a, b, fa, fb in pairs:
+        assert a.fn.__code__ is b.fn.__code__
+        for p in ((0.5, 0.25), (1.0, 0.0)):
+            p = p[:a.n]
+            assert a.fn(p) == fa(p) != b.fn(p) == fb(p)
+
+
 def test_builtin_fixed_points_verify():
     for name, (fixed_points, _) in CATALOG_REFERENCE.items():
         g = builtin(name)
