@@ -11,13 +11,14 @@ Grammar (whitespace-insensitive)::
     FUNC     := sin | cos | expneg | sqrt | abs | min2 | max2
                 (min2/max2 take two comma-separated arguments)
 
-NUMBER is a nonnegative decimal with optional fraction (no exponents).
-Unary minus binds tighter than "^", so ``-x1^2`` means ``(-x1)^2``.
+NUMBER is a nonnegative decimal of ASCII digits, with optional fraction
+(no exponents).  Unary minus binds tighter than "^", so ``-x1^2`` means ``(-x1)^2``.
 Expressions nest at most MAX_DEPTH (100) levels deep, counting every
 operator, function call and parenthesized group; deeper input is an
 ExprSyntaxError.  The bound keeps the parser's recursion, and the bracket
 nesting of the Python source each map is compiled to (``_emit``), within
-Python's limits.
+Python's limits.  The parser reads the token texts of one regex scan by
+index, and only an error scans the text again, to find its position.
 Division is deliberately absent and sqrt is totalized as sqrt(max(t, 0)),
 so evaluation never faults on [0,1]^n; outputs are clamped into [0,1]
 componentwise, which keeps every parseable map usable as a labeling source.
@@ -188,160 +189,154 @@ def _compile(n: int, components: tuple[ExprNode, ...], name: str) -> MapFn:
     return MapFn(n=n, fn=eval(_compile_source(f"lambda p: ({body})"), names), name=name)
 
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<number>\d+(?:\.\d+)?)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^();,]))"
-)
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise ExprSyntaxError(f"unexpected character {text[at]!r}", at)
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
-    return tokens
+# after any whitespace: a NUMBER (ASCII digits only), an identifier or an operator
+_TOKEN = re.compile(r"\s*([0-9]+(?:\.[0-9]+)?|[A-Za-z_][A-Za-z_0-9]*|[-+*^();,])")
+_FUNCS = (UNARY_OPS.keys() | BINARY_OPS.keys()) - _INFIX.keys()
 
 
 class _Parser:
-    """Recursive descent.  The parse_* methods return (node, depth), the
-    depth counted as MAX_DEPTH describes."""
+    """Recursive descent over the token texts, read by index.  ``toks`` ends
+    in None, the end of input, and a token's kind is its first character's:
+    a digit starts a number, a letter or "_" an identifier.  The parse_*
+    methods return (node, depth), the depth counted as MAX_DEPTH describes.
+    Errors carry the position ``where`` finds for their token's index."""
 
     def __init__(self, text: str, n: int):
-        self.text = text
-        self.n = n
-        self.tokens = _tokenize(text)
+        self.text, self.n = text, n
+        self.toks = _TOKEN.findall(text)
+        # findall skips what no token matches; then the tokens cover fewer
+        # characters than the text has outside whitespace
+        if len("".join(self.toks)) != len("".join(text.split())):
+            at = self.where(None)
+            raise ExprSyntaxError(f"unexpected character {text[at]!r}", at)
+        self.toks.append(None)
         self.i = 0
         self.nesting = 0  # open parenthesized groups and calls
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
+    def where(self, index: int | None) -> int:
+        """Where token ``index`` starts, or the end of the text past the
+        last token; with None, the first character no token matches."""
+        end = 0
+        for i, m in enumerate(_TOKEN.finditer(self.text)):
+            if m.start() != end:  # findall skipped a character here
+                break
+            if i == index:
+                return m.start(1)
+            end = m.end()
+        return len(self.text) - len(self.text[end:].lstrip())
 
-    def take(self):
-        tok = self.peek()
+    def expect(self, symbol: str) -> None:
+        if (tok := self.toks[self.i]) != symbol:
+            raise ExprSyntaxError(f"expected {symbol!r}, found {_quote(tok)}", self.where(self.i))
         self.i += 1
-        return tok
 
-    def expect_op(self, symbol: str):
-        kind, value, pos = self.take()
-        if kind != "op" or value != symbol:
-            raise ExprSyntaxError(f"expected {symbol!r}, found {_quote(value)}", pos)
-
-    def at_op(self, *symbols: str) -> bool:
-        kind, value, _ = self.peek()
-        return kind == "op" and value in symbols
-
-    def bounded(self, depth: int, pos: int) -> int:
+    def bounded(self, depth: int, at: int) -> int:
         if depth > MAX_DEPTH:
-            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", pos)
+            raise ExprSyntaxError(
+                f"expression nested deeper than {MAX_DEPTH} levels", self.where(at))
         return depth
 
-    def parse_nested(self, pos: int) -> tuple[ExprNode, int]:
+    def parse_nested(self, at: int) -> tuple[ExprNode, int]:
         """An expression one group or call deeper.  Checking on the way in
         stops runaway parentheses before the parser's own recursion does."""
-        self.nesting = self.bounded(self.nesting + 1, pos)
+        self.nesting = self.bounded(self.nesting + 1, at)
         node, depth = self.parse_expr()
         self.nesting -= 1
         return node, depth
 
     def parse_map(self) -> MapSpec:
         components = [self.parse_expr()[0]]
-        while self.at_op(";"):
-            self.take()
+        while self.toks[self.i] == ";":
+            self.i += 1
             components.append(self.parse_expr()[0])
-        kind, value, pos = self.peek()
-        if kind is not None:
-            raise ExprSyntaxError(f"trailing input {_quote(value)}", pos)
+        if (tok := self.toks[self.i]) is not None:
+            raise ExprSyntaxError(f"trailing input {_quote(tok)}", self.where(self.i))
         if len(components) != self.n:
             raise ComponentCountMismatch(
-                f"map has {len(components)} components, dimension is {self.n}"
-            )
+                f"map has {len(components)} components, dimension is {self.n}")
         return MapSpec(self.n, tuple(components))
 
     def parse_expr(self) -> tuple[ExprNode, int]:
         node, depth = self.parse_term()
-        while self.at_op("+", "-"):
-            _, op, pos = self.take()
+        while (op := self.toks[self.i]) == "+" or op == "-":
+            at = self.i
+            self.i += 1
             right, right_depth = self.parse_term()
             node = Binary("add" if op == "+" else "sub", node, right)
-            depth = self.bounded(max(depth, right_depth) + 1, pos)
+            depth = self.bounded(max(depth, right_depth) + 1, at)
         return node, depth
 
     def parse_term(self) -> tuple[ExprNode, int]:
         node, depth = self.parse_factor()
-        while self.at_op("*"):
-            _, _, pos = self.take()
+        while self.toks[self.i] == "*":
+            at = self.i
+            self.i += 1
             right, right_depth = self.parse_factor()
             node = Binary("mul", node, right)
-            depth = self.bounded(max(depth, right_depth) + 1, pos)
+            depth = self.bounded(max(depth, right_depth) + 1, at)
         return node, depth
 
     def parse_factor(self) -> tuple[ExprNode, int]:
-        _, _, pos = self.peek()
-        negate = self.at_op("-")
-        if negate:
-            self.take()
+        at = self.i
+        negate = self.toks[at] == "-"
+        self.i += negate
         node, depth = self.parse_atom()
         if negate:
-            node, depth = Unary("neg", node), self.bounded(depth + 1, pos)
-        if self.at_op("^"):
-            self.take()
-            kind, value, pos = self.take()
-            if kind != "number" or "." in value:
-                raise ExprSyntaxError("exponent must be a nonnegative integer", pos)
+            node, depth = Unary("neg", node), self.bounded(depth + 1, at)
+        if self.toks[self.i] == "^":
+            at = self.i + 1
+            self.i += 2
+            tok = self.toks[at]
+            if tok is None or not tok[0].isdigit() or "." in tok:
+                raise ExprSyntaxError("exponent must be a nonnegative integer", self.where(at))
             try:
-                exponent = int(value)
+                exponent = int(tok)
             except ValueError:  # more digits than int() converts
-                raise ExprSyntaxError(f"exponent too large ({len(value)} digits)", pos) from None
-            node, depth = Pow(node, exponent), self.bounded(depth + 1, pos)
+                raise ExprSyntaxError(
+                    f"exponent too large ({len(tok)} digits)", self.where(at)) from None
+            node, depth = Pow(node, exponent), self.bounded(depth + 1, at)
         return node, depth
 
     def parse_atom(self) -> tuple[ExprNode, int]:
-        kind, value, pos = self.take()
-        if kind == "number":
-            return Const(float(value)), 0
-        if kind == "op" and value == "(":
-            node, depth = self.parse_nested(pos)
-            self.expect_op(")")
-            return node, self.bounded(depth + 1, pos)
-        if kind == "ident":
-            if value not in _INFIX and (value in UNARY_OPS or value in BINARY_OPS):
-                return self.parse_call(value, pos)
-            m = re.fullmatch(r"x(\d+)", value)
-            if m:
-                try:
-                    index = int(m.group(1))
-                except ValueError:  # more digits than int() converts
-                    index = 0
-                if not 1 <= index <= self.n:
-                    raise IndexOutOfRange(
-                        f"variable {_quote(value)} out of range for dimension {self.n}", pos
-                    )
-                return Var(index), 0
-            raise UnknownIdentifier(f"unknown identifier {_quote(value)}", pos)
-        raise ExprSyntaxError(f"expected a number, variable or '(', found {_quote(value)}", pos)
+        at = self.i
+        tok = self.toks[at]
+        self.i += 1
+        if tok is None or tok in "+-*^);,":  # the end, or an operator but "("
+            raise ExprSyntaxError(
+                f"expected a number, variable or '(', found {_quote(tok)}", self.where(at))
+        if tok[0].isdigit():
+            return Const(float(tok)), 0
+        if tok == "(":
+            node, depth = self.parse_nested(at)
+            self.expect(")")
+            return node, self.bounded(depth + 1, at)
+        if tok in _FUNCS:
+            return self.parse_call(tok, at)
+        if tok[0] == "x" and tok[1:].isdigit():
+            try:
+                index = int(tok[1:])
+            except ValueError:  # more digits than int() converts
+                index = 0
+            if not 1 <= index <= self.n:
+                raise IndexOutOfRange(
+                    f"variable {_quote(tok)} out of range for dimension {self.n}", self.where(at))
+            return Var(index), 0
+        raise UnknownIdentifier(f"unknown identifier {_quote(tok)}", self.where(at))
 
-    def parse_call(self, func: str, pos: int) -> tuple[ExprNode, int]:
-        self.expect_op("(")
-        first, depth = self.parse_nested(pos)
-        if self.at_op(","):
+    def parse_call(self, func: str, at: int) -> tuple[ExprNode, int]:
+        self.expect("(")
+        first, depth = self.parse_nested(at)
+        if self.toks[self.i] == ",":
             if func in UNARY_OPS:
-                raise ArityError(f"{func} takes one argument", pos)
-            self.take()
-            second, second_depth = self.parse_nested(pos)
-            self.expect_op(")")
-            return Binary(func, first, second), self.bounded(max(depth, second_depth) + 1, pos)
+                raise ArityError(f"{func} takes one argument", self.where(at))
+            self.i += 1
+            second, second_depth = self.parse_nested(at)
+            self.expect(")")
+            return Binary(func, first, second), self.bounded(max(depth, second_depth) + 1, at)
         if func in BINARY_OPS:
-            raise ArityError(f"{func} takes two comma-separated arguments", pos)
-        self.expect_op(")")
-        return Unary(func, first), self.bounded(depth + 1, pos)
+            raise ArityError(f"{func} takes two comma-separated arguments", self.where(at))
+        self.expect(")")
+        return Unary(func, first), self.bounded(depth + 1, at)
 
 
 def parse(text: str, n: int) -> MapSpec:

@@ -47,10 +47,11 @@ origin, a point on a top face), which no labelling evaluated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from operator import mul, sub
 
 from .grid import GridSpec, StringK, vertices
-from .labeling import Labeling, MapFn, is_fully_labeled, labels_of
+from .labeling import Labeling, MapFn, labels_of
 from .search import DEFAULT_BUDGET, LabelingInvalid, exhaustive_fully_labeled, path_follow
 
 ENGINE_PATH = "path"
@@ -141,15 +142,12 @@ def select_witness(g: MapFn, images: dict, points: list) -> tuple[tuple[float, .
     vertices and clamped into the cube.  A singular system or a weight
     that is not finite keeps the vertex without an evaluation.
     """
-    def image(p):
-        if (gp := images.get(p)) is None:
-            gp = images[p] = g(p)
-        return gp
-
     steps = []
     best_p, best_r = None, math.inf
     for p in points:
-        d = [qi - pi for qi, pi in zip(image(p), p)]
+        if (gp := images.get(p)) is None:
+            gp = images[p] = g(p)
+        d = list(map(sub, gp, p))
         r = max(map(abs, d))
         steps.append(d)
         if r < best_r:
@@ -157,42 +155,45 @@ def select_witness(g: MapFn, images: dict, points: list) -> tuple[tuple[float, .
     weights = _affine_zero(steps) if best_r > 0 else None
     if weights is None:
         return best_p, best_r
-    z = tuple(
-        min(max(sum(w * p[k] for w, p in zip(weights, points)), 0.0), 1.0)
-        for k in range(len(best_p))
-    )
-    r = max(abs(qi - zi) for qi, zi in zip(image(z), z))
+    z = tuple(min(max(sum(map(mul, weights, col)), 0.0), 1.0) for col in zip(*points))
+    if (gz := images.get(z)) is None:
+        gz = images[z] = g(z)
+    r = max(map(abs, map(sub, gz, z)))
     return (z, r) if r < best_r else (best_p, best_r)
 
 
 def _affine_zero(steps: list[list[float]]) -> list[float] | None:
     """Weights lambda_0..lambda_n with sum_i lambda_i steps[i] = 0 and
     sum_i lambda_i = 1, for n+1 vectors of length n, by Gaussian
-    elimination with partial pivoting; None when a pivot is 0 or a weight
-    is not finite."""
+    elimination with partial pivoting (the first largest pivot); None when
+    a pivot is 0 or a weight is not finite."""
     size = len(steps)
-    rows = [[d[k] for d in steps] + [0.0] for k in range(size - 1)]
+    rows = [list(col) + [0.0] for col in zip(*steps)]
     rows.append([1.0] * size + [1.0])
     for col in range(size):
-        top = max(range(col, size), key=lambda i: abs(rows[i][col]))
-        if rows[top][col] == 0.0:
+        top, big = col, abs(rows[col][col])
+        for i in range(col + 1, size):
+            if abs(rows[i][col]) > big:
+                top, big = i, abs(rows[i][col])
+        pivot = rows[top]
+        if pivot[col] == 0.0:
             return None
-        rows[col], rows[top] = rows[top], rows[col]
-        pivot = rows[col]
-        for row in rows[col + 1:]:
+        rows[col], rows[top] = pivot, rows[col]
+        for i in range(col + 1, size):
+            row = rows[i]
             f = row[col] / pivot[col]
             for j in range(col, size + 1):
                 row[j] -= f * pivot[j]
     weights = [0.0] * size
     for i in range(size - 1, -1, -1):
         row = rows[i]
-        weights[i] = (row[size] - sum(row[j] * weights[j] for j in range(i + 1, size))) / row[i]
+        weights[i] = (row[size] - sum(map(mul, row[i + 1:size], weights[i + 1:]))) / row[i]
     return weights if all(map(math.isfinite, weights)) else None
 
 
 def solve_at(
     g: MapFn, spec: GridSpec, cfg: SolveConfig, near: tuple[float, ...] | None = None,
-    images: dict | None = None, max_w: int | None = None,
+    images: dict | None = None, max_w: int | None = None, known: int | None = None,
 ) -> tuple[Certificate, tuple[float, ...], ResolutionRecord] | None:
     """One resolution: a fully labeled n-string of ``spec`` and its witness.
 
@@ -205,14 +206,17 @@ def solve_at(
     formed, when the box would grow wider than ``max_w`` cells.  The engine
     decides only how a box is searched: the path engine walks it, the
     oracle enumerates its n-strings and takes the first fully labeled one.
+    Each box's string is labelled in the whole grid once: those labels
+    decide whether it is fully labeled and are the certificate's.
     Every labelling reads and fills ``images`` (a fresh table if None), and
     so does the witness.  The record counts the boxes searched and the map
-    evaluations: the table's growth.
+    evaluations: the table's growth since it held ``known`` images (by
+    default, its size on entry).
     """
     n, m = spec.n, spec.m
     w = m if near is None else min(2, m)
     images = {} if images is None else images
-    known, boxes = len(images), 0
+    known, boxes = len(images) if known is None else known, 0
     whole = Labeling(spec, g, images=images)
     while True:
         boxes += 1
@@ -227,15 +231,16 @@ def solve_at(
             s, _ = path_follow(lab.spec, lab)
         # a box string moved by lo >= 0 with lo + w <= m stays a string of the grid
         s = StringK._derived(n, lab.grid_point(s.base), s.perm)
-        if is_fully_labeled(whole, s):
+        labels = labels_of(whole, s)
+        if set(labels) == set(range(n + 1)):
             break
         w = min(2 * w, m)
         if max_w is not None and w > max_w:
             return None
 
-    cert = Certificate(m, s, tuple(labels_of(whole, s)))
     z, r = select_witness(g, images, [spec.to_real(v) for v in vertices(s)])
-    return cert, z, ResolutionRecord(m, r, math.sqrt(n) / m, len(images) - known, boxes)
+    return (Certificate(m, s, tuple(labels)), z,
+            ResolutionRecord(m, r, math.sqrt(n) / m, len(images) - known, boxes))
 
 
 def solve(g: MapFn, cfg: SolveConfig | None = None) -> SolveReport:
@@ -265,9 +270,8 @@ def solve(g: MapFn, cfg: SolveConfig | None = None) -> SolveReport:
         found = solve_at(g, GridSpec(n, m), cfg, z, images, max_w)
         if found is None:  # the jump's box outgrew 2m: resolve at 2m instead
             m = max_w
-            found = solve_at(g, GridSpec(n, m), cfg, z, images)
+            found = solve_at(g, GridSpec(n, m), cfg, z, images, known=known)
         cert, z, record = found
-        record = replace(record, evals=len(images) - known)
         history.append(record)
         r = record.residual
         if best is None or r < best[0]:

@@ -1,17 +1,21 @@
 """Expression parsing, compiled evaluation, builtin catalog."""
 
+import importlib.util
 import json
 import math
 import operator
 import random
+import re
 import subprocess
 import sys
+from collections import Counter
 from functools import reduce
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CATALOG_REFERENCE, DOTTIE
+from conftest import CATALOG_REFERENCE, DOTTIE, recipe_maps
 from stringchase import (
     ArityError,
     ComponentCountMismatch,
@@ -38,6 +42,7 @@ from stringchase.functions import (
     Pow,
     Unary,
     Var,
+    _quote,
 )
 from stringchase.labeling import induced_label
 from stringchase.solver import residual
@@ -411,3 +416,262 @@ def test_reimport_leaves_no_old_package_alive():
     proc = subprocess.run([sys.executable, "-c", REIMPORT], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "1\n"
+
+
+# the parser against the one it replaced
+
+_REFERENCE_TOKEN = re.compile(
+    r"\s*(?:(?P<number>[0-9]+(?:\.[0-9]+)?)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^();,]))"
+)
+
+
+def _reference_tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN.match(text, pos)
+        if m is None:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            at = len(text) - len(stripped)
+            raise ExprSyntaxError(f"unexpected character {text[at]!r}", at)
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
+        pos = m.end()
+    return tokens
+
+
+class _ReferenceParser:
+    """The parser before token lists: (kind, text, position) tuples read
+    through peek and take.  Its NUMBER takes ASCII digits only, the one
+    change from that parser, whose ``\\d`` also took other scripts' digits."""
+
+    def __init__(self, text, n):
+        self.text = text
+        self.n = n
+        self.tokens = _reference_tokenize(text)
+        self.i = 0
+        self.nesting = 0
+
+    def peek(self):
+        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
+
+    def take(self):
+        tok = self.peek()
+        self.i += 1
+        return tok
+
+    def expect_op(self, symbol):
+        kind, value, pos = self.take()
+        if kind != "op" or value != symbol:
+            raise ExprSyntaxError(f"expected {symbol!r}, found {_quote(value)}", pos)
+
+    def at_op(self, *symbols):
+        kind, value, _ = self.peek()
+        return kind == "op" and value in symbols
+
+    def bounded(self, depth, pos):
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", pos)
+        return depth
+
+    def parse_nested(self, pos):
+        self.nesting = self.bounded(self.nesting + 1, pos)
+        node, depth = self.parse_expr()
+        self.nesting -= 1
+        return node, depth
+
+    def parse_map(self):
+        components = [self.parse_expr()[0]]
+        while self.at_op(";"):
+            self.take()
+            components.append(self.parse_expr()[0])
+        kind, value, pos = self.peek()
+        if kind is not None:
+            raise ExprSyntaxError(f"trailing input {_quote(value)}", pos)
+        if len(components) != self.n:
+            raise ComponentCountMismatch(
+                f"map has {len(components)} components, dimension is {self.n}"
+            )
+        return MapSpec(self.n, tuple(components))
+
+    def parse_expr(self):
+        node, depth = self.parse_term()
+        while self.at_op("+", "-"):
+            _, op, pos = self.take()
+            right, right_depth = self.parse_term()
+            node = Binary("add" if op == "+" else "sub", node, right)
+            depth = self.bounded(max(depth, right_depth) + 1, pos)
+        return node, depth
+
+    def parse_term(self):
+        node, depth = self.parse_factor()
+        while self.at_op("*"):
+            _, _, pos = self.take()
+            right, right_depth = self.parse_factor()
+            node = Binary("mul", node, right)
+            depth = self.bounded(max(depth, right_depth) + 1, pos)
+        return node, depth
+
+    def parse_factor(self):
+        _, _, pos = self.peek()
+        negate = self.at_op("-")
+        if negate:
+            self.take()
+        node, depth = self.parse_atom()
+        if negate:
+            node, depth = Unary("neg", node), self.bounded(depth + 1, pos)
+        if self.at_op("^"):
+            self.take()
+            kind, value, pos = self.take()
+            if kind != "number" or "." in value:
+                raise ExprSyntaxError("exponent must be a nonnegative integer", pos)
+            try:
+                exponent = int(value)
+            except ValueError:
+                raise ExprSyntaxError(f"exponent too large ({len(value)} digits)", pos) from None
+            node, depth = Pow(node, exponent), self.bounded(depth + 1, pos)
+        return node, depth
+
+    def parse_atom(self):
+        kind, value, pos = self.take()
+        if kind == "number":
+            return Const(float(value)), 0
+        if kind == "op" and value == "(":
+            node, depth = self.parse_nested(pos)
+            self.expect_op(")")
+            return node, self.bounded(depth + 1, pos)
+        if kind == "ident":
+            if value not in ("neg", "add", "sub", "mul") and (
+                    value in UNARY_OPS or value in BINARY_OPS):
+                return self.parse_call(value, pos)
+            m = re.fullmatch(r"x(\d+)", value)
+            if m:
+                try:
+                    index = int(m.group(1))
+                except ValueError:
+                    index = 0
+                if not 1 <= index <= self.n:
+                    raise IndexOutOfRange(
+                        f"variable {_quote(value)} out of range for dimension {self.n}", pos
+                    )
+                return Var(index), 0
+            raise UnknownIdentifier(f"unknown identifier {_quote(value)}", pos)
+        raise ExprSyntaxError(f"expected a number, variable or '(', found {_quote(value)}", pos)
+
+    def parse_call(self, func, pos):
+        self.expect_op("(")
+        first, depth = self.parse_nested(pos)
+        if self.at_op(","):
+            if func in UNARY_OPS:
+                raise ArityError(f"{func} takes one argument", pos)
+            self.take()
+            second, second_depth = self.parse_nested(pos)
+            self.expect_op(")")
+            return Binary(func, first, second), self.bounded(max(depth, second_depth) + 1, pos)
+        if func in BINARY_OPS:
+            raise ArityError(f"{func} takes two comma-separated arguments", pos)
+        self.expect_op(")")
+        return Unary(func, first), self.bounded(depth + 1, pos)
+
+
+def reference_parse(text, n):
+    return _ReferenceParser(text, n).parse_map()
+
+
+def parse_outcome(parser, text, n):
+    """The parsed spec, or the error's class, message and position."""
+    try:
+        return parser(text, n)
+    except MapParseError as exc:
+        return type(exc), str(exc), exc.position
+
+
+def _benchmark_texts():
+    """The ``--map`` texts of the refine and parity benchmark tasks, seeds 1-3."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    loader = importlib.util.spec_from_file_location("_bench_workloads", path)
+    workloads = importlib.util.module_from_spec(loader)
+    sys.modules[loader.name] = workloads  # dataclasses look their module up
+    try:
+        loader.loader.exec_module(workloads)
+        tasks = [t for seed in (1, 2, 3)
+                 for t in workloads.refine(seed).tasks + workloads.parity(seed).tasks]
+    finally:
+        del sys.modules[loader.name]
+    return [(t.option("--map"), int(t.option("--n"))) for t in tasks if t.option("--map")]
+
+
+# what mutations insert: the grammar's characters, whitespace (the
+# no-break space too), words, and characters no token takes, among them
+# digits of other scripts
+_INSERTS = list("0123456789.x+-*^();, _") + [
+    "\t", " ", "sin(", "min2(", "x0", "x12", "neg", "add", "xx1", "x1_", "1.", ".5",
+    "٣", "١", "é", "$", "\n", "9" * 5000, "(" * 40, ")" * 40,
+]
+
+
+def _mutated(rng, text):
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        j = min(len(text), i + rng.randint(1, 4))
+        kind = rng.randrange(5)
+        if kind == 0:
+            text = text[:i] + text[j:]  # delete
+        elif kind == 1:
+            text = text[:i] + rng.choice(_INSERTS) + text[i:]  # insert
+        elif kind == 2:
+            text = text[:i] + rng.choice(_INSERTS) + text[j:]  # replace
+        elif kind == 3:
+            text = text[:j] + text[i:j] + text[j:]  # repeat
+        else:
+            text = text[:i]  # cut
+    return text
+
+
+def _edge_texts():
+    """Nesting either side of MAX_DEPTH in every nesting form, and literals
+    past int()'s 4300 digits, well formed and not."""
+    texts = []
+    for d in range(MAX_DEPTH - 5, MAX_DEPTH + 6):
+        half = d // 2
+        texts += [
+            "(" * d + "x1" + ")" * d, "sin(" * d + "x1" + ")" * d, "-(" * half + "x1" + ")" * half,
+            "min2(" * d + "x1" + ", 0.25)" * d, "max2(0.5, " * d + "x1" + ")" * d,
+            "(" * half + "x1" + "^1)" * half, " + ".join(["x1"] * d), "*".join(["x1"] * d),
+            "1" + " - x1" * d, " + ".join(["0.1*x1"] * d), "(" * d + "x1" + ")" * (d - 1),
+            "(" * d, "-" * d + "x1", "sin(" * d + "x1" + ")" * d + "^2",
+        ]
+    big = "9" * 5000
+    texts += [big, big + "." + big, "x1^" + big, "x" + big, "x" + big + " + 1", "x1^" + big + ".5",
+              big + "*x1 - " + big + "*x1", "x1^" + "0" * 4999 + "7", "x" + "0" * 4999 + "1"]
+    return texts
+
+
+def test_parser_matches_the_reference_parser():
+    rng = random.Random(27)
+    bases = _benchmark_texts()
+    bases += [(g.name, g.n) for g in recipe_maps()]
+    cases = [(t, n) for t in _edge_texts() for n in (1, 2)]
+    while len(cases) < 20_500:
+        text, n = rng.choice(bases)
+        cases.append((_mutated(rng, text), n + rng.choice((0, 0, 0, 0, -1, 1)) or 1))
+    kinds = Counter()
+    for text, n in cases:
+        got = parse_outcome(parse, text, n)
+        assert got == parse_outcome(reference_parse, text, n), (text[:80], n)
+        kinds[got[0].__name__ if isinstance(got, tuple) else "parsed"] += 1
+    # the mutations reach every outcome
+    assert set(kinds) == {"parsed", "ExprSyntaxError", "ArityError", "UnknownIdentifier",
+                          "IndexOutOfRange", "ComponentCountMismatch"}, kinds
+
+
+@pytest.mark.parametrize("text, position", [("٣*x1", 0), ("x1^٢", 3), ("x١", 1), ("0.٥", 1)])
+def test_digits_of_other_scripts_are_unexpected_characters(text, position, capsys):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse(text, 1)
+    message = f"unexpected character {text[position]!r} (at position {position})"
+    assert err.value.position == position and str(err.value) == message
+    assert main(["solve", "--map", text, "--n", "1"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"

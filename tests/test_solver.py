@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import operator
+import random
 from collections import Counter
 
 import pytest
@@ -128,6 +130,142 @@ def test_a_fault_at_the_secant_point_propagates():
     with pytest.raises(MapEvaluationFailed) as info:
         solve(MapFn(1, fn), SolveConfig(tol=1e-3))
     assert 0.5 < info.value.point[0] < 1.0
+
+
+def reference_affine_zero(steps):
+    """``solver._affine_zero`` before its pivot loop: max() picks the pivot
+    and the rows below are eliminated through a slice."""
+    size = len(steps)
+    rows = [[d[k] for d in steps] + [0.0] for k in range(size - 1)]
+    rows.append([1.0] * size + [1.0])
+    for col in range(size):
+        top = max(range(col, size), key=lambda i: abs(rows[i][col]))
+        if rows[top][col] == 0.0:
+            return None
+        rows[col], rows[top] = rows[top], rows[col]
+        pivot = rows[col]
+        for row in rows[col + 1:]:
+            f = row[col] / pivot[col]
+            for j in range(col, size + 1):
+                row[j] -= f * pivot[j]
+    weights = [0.0] * size
+    for i in range(size - 1, -1, -1):
+        row = rows[i]
+        weights[i] = (row[size] - sum(row[j] * weights[j] for j in range(i + 1, size))) / row[i]
+    return weights if all(map(math.isfinite, weights)) else None
+
+
+def reference_select_witness(g, images, points):
+    """``select_witness`` before it formed the secant point by columns."""
+    def image(p):
+        if (gp := images.get(p)) is None:
+            gp = images[p] = g(p)
+        return gp
+
+    steps = []
+    best_p, best_r = None, math.inf
+    for p in points:
+        d = [qi - pi for qi, pi in zip(image(p), p)]
+        r = max(map(abs, d))
+        steps.append(d)
+        if r < best_r:
+            best_p, best_r = p, r
+    weights = reference_affine_zero(steps) if best_r > 0 else None
+    if weights is None:
+        return best_p, best_r
+    z = tuple(
+        min(max(sum(w * p[k] for w, p in zip(weights, points)), 0.0), 1.0)
+        for k in range(len(best_p))
+    )
+    r = max(abs(qi - zi) for qi, zi in zip(image(z), z))
+    return (z, r) if r < best_r else (best_p, best_r)
+
+
+def _hex(value):
+    """Floats, nested in lists and tuples, by ``float.hex``."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return [_hex(v) for v in value]
+    return value
+
+
+def _systems(rng, n):
+    """(kind, n+1 steps of length n) for every kind of system the test covers."""
+    def draw(values=None):
+        return [[rng.choice(values) if values else rng.uniform(-1, 1) for _ in range(n)]
+                for _ in range(n + 1)]
+
+    steps = draw()
+    yield "well", steps
+    near = [row[:] for row in steps]  # the last step nearly the mean of the others
+    near[-1] = [sum(col[:-1]) / n + rng.choice((1e-13, -1e-15, 1e-300)) for col in zip(*near)]
+    yield "near", near
+    dyadic = (-2.0, -1.0, -0.5, -0.25, 0.25, 0.5, 1.0, 2.0)
+    singular = draw(dyadic)
+    if n == 1:
+        singular = [singular[0], singular[0][:]]
+    else:  # two equal coordinates, or one that is 0 at every vertex
+        k, equal = rng.randrange(n), rng.random() < 0.5
+        for row in singular:
+            row[k] = row[k - 1] if equal else 0.0
+    yield "singular", singular
+    yield "ties", draw((-1.0, 1.0, -0.5, 0.5, 0.0))
+    bad = draw()
+    for _ in range(rng.randint(1, 2)):
+        bad[rng.randrange(n + 1)][rng.randrange(n)] = rng.choice((math.inf, -math.inf, math.nan))
+    yield "nonfinite", bad
+
+
+def test_affine_zero_matches_the_reference_bit_for_bit():
+    rng = random.Random(27)
+    outcomes = Counter()
+    for _ in range(300):
+        for n in range(1, 9):
+            for kind, steps in _systems(rng, n):
+                want = reference_affine_zero([row[:] for row in steps])
+                got = solver._affine_zero([row[:] for row in steps])
+                assert _hex(got) == _hex(want), (kind, steps)
+                if kind == "singular":
+                    assert want is None, steps
+                outcomes[kind, want is None] += 1
+    # near-singular, tied and non-finite systems give weights and None both:
+    # an infinite step can still leave every weight finite
+    assert all(outcomes[kind, none] for kind in ("near", "ties", "nonfinite")
+               for none in (True, False)), outcomes
+
+
+def test_select_witness_matches_the_reference_bit_for_bit():
+    # affine maps, steep ones that the clamp bends (the secant point can
+    # lose to a vertex there), and shifts x + delta (every step equal, so
+    # the system is singular)
+    rng = random.Random(28)
+    secant = Counter()
+    for _ in range(600):
+        n = rng.randint(1, 8)
+        m = rng.choice((2, 16, 1000, 2 ** 40))
+        centre = [rng.random() for _ in range(n)]
+        scale = rng.choice((0.6, 6.0))
+        slope = [[rng.uniform(-scale, scale) / n for _ in range(n)] for _ in range(n)]
+        delta = [rng.uniform(-0.1, 0.1) for _ in range(n)] if rng.random() < 0.2 else None
+
+        def fn(p):
+            if delta:
+                return tuple(map(operator.add, p, delta))
+            return tuple(c + sum(a * (x - y) for a, x, y in zip(row, p, centre))
+                         for c, row in zip(centre, slope))
+
+        g = MapFn(n, fn)
+        base = tuple(rng.randrange(m) for _ in range(n))
+        s = StringK(n, base, tuple(rng.sample(range(1, n + 1), n)))
+        points = [GridSpec(n, m).to_real(v) for v in vertices(s)]
+        ours, theirs = {}, {}
+        got = select_witness(g, ours, points)
+        assert _hex(got) == _hex(reference_select_witness(g, theirs, points))
+        assert _hex(list(ours.items())) == _hex(list(theirs.items()))
+        secant[got[0] not in points, len(ours) > len(points)] += 1
+    # the secant point kept, formed and lost, and not formed
+    assert secant[True, True] and secant[False, True] and secant[False, False], secant
 
 
 def test_config_validation():
