@@ -11,6 +11,8 @@ on stderr.
 ``main(argv)`` returns the exit code and may be called any number of times
 in one process.  The argument parser does not depend on argv, so the first
 call builds it and later calls reuse it; importing the module builds nothing.
+When argv starts with a command's name, the rest of argv is read by that
+command's parser alone; any other argv goes through the whole parser.
 """
 
 from __future__ import annotations
@@ -189,12 +191,15 @@ def build_parser() -> _Parser:
 
     Each handler looks up the library functions it calls (``solve``,
     ``path_follow``, ...) when it runs, so patching those names still works.
+    ``commands`` maps each command's name to its own parser.
     """
     p = _Parser(prog="stringchase", description="Combinatorial fixed-point solver on [0,1]^n.")
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
+    p.commands = {}
 
-    sp = sub.add_parser("solve", help="refine the grid until a fixed-point residual is met")
+    sp = p.commands["solve"] = sub.add_parser(
+        "solve", help="refine the grid until a fixed-point residual is met")
     _add_map_arguments(sp)
     sp.add_argument("--tol", type=float, default=SolveConfig.tol,
                     help="residual tolerance (sup norm)")
@@ -208,21 +213,24 @@ def build_parser() -> _Parser:
     sp.add_argument("--record", help="write a JSON record with provenance")
     sp.set_defaults(handler=cmd_solve)
 
-    sp = sub.add_parser("verify-parity", help="exhaustively check oddness and the double count")
+    sp = p.commands["verify-parity"] = sub.add_parser(
+        "verify-parity", help="exhaustively check oddness and the double count")
     _add_map_arguments(sp)
     sp.add_argument("--m", type=int, required=True, help="grid resolution")
     _add_budget_argument(sp)
     sp.add_argument("--record", help="write a JSON record with provenance")
     sp.set_defaults(handler=cmd_verify_parity)
 
-    sp = sub.add_parser("trace", help="emit the door-in/door-out walk at a fixed resolution")
+    sp = p.commands["trace"] = sub.add_parser(
+        "trace", help="emit the door-in/door-out walk at a fixed resolution")
     _add_map_arguments(sp)
     sp.add_argument("--m", type=int, required=True, help="grid resolution")
     sp.add_argument("--svg", help="also render the walk to this SVG file (n=2 only)")
     sp.add_argument("--record", help="write a JSON record with provenance")
     sp.set_defaults(handler=cmd_trace)
 
-    sp = sub.add_parser("labels", help="dump every grid point's label as CSV")
+    sp = p.commands["labels"] = sub.add_parser(
+        "labels", help="dump every grid point's label as CSV")
     _add_map_arguments(sp)
     sp.add_argument("--m", type=int, required=True, help="grid resolution")
     _add_budget_argument(sp)
@@ -336,7 +344,13 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # the whole parser would first match a command's options against its own
+        command = parser.commands.get(argv[0]) if argv else None
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args = command.parse_args(argv[1:])
+            args.command = argv[0]
         args._argv = argv
         return args.handler(args)
     except (UsageError, MapParseError, UnknownBuiltin, ConfigInvalid, MapEvaluationFailed,

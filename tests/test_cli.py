@@ -531,6 +531,83 @@ def test_importing_the_cli_builds_no_parser():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
 
+@pytest.fixture
+def handled(monkeypatch):
+    """The Namespaces that main hands to the command handlers, in call order.
+
+    Each handler is wrapped before a fresh parser is built, so the wrapper
+    records the parsed arguments (less ``handler`` and ``_argv``) and then
+    runs the real handler.
+    """
+    seen = []
+    for name in ("cmd_solve", "cmd_verify_parity", "cmd_trace", "cmd_labels"):
+        def record(args, handler=getattr(cli, name)):
+            seen.append({k: v for k, v in vars(args).items() if k not in ("handler", "_argv")})
+            return handler(args)
+        monkeypatch.setattr(cli, name, record)
+    cli.build_parser.cache_clear()
+    yield seen
+    cli.build_parser.cache_clear()
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["-h"],
+    ["--version"],
+    ["--version", "solve"],
+    ["--bogus", "solve"],
+    ["solv", "--builtin", "dottie"],
+    ["bogus"],
+    ["solve"],
+    ["solve", "-h"],
+    ["solve", "--help"],
+    ["solve", "--version"],
+    ["solve", "--ver"],
+    ["solve", "--builtin", "dottie", "--version"],
+    ["solve", "--"],
+    ["solve", "--builtin", "dottie", "--to", "1e-3"],
+    ["solve", "--builtin=dottie", "--tol=1e-3"],
+    ["solve", "--bui", "rot90", "--tol", "1e-2", "--csv"],
+    ["solve", "--map", "cos(x1)", "--tol", "1e-3"],
+    ["solve", "--map", "x1 - 1", "--n", "-1"],
+    ["solve", "--map", "-x1", "--n", "1"],
+    ["solve", "--map", "x1", "--builtin", "dottie"],
+    ["solve", "--builtin", "dottie", "--tol", "abc"],
+    ["solve", "--builtin", "dottie", "--engine", "ora"],
+    ["solve", "--builtin", "dottie", "--engine", "oracle", "--tol", "1e-2"],
+    ["solve", "--builtin", "dottie", "extra"],
+    ["solve", "--builtin", "dottie", "--tol", "1e-3", "--record", "run.json"],
+    ["verify-parity", "--builtin", "rot90", "--m", "3"],
+    ["verify-parity", "--builtin", "rot90", "--m", "3", "--budget", "5"],
+    ["verify-parity", "--builtin", "rot90"],
+    ["trace", "--builtin", "avg-0.3", "--m", "8"],
+    ["trace", "--builtin", "rot90", "--m", "3", "--budget", "5"],
+    ["labels", "--builtin", "reflect1d", "--m", "3"],
+    ["labels", "--m", "3", "--", "--builtin", "rot90"],
+], ids=lambda argv: " ".join(argv) or "empty")
+def test_a_command_parser_reads_argv_as_the_whole_parser_does(
+        capsys, tmp_path, monkeypatch, handled, argv):
+    # main reads a command's argv with that command's parser alone; with no
+    # commands listed it falls back to build_parser().parse_args for all
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("STRINGCHASE_BUDGET", raising=False)
+    runs, records = [], []
+    for commands in (cli.build_parser().commands, {}):
+        monkeypatch.setattr(cli.build_parser(), "commands", commands)
+        runs.append(run_cli_or_exit(capsys, argv))
+        if "--record" in argv:
+            record = json.loads((tmp_path / "run.json").read_text(encoding="utf-8"))
+            del record["timestamp"]
+            records.append(record)
+    assert runs[0] == runs[1]
+    assert len(handled) in (0, 2)
+    assert handled[:1] == handled[1:]
+    assert records[:1] == records[1:]
+    if records:
+        assert records[0]["command"] == "solve"
+        assert records[0]["arguments"] == argv
+
+
 def test_float_formatting_17_digits(capsys):
     _, out, _ = run_cli(capsys, "labels", "--builtin", "reflect1d", "--m", "3")
     # 1/3 printed at 17 significant digits

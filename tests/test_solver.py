@@ -565,8 +565,8 @@ def test_a_solve_evaluates_no_real_point_twice(g, engine):
 
 
 def test_recipe_family_converges_within_its_evaluation_bound():
-    # solving the 120 maps to 1e-6 takes 15,373 evaluations (worst map
-    # 3,065), against 23,833 (5,039) when m doubled at every resolution and
+    # solving the 120 maps to 1e-6 takes 14,413 evaluations (worst map
+    # 2,996), against 23,833 (5,039) when m doubled at every resolution and
     # 134,996 (33,377) with, besides, the best vertex as the witness and an
     # image table per box
     costs = []
