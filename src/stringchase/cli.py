@@ -2,7 +2,10 @@
 
 Outputs are machine-readable and byte-deterministic: JSON objects use a
 fixed key order and floats are printed with 17 significant digits, so the
-same invocation always produces identical stdout.  Exit codes: 0 success
+same invocation always produces identical stdout.  The parity payload and
+a record's head are built as dicts and written by ``dump_json``; the trace
+and solve payloads, of one fixed shape each, are formatted directly
+(``trace_json``, ``solve_json``) into the same bytes.  Exit codes: 0 success
 (or converged), 1 usage or evaluation errors, 2 checks failed or not
 converged, 3 enumeration budget exceeded, 4 internal error (a walk broke
 an invariant that induced labellings guarantee).  Each error is one line
@@ -82,40 +85,10 @@ def dump_json(value) -> str:
     raise TypeError(f"cannot serialize {kind.__name__}")
 
 
-def solve_report_payload(report: SolveReport) -> dict:
-    return {
-        "n": report.n,
-        "z": list(report.z),
-        "residual": report.residual,
-        "m_final": report.m_final,
-        "converged": report.converged,
-        "certificate": {
-            "base": list(report.certificate.string.base),
-            "perm": list(report.certificate.string.perm),
-            "labels": list(report.certificate.labels),
-        },
-        "history": [
-            {"m": h.m, "residual": h.residual, "diameter": h.diameter, "evals": h.evals}
-            for h in report.history
-        ],
-    }
-
-
 def parity_payload(report: ParityReport) -> dict:
-    return {
-        "levels": [
-            {
-                "k": lv.k,
-                "S1": lv.s1,
-                "S2": lv.s2,
-                "T1": lv.t1,
-                "T2": lv.t2,
-                "identity_ok": lv.identity_ok,
-                "odd_ok": lv.odd_ok,
-            }
-            for lv in report.levels
-        ]
-    }
+    return {"levels": [{"k": lv.k, "S1": lv.s1, "S2": lv.s2, "T1": lv.t1, "T2": lv.t2,
+                        "identity_ok": lv.identity_ok, "odd_ok": lv.odd_ok}
+                       for lv in report.levels]}
 
 
 def trace_json(trace: PathTrace) -> str:
@@ -147,6 +120,22 @@ def trace_json(trace: PathTrace) -> str:
         ))
     return '{"steps": [%s], "outcome": %s}' % (
         ", ".join(steps), encode_basestring_ascii(trace.outcome))
+
+
+def solve_json(report: SolveReport) -> str:
+    """The solve payload (README, "JSON payloads") as ``dump_json`` writes
+    it.  The shape is fixed and holds only ints, floats and one bool, so it
+    is formatted directly instead of being built as a dict and walked again.
+    """
+    cert = report.certificate
+    z = ", ".join([format(zi, ".17g") for zi in report.z])
+    history = ", ".join([
+        f'{{"m": {h.m}, "residual": {h.residual:.17g}, "diameter": {h.diameter:.17g}, '
+        f'"evals": {h.evals}}}' for h in report.history])
+    return (f'{{"n": {report.n}, "z": [{z}], "residual": {report.residual:.17g}, '
+            f'"m_final": {report.m_final}, "converged": {"true" if report.converged else "false"}, '
+            f'"certificate": {{"base": {list(cert.string.base)}, "perm": {list(cert.string.perm)}, '
+            f'"labels": {list(cert.labels)}}}, "history": [{history}]}}')
 
 
 def _write_record(args, payload_json: str) -> None:
@@ -279,7 +268,7 @@ def cmd_solve(args) -> int:
         max_m=args.max_m, tol=args.tol, engine=args.engine, budget=_resolve_budget(args)
     )
     report = solve(g, cfg)
-    text = dump_json(solve_report_payload(report))
+    text = solve_json(report)
     _write_record(args, text)
     if args.csv:
         lines = ["m,residual,diameter,evals"]

@@ -69,7 +69,8 @@ class StringK:
     Calling ``StringK(...)`` validates all of this.  ``pivot``, ``lift`` and
     the solver, which moves a box's string into its grid, derive strings
     from one already valid and build them through ``_derived`` without
-    checking again; ``search.verify_trace`` checks a walk's strings apart.
+    checking again, as the walk builds its origin; ``search.verify_trace``
+    checks a walk's strings apart.
     """
 
     k: int

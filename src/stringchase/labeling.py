@@ -102,10 +102,11 @@ class Labeling:
     """Memoized induced labeling of a box of a grid by a map.
 
     The box ``spec`` = {0..w}^n sits at offset ``lo`` in the enclosing
-    ``grid``; both default to the whole grid.  Box point c stands for grid
-    point lo + c at the real point ``grid.to_real(lo + c)`` and gets
-    ``induced_label(c, w, x, g(x))``, so both boundary rules hold on the
-    box.
+    ``grid``; both default to the whole grid.  The box must fit: a grid of
+    M cells in n dimensions and 0 <= lo_i <= M - w on every axis, else
+    ValueError.  Box point c stands for grid point lo + c at the real point
+    ``grid.to_real(lo + c)`` and gets ``induced_label(c, w, x, g(x))``, so
+    both boundary rules hold on the box.
 
     The forced points, the origin and the points whose highest nonzero
     coordinate is w, get their label without reading g; every other point
@@ -135,21 +136,22 @@ class Labeling:
     ):
         if spec.n != source.n:
             raise ValueError(f"grid dimension {spec.n} != map dimension {source.n}")
+        n, w = spec.n, spec.m
         self.spec = spec
         self.grid = spec if grid is None else grid
-        self.lo = (0,) * spec.n if lo is None else tuple(lo)
-        corner = self.grid_point((spec.m,) * spec.n)
-        if not (self.grid.contains(self.lo) and self.grid.contains(corner)):
+        self.lo = (0,) * n if lo is None else tuple(lo)
+        if self.grid.n != n or len(self.lo) != n or not (
+                min(self.lo) >= 0 and max(self.lo) <= self.grid.m - w):
             raise ValueError(f"box {spec} at {self.lo} does not fit in {self.grid}")
         self.images = images
         self._cache: dict[GridPoint, int] = {}
         self._forced = 0  # cached points whose label was forced
-        self._w, self._n, self._m, self._fn = spec.m, spec.n, self.grid.m, source.fn
+        self._w, self._n, self._m, self._fn = w, n, self.grid.m, source.fn
         self._offset = any(self.lo)
 
     def grid_point(self, c: GridPoint) -> GridPoint:
         """The grid point that box point ``c`` stands for."""
-        return tuple(a + b for a, b in zip(self.lo, c))
+        return tuple([a + b for a, b in zip(self.lo, c)])
 
     def label(self, c: GridPoint) -> int:
         c = tuple(c)

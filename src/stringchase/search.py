@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, permutations
+from operator import mul
 
 from .grid import (
     BoundaryFace,
@@ -251,13 +252,14 @@ def path_follow(spec: GridSpec, lab) -> tuple[StringK, PathTrace]:
     strings are visited at some level than exist there (a bug guard;
     cycles are impossible when the degree bound holds).
     """
-    n = spec.n
+    n, m = spec.n, spec.m
     label = lab.label
-    origin = StringK(0, (0,) * n, ())
+    origin = StringK._derived(0, (0,) * n, ())
     if label(origin.base) != 0:
         raise LabelingInvalid("the origin must carry label 0")
     steps = [TraceStep(0, origin, None, None)]
-    limits = [string_count(spec, k) + 1 for k in range(n + 1)]
+    # string_count(spec, k) + 1 at each level k, m^k * k! = m * 2m * ... * km
+    limits = [c + 1 for c in accumulate(range(m, m * n + 1, m), mul, initial=1)]
     visits = [0] * (n + 1)
     current, entry = lift(origin), 1
     verts = vertices(current)

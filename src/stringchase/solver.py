@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from operator import mul, sub
 
 from .grid import GridSpec, StringK, vertices
-from .labeling import Labeling, MapFn, labels_of
+from .labeling import Labeling, MapFn
 from .search import DEFAULT_BUDGET, LabelingInvalid, exhaustive_fully_labeled, path_follow
 
 ENGINE_PATH = "path"
@@ -155,7 +155,7 @@ def select_witness(g: MapFn, images: dict, points: list) -> tuple[tuple[float, .
     weights = _affine_zero(steps) if best_r > 0 else None
     if weights is None:
         return best_p, best_r
-    z = tuple(min(max(sum(map(mul, weights, col)), 0.0), 1.0) for col in zip(*points))
+    z = tuple([min(max(sum(map(mul, weights, col)), 0.0), 1.0) for col in zip(*points)])
     if (gz := images.get(z)) is None:
         gz = images[z] = g(z)
     r = max(map(abs, map(sub, gz, z)))
@@ -207,7 +207,8 @@ def solve_at(
     decides only how a box is searched: the path engine walks it, the
     oracle enumerates its n-strings and takes the first fully labeled one.
     Each box's string is labelled in the whole grid once: those labels
-    decide whether it is fully labeled and are the certificate's.
+    decide whether it is fully labeled and are the certificate's, and the
+    vertices formed for them give the witness its real points.
     Every labelling reads and fills ``images`` (a fresh table if None), and
     so does the witness.  The record counts the boxes searched and the map
     evaluations: the table's growth since it held ``known`` images (by
@@ -218,9 +219,10 @@ def solve_at(
     images = {} if images is None else images
     known, boxes = len(images) if known is None else known, 0
     whole = Labeling(spec, g, images=images)
+    label, full = whole.label, set(range(n + 1))
     while True:
         boxes += 1
-        lo = None if w == m else tuple(min(max(round(zi * m) - w // 2, 0), m - w) for zi in near)
+        lo = None if w == m else tuple([min(max(round(zi * m) - w // 2, 0), m - w) for zi in near])
         lab = whole if lo is None else Labeling(GridSpec(n, w), g, spec, lo, images)
         if cfg.engine == ENGINE_ORACLE:
             found = exhaustive_fully_labeled(lab.spec, lab, n, budget=cfg.budget)
@@ -231,14 +233,15 @@ def solve_at(
             s, _ = path_follow(lab.spec, lab)
         # a box string moved by lo >= 0 with lo + w <= m stays a string of the grid
         s = StringK._derived(n, lab.grid_point(s.base), s.perm)
-        labels = labels_of(whole, s)
-        if set(labels) == set(range(n + 1)):
+        verts = vertices(s)
+        labels = [label(v) for v in verts]
+        if set(labels) == full:
             break
         w = min(2 * w, m)
         if max_w is not None and w > max_w:
             return None
 
-    z, r = select_witness(g, images, [spec.to_real(v) for v in vertices(s)])
+    z, r = select_witness(g, images, [spec.to_real(v) for v in verts])
     return (Certificate(m, s, tuple(labels)), z,
             ResolutionRecord(m, r, math.sqrt(n) / m, len(images) - known, boxes))
 

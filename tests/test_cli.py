@@ -14,7 +14,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import forced_label, random_affine_map, random_steep_affine_map
+from conftest import (
+    CATALOG_REFERENCE,
+    forced_label,
+    random_affine_map,
+    random_steep_affine_map,
+    recipe_maps,
+)
 from stringchase import (
     GridSpec,
     Labeling,
@@ -692,6 +698,50 @@ def test_trace_json_formats_each_base_object_afresh():
     assert cli.trace_json(t) == cli.dump_json(_trace_payload(t)) == json.dumps(_trace_payload(t))
 
 
+def _solve_payload(report):
+    """The solve payload in the README's key order."""
+    cert = report.certificate
+    return {
+        "n": report.n,
+        "z": list(report.z),
+        "residual": report.residual,
+        "m_final": report.m_final,
+        "converged": report.converged,
+        "certificate": {"base": list(cert.string.base), "perm": list(cert.string.perm),
+                        "labels": list(cert.labels)},
+        "history": [{"m": h.m, "residual": h.residual, "diameter": h.diameter, "evals": h.evals}
+                    for h in report.history],
+    }
+
+
+def test_solve_json_writes_dump_json_bytes():
+    maps = [builtin(name) for name in CATALOG_REFERENCE] + recipe_maps()
+    reports = [solver.solve(g) for g in maps]
+    reports.append(solver.solve(builtin("dottie"), solver.SolveConfig(max_m=64)))
+    reports.append(solver.solve(builtin("reflect1d")))
+    assert not reports[-2].converged and reports[-1].residual == 0.0
+    for g, report in zip(maps + ["dottie --max-m 64", "reflect1d"], reports):
+        payload = _solve_payload(report)
+        text = cli.solve_json(report)
+        assert text == cli.dump_json(payload), g
+        assert json.loads(text) == payload, g
+    assert {r.n for r in reports} == {1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--builtin", "dottie", "--max-m", "64"),
+    ("solve", "--builtin", "reflect1d"),
+    ("solve", "--map", "1.5*x1^2 + 0.1", "--n", "1"),
+], ids=["not-converged", "zero-residual", "jump-given-up"])
+def test_solve_record_payload_is_stdout_byte_for_byte(capsys, tmp_path, argv):
+    path = tmp_path / "run.json"
+    code, out, _ = run_cli(capsys, *argv, "--record", str(path))
+    assert code == (EXIT_CHECK_FAILED if "--max-m" in argv else EXIT_OK)
+    text = path.read_text(encoding="utf-8")
+    assert text.endswith(', "payload": ' + out.rstrip("\n") + "}\n")
+    assert json.loads(text)["payload"] == json.loads(out)
+
+
 @pytest.mark.parametrize("argv", [
     ("trace", "--builtin", "rot90", "--m", "8"),
     ("verify-parity", "--builtin", "avg-0.3,0.6", "--m", "4"),
@@ -801,6 +851,19 @@ PINNED_STDOUT = [
     # history evals 3, 3, 3: the forced labels at 0 and 1 read no g(x)
     (("solve", "--builtin", "dottie"),
      "45af152dd907b3ee2ee1dbefa60b8a12d1819926687d5d8765e4254a9aec98cc"),
+    # n = 3; the m = 128 resolution searches 2 boxes
+    (("solve", "--map", "0.5*x1+0.3*x2^2; cos(x1*x3); expneg(x2)", "--n", "3",
+      "--tol", "1e-4"),
+     "14a17401be9b089e15aec49445c8881c8d695335151b42985bc2c1a54276c197"),
+    # the jump from m = 2 to 16 is given up, and that resolution made at m = 4
+    (("solve", "--map", "1.5*x1^2 + 0.1", "--n", "1"),
+     "deb580ec49016e1a9dfdde96a96ed8096e1f4cc0de83024cc568093a0d9ff1c2"),
+    # not converged at the cap: exit 2 with the best witness
+    (("solve", "--builtin", "dottie", "--max-m", "64"),
+     "6d3c4f6a8406e128b86febedde5a2dbd986b25321dcfbbfbe425024f47bd14c3"),
+    (("solve", "--map", "0.5*x1+0.3*x2^2; cos(x1*x3); expneg(x2)", "--n", "3",
+      "--tol", "1e-4", "--csv"),
+     "8a765fd4642de528149d965d9f53b4d82847f813f5c74201ce4d00cf8493ec1a"),
     (("labels", "--builtin", "rot90", "--m", "30"),
      "8650a608737eb02da6d0b571771449557eacf1cd98292e6fc28b853547f80ff4"),
     (("labels", "--map", "0.5*x1+0.3*x2^2; cos(x1*x3); expneg(x2)", "--n", "3", "--m", "7"),

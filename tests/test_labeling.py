@@ -101,6 +101,30 @@ def test_label_rejects_points_outside_grid():
         Labeling(GridSpec(1, 8), REFLECT, GridSpec(1, 64), (57,))
 
 
+def test_a_box_fits_when_every_offset_is_between_0_and_m_minus_w():
+    rot90, box, grid = builtin("rot90"), GridSpec(2, 8), GridSpec(2, 64)
+    # lo_i = M - w is the last offset that fits, on either axis
+    for lo in ((56, 56), (56, 0), (0, 56), (0, 0), (28, 3)):
+        lab = Labeling(box, rot90, grid, lo)
+        assert lab.lo == lo and lab.grid_point((8, 8)) == (lo[0] + 8, lo[1] + 8)
+    assert Labeling(GridSpec(1, 64), REFLECT, GridSpec(1, 64), [0]).lo == (0,)
+    misfits = [
+        (box, grid, (57, 0)), (box, grid, (0, 57)), (box, grid, (57, 57)),
+        (GridSpec(1, 64), GridSpec(1, 64), (1,)),
+        (box, grid, (-1, 0)), (box, grid, (0, -1)),
+        (box, grid, (0,)), (box, grid, (0, 0, 0)), (box, grid, ()),
+        # a grid of another dimension, at its own or the box's length of lo
+        (box, GridSpec(1, 64), (0,)), (box, GridSpec(1, 64), None),
+        (box, GridSpec(3, 64), (0, 0, 0)), (box, GridSpec(3, 64), None),
+    ]
+    for spec, enclosing, lo in misfits:
+        g = rot90 if spec.n == 2 else REFLECT
+        with pytest.raises(ValueError) as err:
+            Labeling(spec, g, enclosing, lo)
+        shown = (0,) * spec.n if lo is None else lo
+        assert str(err.value) == f"box {spec} at {shown} does not fit in {enclosing}", lo
+
+
 def test_one_cell_box_labels_ignore_the_map():
     # in a box of width 1 every coordinate is 0 or the forced top, so every
     # label is max{k : c_k = 1} whatever g(x) is, and none is evaluated: the
