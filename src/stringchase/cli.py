@@ -16,6 +16,10 @@ in one process.  The argument parser does not depend on argv, so the first
 call builds it and later calls reuse it; importing the module builds nothing.
 When argv starts with a command's name, the rest of argv is read by that
 command's parser alone; any other argv goes through the whole parser.
+argparse checks required arguments before it looks for unrecognized ones,
+so an argv that fails is read once more by a parser that requires nothing
+(built on the first failure), and an unrecognized argument is reported in
+place of a missing one.
 """
 
 from __future__ import annotations
@@ -158,8 +162,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(re.sub(r"'?([^\s'\\]{21,})'?", lambda v: _quote(v[1]), message))
 
 
-def _add_map_arguments(sp) -> None:
-    group = sp.add_mutually_exclusive_group(required=True)
+def _add_map_arguments(sp, required: bool) -> None:
+    group = sp.add_mutually_exclusive_group(required=required)
     group.add_argument("--map", help="semicolon-separated component expressions")
     group.add_argument("--builtin", help="builtin map name (see 'functions' catalog)")
     sp.add_argument("--n", type=int, help="dimension (required with --map)")
@@ -182,14 +186,25 @@ def build_parser() -> _Parser:
     ``path_follow``, ...) when it runs, so patching those names still works.
     ``commands`` maps each command's name to its own parser.
     """
+    return _new_parser(required=True)
+
+
+@functools.cache
+def _lenient_parser() -> _Parser:
+    """``build_parser``'s parser with no argument required, which reports
+    an unrecognized argument where ``build_parser``'s reports a missing one."""
+    return _new_parser(required=False)
+
+
+def _new_parser(required: bool) -> _Parser:
     p = _Parser(prog="stringchase", description="Combinatorial fixed-point solver on [0,1]^n.")
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = p.add_subparsers(dest="command", required=True)
+    sub = p.add_subparsers(dest="command", required=required)
     p.commands = {}
 
     sp = p.commands["solve"] = sub.add_parser(
         "solve", help="refine the grid until a fixed-point residual is met")
-    _add_map_arguments(sp)
+    _add_map_arguments(sp, required)
     sp.add_argument("--tol", type=float, default=SolveConfig.tol,
                     help="residual tolerance (sup norm)")
     sp.add_argument("--max-m", type=int, default=SolveConfig.max_m,
@@ -204,24 +219,24 @@ def build_parser() -> _Parser:
 
     sp = p.commands["verify-parity"] = sub.add_parser(
         "verify-parity", help="exhaustively check oddness and the double count")
-    _add_map_arguments(sp)
-    sp.add_argument("--m", type=int, required=True, help="grid resolution")
+    _add_map_arguments(sp, required)
+    sp.add_argument("--m", type=int, required=required, help="grid resolution")
     _add_budget_argument(sp)
     sp.add_argument("--record", help="write a JSON record with provenance")
     sp.set_defaults(handler=cmd_verify_parity)
 
     sp = p.commands["trace"] = sub.add_parser(
         "trace", help="emit the door-in/door-out walk at a fixed resolution")
-    _add_map_arguments(sp)
-    sp.add_argument("--m", type=int, required=True, help="grid resolution")
+    _add_map_arguments(sp, required)
+    sp.add_argument("--m", type=int, required=required, help="grid resolution")
     sp.add_argument("--svg", help="also render the walk to this SVG file (n=2 only)")
     sp.add_argument("--record", help="write a JSON record with provenance")
     sp.set_defaults(handler=cmd_trace)
 
     sp = p.commands["labels"] = sub.add_parser(
         "labels", help="dump every grid point's label as CSV")
-    _add_map_arguments(sp)
-    sp.add_argument("--m", type=int, required=True, help="grid resolution")
+    _add_map_arguments(sp, required)
+    sp.add_argument("--m", type=int, required=required, help="grid resolution")
     _add_budget_argument(sp)
     sp.set_defaults(handler=cmd_labels)
 
@@ -329,17 +344,25 @@ def cmd_labels(args) -> int:
     return EXIT_OK
 
 
+def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
+    # the whole parser would first match a command's options against its own
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args = command.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        # the whole parser would first match a command's options against its own
-        command = parser.commands.get(argv[0]) if argv else None
-        if command is None:
-            args = parser.parse_args(argv)
-        else:
-            args = command.parse_args(argv[1:])
-            args.command = argv[0]
+        try:
+            args = _parse_args(build_parser(), argv)
+        except UsageError:
+            # an unrecognized argument is reported before a missing one
+            _parse_args(_lenient_parser(), argv)
+            raise
         args._argv = argv
         return args.handler(args)
     except (UsageError, MapParseError, UnknownBuiltin, ConfigInvalid, MapEvaluationFailed,

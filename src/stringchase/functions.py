@@ -34,7 +34,7 @@ import operator
 import re
 from dataclasses import dataclass
 
-from .labeling import MapFn
+from .labeling import MapFn, clamp_kernel
 
 
 class MapParseError(ValueError):
@@ -175,18 +175,32 @@ class MapSpec:
     components: tuple[ExprNode, ...]
 
     def as_map_fn(self, name: str = "expr") -> MapFn:
-        """The map compiled once, behind MapFn's clamp and checks."""
+        """The map compiled once, behind the clamp kernel for n (``CompiledMap``)."""
         return _compile(self.n, self.components, name)
+
+
+class CompiledMap(MapFn):
+    """A MapFn whose ``fn`` returns a tuple of n floats, as ``_compile``'s do.
+
+    Its ``image`` is the clamp kernel for n (``labeling.clamp_kernel``)
+    bound to ``fn``, in place of the generic ``_image``.  The kernel calls
+    ``fn``, so ``dataclasses.replace(g, fn=...)``, which keeps the class,
+    binds it to the new ``fn``, which must return a tuple of n floats too.
+    """
+
+    def __post_init__(self):
+        object.__setattr__(self, "image", clamp_kernel(self.n)(self.fn))
 
 
 _compile_source = functools.lru_cache(maxsize=256)(lambda src: compile(src, "<map>", "eval"))
 
 
-def _compile(n: int, components: tuple[ExprNode, ...], name: str) -> MapFn:
-    """The trees as one function of ``p``, with its own ``names`` bound."""
+def _compile(n: int, components: tuple[ExprNode, ...], name: str) -> CompiledMap:
+    """The trees as one function of ``p``, with its own ``names`` bound,
+    behind the clamp kernel for n (``CompiledMap``)."""
     names: dict[str, object] = {"__builtins__": {}}
     body = "".join(_emit(c, names) + ", " for c in components)
-    return MapFn(n=n, fn=eval(_compile_source(f"lambda p: ({body})"), names), name=name)
+    return CompiledMap(n=n, fn=eval(_compile_source(f"lambda p: ({body})"), names), name=name)
 
 
 # after any whitespace: a NUMBER (ASCII digits only), an identifier or an operator

@@ -11,7 +11,10 @@ Brouwer boundary rules that the string search relies on:
 Map outputs are clamped componentwise into [0,1] before comparison, so a
 map that drifts epsilon outside the cube through floating-point roundoff
 cannot break the one-face rule.  The comparison itself is an exact float
-``<=`` with no tolerance band.
+``<=`` with no tolerance band.  Every reading of g goes through the map's
+``MapFn.image``: the generic clamp and checks (``_image``) for any
+evaluator, or for a compiled map the clamp kernel written out for its n
+(``clamp_kernel``), with the same results and errors.
 
 A labeling may also cover a box of w cells per axis inside a finer grid,
 as the solver's restarts do.  The rule (``induced_label``) then forces the
@@ -28,7 +31,8 @@ a map that faults only at such points labels without error.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from itertools import product
 
 from .grid import GridPoint, GridSpec, StringK, vertices
@@ -51,26 +55,45 @@ class MapFn:
     each component into [0,1].  Evaluator exceptions, components that are
     not numbers, wrong component counts and NaNs are reported as
     MapEvaluationFailed together with the input point.
+
+    ``image``, set from ``fn`` and n on construction, is that clamp and
+    those checks on a tuple of floats: ``_image`` bound to ``fn`` here, the
+    clamp kernel for n in ``functions.CompiledMap``.  Calling the MapFn and
+    ``Labeling`` both evaluate through it, so a map made by
+    ``dataclasses.replace(g, fn=...)`` evaluates its new ``fn`` everywhere.
     """
 
     n: int
     fn: Callable[[tuple[float, ...]], Sequence[float]]
     name: str = "map"
+    image: Callable[[tuple[float, ...]], tuple[float, ...]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "image", partial(_image, self.fn, self.n))
 
     def __call__(self, p: Sequence[float]) -> tuple[float, ...]:
-        return _image(self.fn, self.n, tuple(map(float, p)))
+        return self.image(tuple(map(float, p)))
 
 
 def _image(fn: Callable, n: int, pt: tuple[float, ...]) -> tuple[float, ...]:
     """``fn(pt)`` clamped into [0,1]^n, with MapFn's checks and messages."""
     try:
-        # text, None or a complex does not compare with a float, so the
-        # clamp raises on a component that is not a number
-        out = tuple([0.0 if v < 0.0 else 1.0 if v > 1.0 else float(v) for v in fn(pt)])
+        return _clamped(pt, n, fn(pt))
     except MapEvaluationFailed:
         raise
     except Exception as exc:
         raise MapEvaluationFailed(pt, f"evaluator raised {exc!r}") from exc
+
+
+def _clamped(pt: tuple[float, ...], n: int, values) -> tuple[float, ...]:
+    """``values``, the evaluator's output at ``pt``, clamped into [0,1]^n.
+
+    A wrong count or a NaN raises MapEvaluationFailed.  Text, None or a
+    complex does not compare with a float, so a component that is not a
+    number raises a TypeError, which the caller reports as the evaluator's.
+    """
+    out = tuple([0.0 if v < 0.0 else 1.0 if v > 1.0 else float(v) for v in values])
     if len(out) != n:
         raise MapEvaluationFailed(pt, f"expected {n} components, got {len(out)}")
     # the clamp keeps NaN and nothing else outside [0, 1], so the sum is
@@ -79,6 +102,43 @@ def _image(fn: Callable, n: int, pt: tuple[float, ...]) -> tuple[float, ...]:
     if s != s:
         raise MapEvaluationFailed(pt, "evaluator produced NaN")
     return out
+
+
+_KERNEL = """\
+def bind(fn):
+    def image(p):
+        try:
+            out = fn(p)
+            {vs}, = out
+            if {inside}:
+                return out
+            return clamped(p, {n}, out)
+        except MapEvaluationFailed:
+            raise
+        except Exception as exc:
+            raise MapEvaluationFailed(p, f"evaluator raised {{exc!r}}") from exc
+    return image
+"""
+
+
+@lru_cache(maxsize=64)
+def clamp_kernel(n: int) -> Callable[[Callable], Callable[[tuple[float, ...]], tuple[float, ...]]]:
+    """``_image`` written out for an ``fn`` that returns a tuple of n floats.
+
+    ``clamp_kernel(n)(fn)`` is a function of the point with the result and
+    the errors of ``_image(fn, n, ·)`` when ``fn`` returns a tuple of n
+    floats, as every map that ``functions`` compiles does.  It unpacks the
+    n components and, when each lies in [0,1] (so none is NaN), returns
+    ``fn``'s tuple as it is, with no loop, ``float``, ``len`` or ``sum``;
+    any other output goes through ``_image``'s own clamp and checks.  The
+    source is compiled once per n and bound to each map's ``fn``.
+    """
+    vs = [f"v{i}" for i in range(n)]
+    src = _KERNEL.format(vs=", ".join(vs), n=n,
+                         inside=" and ".join(f"0.0 <= {v} <= 1.0" for v in vs))
+    names = {"MapEvaluationFailed": MapEvaluationFailed, "clamped": _clamped}
+    exec(compile(src, f"<clamp kernel n={n}>", "exec"), names)
+    return names["bind"]
 
 
 def induced_label(c: GridPoint, top: int, x: Sequence[float], gx: Sequence[float]) -> int:
@@ -119,10 +179,10 @@ class Labeling:
     caches nothing.  Neither goes through ``MapFn.__call__``: both form the
     real point as (lo_i + c_i) / M, the floats ``grid.to_real`` gives (a
     correctly rounded quotient, so one rational is one key at every m),
-    call the raw evaluator ``source.fn`` behind MapFn's clamp and checks
-    (``_image``) and label it by ``induced_label``'s rule.
+    evaluate it through ``source.image``, the map's clamp and checks around
+    its ``fn``, and label it by ``induced_label``'s rule.
 
-    w, n, M and ``source.fn`` are bound at construction.  At ``lo`` = 0
+    w, n, M and ``source.image`` are bound at construction.  At ``lo`` = 0
     ``label`` forms c_i / M, the same float as (0 + c_i) / M.
     """
 
@@ -146,7 +206,7 @@ class Labeling:
         self.images = images
         self._cache: dict[GridPoint, int] = {}
         self._forced = 0  # cached points whose label was forced
-        self._w, self._n, self._m, self._fn = w, n, self.grid.m, source.fn
+        self._w, self._n, self._m, self._image = w, n, self.grid.m, source.image
         self._offset = any(self.lo)
 
     def grid_point(self, c: GridPoint) -> GridPoint:
@@ -173,9 +233,9 @@ class Labeling:
             else:
                 x = tuple([a / m for a in c])
             if (images := self.images) is None:
-                gx = _image(self._fn, n, x)
+                gx = self._image(x)
             elif (gx := images.get(x)) is None:
-                gx = images[x] = _image(self._fn, n, x)
+                gx = images[x] = self._image(x)
             lab = self._cache[c] = induced_label(c, w, x, gx)
         return lab
 
@@ -189,14 +249,14 @@ class Labeling:
         to label n, cached or not.  Below it, a point in the cache is read,
         the cache only when it is non-empty, and c_n = 0 is forced to label
         f when f = 0 or head_f = w.  Every other point is evaluated through
-        ``_image`` and gets ``induced_label``'s label: n when c_n > 0 and
-        g_n(x) <= x_n, else the largest k <= f with head_k > 0 and
+        ``source.image`` and gets ``induced_label``'s label: n when c_n > 0
+        and g_n(x) <= x_n, else the largest k <= f with head_k > 0 and
         (head_k = w or g_k(x) <= x_k), else 0.  A sweep, which visits each
         point once, neither caches nor uses ``images``.  A failing map
         raises MapEvaluationFailed at its first failing point in flat order
         that is neither cached nor forced, with the message ``MapFn`` gives.
         """
-        cache, fn, n, w, m = self._cache, self._fn, self._n, self._w, self._m
+        cache, image, n, w, m = self._cache, self._image, self._n, self._w, self._m
         reals = [[(lo + c) / m for c in range(w + 1)] for lo in self.lo]
         row = list(enumerate(reals[-1][:w]))  # (c_n, x_n) for c_n < w
         for head, prefix in zip(product(range(w + 1), repeat=n - 1), product(*reals[:-1])):
@@ -216,7 +276,7 @@ class Labeling:
                 if not checks and not cn:  # forced: f = 0 or head_f = w
                     yield low
                     continue
-                gx = _image(fn, n, prefix + (xn,))
+                gx = image(prefix + (xn,))
                 if cn and gx[-1] <= xn:
                     yield n
                     continue

@@ -556,6 +556,28 @@ def handled(monkeypatch):
     cli.build_parser.cache_clear()
 
 
+USAGE_ERRORS = [
+    (["--bogus", "solve"], "unrecognized arguments: --bogus"),
+    (["--bogus"], "unrecognized arguments: --bogus"),
+    (["solve", "--version"], "unrecognized arguments: --version"),
+    (["solve", "--builtin", "dottie", "--version"], "unrecognized arguments: --version"),
+    (["trace", "--builtin", "rot90", "--bogus"], "unrecognized arguments: --bogus"),
+    (["verify-parity", "--m", "3", "x", "--bogus"], "unrecognized arguments: x --bogus"),
+    ([], "the following arguments are required: command"),
+    (["solve"], "one of the arguments --map --builtin is required"),
+    (["trace", "--builtin", "rot90"], "the following arguments are required: --m"),
+    (["labels", "--m", "3"], "one of the arguments --map --builtin is required"),
+]
+
+
+@pytest.mark.parametrize("argv, error", USAGE_ERRORS,
+                         ids=[" ".join(argv) or "empty" for argv, _ in USAGE_ERRORS])
+def test_an_unrecognized_argument_is_reported_before_a_missing_one(capsys, argv, error):
+    # argparse checks required arguments first; the first six argvs also
+    # lack one (a command, --map/--builtin or --m) but name a wrong one
+    assert run_cli_or_exit(capsys, argv) == (EXIT_USAGE, "", f"error: {error}\n")
+
+
 @pytest.mark.parametrize("argv", [
     [],
     ["-h"],
@@ -588,8 +610,10 @@ def handled(monkeypatch):
     ["verify-parity", "--builtin", "rot90"],
     ["trace", "--builtin", "avg-0.3", "--m", "8"],
     ["trace", "--builtin", "rot90", "--m", "3", "--budget", "5"],
+    ["trace", "--builtin", "rot90", "--bogus"],
     ["labels", "--builtin", "reflect1d", "--m", "3"],
     ["labels", "--m", "3", "--", "--builtin", "rot90"],
+    ["--bogus"],
 ], ids=lambda argv: " ".join(argv) or "empty")
 def test_a_command_parser_reads_argv_as_the_whole_parser_does(
         capsys, tmp_path, monkeypatch, handled, argv):

@@ -1,6 +1,8 @@
 """Expression parsing, compiled evaluation, builtin catalog."""
 
+import dataclasses
 import importlib.util
+import itertools
 import json
 import math
 import operator
@@ -9,13 +11,13 @@ import re
 import subprocess
 import sys
 from collections import Counter
-from functools import reduce
+from functools import partial, reduce
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CATALOG_REFERENCE, DOTTIE, recipe_maps
+from conftest import ACCEPTANCE_BUILTINS, CATALOG_REFERENCE, DOTTIE, recipe_maps
 from stringchase import (
     ArityError,
     ComponentCountMismatch,
@@ -38,13 +40,14 @@ from stringchase.functions import (
     MAX_DEPTH,
     UNARY_OPS,
     Binary,
+    CompiledMap,
     Const,
     Pow,
     Unary,
     Var,
     _quote,
 )
-from stringchase.labeling import induced_label
+from stringchase.labeling import _image, clamp_kernel, induced_label
 from stringchase.solver import residual
 
 
@@ -243,6 +246,98 @@ def test_compiled_map_matches_reference(trees, points):
     reference = MapFn(3, lambda p: [reference_eval(t, p) for t in trees])
     for p in points:
         assert outcome(compiled, p) == outcome(reference, p)
+
+
+# the clamp kernel of compiled maps against the generic _image
+
+SPECIAL = (0.0, -0.0, 5e-324, 0.5, 1.0, 1e300, -1e300, math.inf, -math.inf, math.nan)
+
+
+def image_outcome(image, p):
+    """``image(p)`` as data: each component's bits (so the sign of a zero
+    counts), or the error's class, message, point and cause."""
+    try:
+        out = image(p)
+    except MapEvaluationFailed as exc:
+        cause = exc.__cause__
+        return type(exc), str(exc), repr(exc.point), type(cause), str(cause)
+    assert type(out) is tuple and all(type(v) is float for v in out)
+    return [v.hex() for v in out]
+
+
+def assert_kernel_is_image(g, points):
+    # the kernel bound, not _image: two bindings of one n share its code
+    assert type(g) is CompiledMap
+    assert g.image.__code__ is clamp_kernel(g.n)(g.fn).__code__
+    for p in points:
+        p = tuple(p)
+        assert image_outcome(g.image, p) == image_outcome(partial(_image, g.fn, g.n), p), p
+
+
+def kernel_points(n: int, rng: random.Random) -> list[tuple[float, ...]]:
+    """Every special value on every axis at once and on one axis at a time,
+    a grid at m = 3 for n <= 4, and random points of the cube."""
+    points = [(s,) * n for s in SPECIAL]
+    points += [(0.5,) * i + (s,) + (0.5,) * (n - 1 - i) for s in SPECIAL for i in range(min(n, 4))]
+    if n <= 4:
+        points += itertools.product([0.0, 1 / 3, 2 / 3, 1.0], repeat=n)
+    return points + [tuple(rng.random() for _ in range(n)) for _ in range(20)]
+
+
+WIDE = ["avg-" + ",".join(str(round(i / 299, 6)) for i in range(300)),
+        "const-" + ",".join(str((i % 7) / 6) for i in range(300))]
+
+
+@pytest.mark.parametrize("name", sorted(set(CATALOG_REFERENCE) | set(ACCEPTANCE_BUILTINS)) + WIDE,
+                         ids=lambda name: name[:24])
+def test_the_clamp_kernel_gives_what_image_gives_on_the_catalog(name):
+    g = builtin(name)
+    assert_kernel_is_image(g, kernel_points(g.n, random.Random(name)))
+
+
+def test_the_clamp_kernel_gives_what_image_gives_on_the_recipe_family():
+    rng = random.Random(7)
+    for g in recipe_maps():
+        assert_kernel_is_image(g, kernel_points(g.n, rng))
+
+
+@pytest.mark.parametrize("text, n, p, expected", [
+    ("x1 - 1; -x2; x1 + x3", 3, (0.5, 0.0, 0.75), [0.0, -0.0, 1.0]),  # both clamps, a -0.0
+    ("x1^2", 1, (1e300,), OverflowError),
+    ("expneg(x1)", 1, (-1000.0,), OverflowError),
+    ("cos(x1); x1", 2, (math.inf, 0.5), ValueError),
+    ("x1; x2", 2, (0.5, math.nan), "evaluator produced NaN"),
+    ("9" * 400 + "*x1 - " + "9" * 400 + "*x1", 1, (0.5,), "evaluator produced NaN"),  # inf - inf
+], ids=["clamps", "pow-overflow", "exp-overflow", "domain", "nan-input", "nan"])
+def test_the_clamp_kernel_gives_what_image_gives_at_each_edge(text, n, p, expected):
+    # expected: the image, the failure's message end, or its cause's class
+    g = parse(text, n).as_map_fn()
+    assert_kernel_is_image(g, [p])
+    outcome = image_outcome(g.image, p)
+    if isinstance(expected, list):
+        assert outcome == [v.hex() for v in expected]
+    elif isinstance(expected, str):
+        assert outcome[1].endswith(expected)
+    else:
+        assert outcome[3] is expected
+
+
+def test_the_clamp_kernel_passes_a_map_evaluation_failure_through():
+    # an evaluator that evaluates another map raises that map's failure,
+    # which reaches the caller unwrapped, as _image lets it
+    inner = parse("x1 - 9" + "9" * 400 + "*x1 + " + "9" * 400 + "*x1", 1).as_map_fn()
+    g = dataclasses.replace(builtin("avg-0.5"), fn=inner)
+    assert_kernel_is_image(g, [(0.5,)])
+    with pytest.raises(MapEvaluationFailed, match=r"NaN$") as err:
+        g.image((0.5,))
+    assert err.value.__cause__ is None
+
+
+@given(st.lists(expr_trees(3), min_size=3, max_size=3),
+       st.lists(st.tuples(*[unit | st.sampled_from(SPECIAL)] * 3), min_size=1, max_size=4))
+@settings(max_examples=400)
+def test_the_clamp_kernel_gives_what_image_gives_on_random_trees(trees, points):
+    assert_kernel_is_image(MapSpec(3, tuple(trees)).as_map_fn(), points)
 
 
 def test_huge_literal_is_a_constant_not_source(capsys):
