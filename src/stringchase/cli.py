@@ -46,8 +46,7 @@ from .search import (
     parity_check,
     path_follow,
 )
-from .render import trace_svg
-from .solver import ConfigInvalid, SolveConfig, SolveReport, solve
+from .solver import DEFAULT_TOL, MAX_M, ConfigInvalid, SolveConfig, SolveReport, solve
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -205,9 +204,8 @@ def _new_parser(required: bool) -> _Parser:
     sp = p.commands["solve"] = sub.add_parser(
         "solve", help="refine the grid until a fixed-point residual is met")
     _add_map_arguments(sp, required)
-    sp.add_argument("--tol", type=float, default=SolveConfig.tol,
-                    help="residual tolerance (sup norm)")
-    sp.add_argument("--max-m", type=int, default=SolveConfig.max_m,
+    sp.add_argument("--tol", type=float, default=DEFAULT_TOL, help="residual tolerance (sup norm)")
+    sp.add_argument("--max-m", type=int, default=MAX_M,
                     help="largest resolution; m runs over powers of two from 2, "
                          "jumping by the last residual (at most 2^52)")
     sp.add_argument("--engine", choices=["path", "oracle"], default="path")
@@ -317,6 +315,7 @@ def cmd_trace(args) -> int:
     _, trace = path_follow(spec, lab)
     text = trace_json(trace)
     if args.svg is not None:
+        from .render import trace_svg  # imported here alone: no other command renders
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(trace_svg(spec, lab, trace))
     _write_record(args, text)

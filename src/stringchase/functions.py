@@ -32,8 +32,8 @@ import functools
 import math
 import operator
 import re
-from dataclasses import dataclass
 
+from .grid import Record, _set
 from .labeling import MapFn, clamp_kernel
 
 
@@ -83,33 +83,38 @@ def _quote(token: str | None) -> str:
     return f"{token[:20]!r}... ({len(token)} characters)"
 
 
-@dataclass(frozen=True)
-class Const:
-    value: float
+class Const(Record):
+    __slots__ = ("value",)
+    def __init__(self, value: float) -> None:
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Var:
-    index: int  # 1-based
+class Var(Record):
+    __slots__ = ("index",)  # 1-based
+    def __init__(self, index: int) -> None:
+        _set(self, "index", index)
 
 
-@dataclass(frozen=True)
-class Unary:
-    op: str  # a key of UNARY_OPS
-    arg: "ExprNode"
+class Unary(Record):
+    __slots__ = ("op", "arg")  # op: a key of UNARY_OPS
+    def __init__(self, op: str, arg: ExprNode) -> None:
+        _set(self, "op", op)
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class Binary:
-    op: str  # a key of BINARY_OPS
-    left: "ExprNode"
-    right: "ExprNode"
+class Binary(Record):
+    __slots__ = ("op", "left", "right")  # op: a key of BINARY_OPS
+    def __init__(self, op: str, left: ExprNode, right: ExprNode) -> None:
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "ExprNode"
-    exponent: int  # nonnegative
+class Pow(Record):
+    __slots__ = ("base", "exponent")  # exponent nonnegative
+    def __init__(self, base: ExprNode, exponent: int) -> None:
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)
 
 
 ExprNode = Const | Var | Unary | Binary | Pow
@@ -167,12 +172,13 @@ def _emit(node: ExprNode, names: dict[str, object]) -> str:
     return f"{node.op}({arg})"
 
 
-@dataclass(frozen=True)
-class MapSpec:
+class MapSpec(Record):
     """A parsed map: one expression tree per output component."""
 
-    n: int
-    components: tuple[ExprNode, ...]
+    __slots__ = ("n", "components")
+    def __init__(self, n: int, components: tuple[ExprNode, ...]) -> None:
+        _set(self, "n", n)
+        _set(self, "components", components)
 
     def as_map_fn(self, name: str = "expr") -> MapFn:
         """The map compiled once, behind the clamp kernel for n (``CompiledMap``)."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 
 GridPoint = tuple[int, ...]
 
@@ -26,17 +26,47 @@ class BoundaryFace(ValueError):
     """The requested pivot step would leave the grid."""
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class Record:
+    """A frozen value, equal, hashed and printed as a frozen dataclass over the ``__slots__``
+    its subclass's ``__init__`` sets through ``_set``, but with no methods ``exec``d at import."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):  # pickle and copy rebuild through the constructor
+        return self.__class__, self._fields()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class GridSpec(Record):
     """Grid shape: dimension ``n``, ``m`` subdivisions per axis.
 
     The point set is {0, ..., m}^n, of size (m+1)^n.
     """
 
-    n: int
-    m: int
-
-    def __post_init__(self) -> None:
+    __slots__ = ("n", "m")
+    def __init__(self, n: int, m: int) -> None:
+        _set(self, "n", n)
+        _set(self, "m", m)
         if self.n < 1:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
         if self.m < 1:
@@ -58,8 +88,7 @@ class GridSpec:
         return itertools.product(range(self.m + 1), repeat=self.n)
 
 
-@dataclass(frozen=True, slots=True)
-class StringK:
+class StringK(Record):
     """A k-string, stored as (base vertex, axis order).
 
     ``perm`` lists the axes stepped on the way from the base to the top
@@ -73,9 +102,12 @@ class StringK:
     checks a walk's strings apart.
     """
 
-    k: int
-    base: GridPoint
-    perm: tuple[int, ...]
+    __slots__ = ("k", "base", "perm")
+    def __init__(self, k: int, base: GridPoint, perm: tuple[int, ...]) -> None:
+        _set(self, "k", k)
+        _set(self, "base", base)
+        _set(self, "perm", perm)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.k != len(self.perm):
@@ -88,6 +120,14 @@ class StringK:
             raise ValueError(f"negative coordinate in base {self.base}")
         if any(self.base[self.k:]):
             raise ValueError(f"base {self.base} has nonzero coordinate beyond axis {self.k}")
+
+    def __eq__(self, other):  # written out as a dataclass's: verify_trace hashes every string
+        if other.__class__ is self.__class__:
+            return (self.k, self.base, self.perm) == (other.k, other.base, other.perm)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.k, self.base, self.perm))
 
     @property
     def n(self) -> int:

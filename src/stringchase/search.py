@@ -25,7 +25,10 @@ from operator import mul
 from .grid import (
     BoundaryFace,
     GridSpec,
+    Record,
     StringK,
+    _new,
+    _set,
     enumerate_strings,
     face_vertices,
     lift,
@@ -69,8 +72,7 @@ class TraceInvalid(ValueError):
     """A path trace fails one of its structural invariants."""
 
 
-@dataclass(frozen=True)
-class LevelParity:
+class LevelParity(Record):
     """Double-count bookkeeping for one level k.
 
     s1/s2: k-strings with exactly one / exactly two fully labeled faces.
@@ -80,12 +82,14 @@ class LevelParity:
     down, so s1 is odd at every level by induction.
     """
 
-    k: int
-    s1: int
-    s2: int
-    t1: int
-    t2: int
-    fully_labeled: int
+    __slots__ = ("k", "s1", "s2", "t1", "t2", "fully_labeled")
+    def __init__(self, k: int, s1: int, s2: int, t1: int, t2: int, fully_labeled: int) -> None:
+        _set(self, "k", k)
+        _set(self, "s1", s1)
+        _set(self, "s2", s2)
+        _set(self, "t1", t1)
+        _set(self, "t2", t2)
+        _set(self, "fully_labeled", fully_labeled)
 
     @property
     def identity_ok(self) -> bool:
@@ -96,9 +100,10 @@ class LevelParity:
         return self.s1 % 2 == 1
 
 
-@dataclass(frozen=True)
-class ParityReport:
-    levels: tuple[LevelParity, ...]
+class ParityReport(Record):
+    __slots__ = ("levels",)
+    def __init__(self, levels: tuple[LevelParity, ...]) -> None:
+        _set(self, "levels", levels)
 
     @property
     def ok(self) -> bool:
@@ -122,10 +127,11 @@ class TraceStep:
     exit: int | None
 
 
-@dataclass(frozen=True)
-class PathTrace:
-    steps: tuple[TraceStep, ...]
-    outcome: str
+class PathTrace(Record):
+    __slots__ = ("steps", "outcome")
+    def __init__(self, steps: tuple[TraceStep, ...], outcome: str) -> None:
+        _set(self, "steps", steps)
+        _set(self, "outcome", outcome)
 
 
 def exhaustive_fully_labeled(
@@ -287,7 +293,12 @@ def path_follow(spec: GridSpec, lab) -> tuple[StringK, PathTrace]:
         if entry not in links:
             raise LabelingInvalid(f"entry {entry} of {current} is not one of its links {links}")
         exit_h = links[1] if links[0] == entry else links[0]
-        steps.append(TraceStep(k, current, entry, exit_h))
+        step = _new(TraceStep)  # skips the dataclass __init__, as StringK._derived does
+        _set(step, "level", k)
+        _set(step, "string", current)
+        _set(step, "entry", entry)
+        _set(step, "exit", exit_h)
+        steps.append(step)
 
         if exit_h is None:
             if k == n:

@@ -47,10 +47,9 @@ origin, a point on a top face), which no labelling evaluated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import mul, sub
 
-from .grid import GridSpec, StringK, vertices
+from .grid import GridSpec, Record, StringK, _set, vertices
 from .labeling import Labeling, MapFn
 from .search import DEFAULT_BUDGET, LabelingInvalid, exhaustive_fully_labeled, path_follow
 
@@ -58,6 +57,7 @@ ENGINE_PATH = "path"
 ENGINE_ORACLE = "oracle"
 
 MAX_M = 2 ** 52  # (lo + c) / m stays exact in binary64 up to here
+DEFAULT_TOL = 1e-6
 
 # After a residual r the next grid has about 1/(JUMP*r) cells per axis (see
 # ``solve``).  Solving to 1e-6, box bound included, CPython 3.11, evals:
@@ -74,18 +74,18 @@ class ConfigInvalid(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SolveConfig:
+class SolveConfig(Record):
     """The resolutions are powers of two from m = 2 up to ``max_m``, each
     chosen from the last residual (see ``solve``); ``budget`` caps the
-    strings the oracle enumerates in one box."""
+    strings the oracle enumerates in one box (oracle engine only)."""
 
-    max_m: int = MAX_M
-    tol: float = 1e-6
-    engine: str = ENGINE_PATH
-    budget: int = DEFAULT_BUDGET  # oracle engine only
-
-    def __post_init__(self) -> None:
+    __slots__ = ("max_m", "tol", "engine", "budget")
+    def __init__(self, max_m: int = MAX_M, tol: float = DEFAULT_TOL, engine: str = ENGINE_PATH,
+                 budget: int = DEFAULT_BUDGET) -> None:
+        _set(self, "max_m", max_m)
+        _set(self, "tol", tol)
+        _set(self, "engine", engine)
+        _set(self, "budget", budget)
         if self.max_m < 2:
             raise ConfigInvalid(f"max_m must be >= 2, got {self.max_m}")
         if self.max_m > MAX_M:
@@ -96,33 +96,37 @@ class SolveConfig:
             raise ConfigInvalid(f"engine must be 'path' or 'oracle', got {self.engine!r}")
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """A fully labeled n-string at resolution m, with its vertex labels."""
 
-    m: int
-    string: StringK
-    labels: tuple[int, ...]
+    __slots__ = ("m", "string", "labels")
+    def __init__(self, m: int, string: StringK, labels: tuple[int, ...]) -> None:
+        _set(self, "m", m)
+        _set(self, "string", string)
+        _set(self, "labels", labels)
 
 
-@dataclass(frozen=True)
-class ResolutionRecord:
-    m: int
-    residual: float
-    diameter: float  # sqrt(n)/m, the certificate string's diameter
-    evals: int       # fresh map evaluations at this resolution
-    boxes: int       # boxes searched at this resolution; only the last is kept
+class ResolutionRecord(Record):
+    __slots__ = ("m", "residual", "diameter", "evals", "boxes")
+    def __init__(self, m: int, residual: float, diameter: float, evals: int, boxes: int) -> None:
+        _set(self, "m", m)
+        _set(self, "residual", residual)
+        _set(self, "diameter", diameter)  # sqrt(n)/m, the certificate string's diameter
+        _set(self, "evals", evals)        # fresh map evaluations at this resolution
+        _set(self, "boxes", boxes)        # boxes searched at this resolution; the last is kept
 
 
-@dataclass(frozen=True)
-class SolveReport:
-    n: int
-    z: tuple[float, ...]
-    residual: float
-    m_final: int
-    converged: bool
-    certificate: Certificate
-    history: tuple[ResolutionRecord, ...]
+class SolveReport(Record):
+    __slots__ = ("n", "z", "residual", "m_final", "converged", "certificate", "history")
+    def __init__(self, n: int, z: tuple[float, ...], residual: float, m_final: int, converged: bool,
+                 certificate: Certificate, history: tuple[ResolutionRecord, ...]) -> None:
+        _set(self, "n", n)
+        _set(self, "z", z)
+        _set(self, "residual", residual)
+        _set(self, "m_final", m_final)
+        _set(self, "converged", converged)
+        _set(self, "certificate", certificate)
+        _set(self, "history", history)
 
 
 def residual(g: MapFn, p) -> float:

@@ -537,6 +537,59 @@ def test_importing_the_cli_builds_no_parser():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
 
+def test_importing_the_cli_leaves_render_unloaded():
+    # only trace --svg renders, so the CLI imports render there alone
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, stringchase.cli; print('stringchase.render' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+def test_solve_defaults_are_solve_config_defaults(capsys, monkeypatch):
+    monkeypatch.delenv("STRINGCHASE_BUDGET", raising=False)
+    configs = []
+
+    def recorded(g, cfg=None):
+        configs.append(cfg)
+        return solver.solve(g, cfg)
+
+    monkeypatch.setattr(cli, "solve", recorded)
+    assert run_cli(capsys, "solve", "--builtin", "dottie")[0] == EXIT_OK
+    assert configs == [solver.SolveConfig()]
+
+
+SOLVE_HELP = """\
+usage: stringchase solve [-h] (--map MAP | --builtin BUILTIN) [--n N]
+                         [--tol TOL] [--max-m MAX_M] [--engine {path,oracle}]
+                         [--csv] [--budget BUDGET] [--record RECORD]
+
+options:
+  -h, --help            show this help message and exit
+  --map MAP             semicolon-separated component expressions
+  --builtin BUILTIN     builtin map name (see 'functions' catalog)
+  --n N                 dimension (required with --map)
+  --tol TOL             residual tolerance (sup norm)
+  --max-m MAX_M         largest resolution; m runs over powers of two from 2,
+                        jumping by the last residual (at most 2^52)
+  --engine {path,oracle}
+  --csv                 print the per-resolution history as CSV instead of
+                        JSON
+  --budget BUDGET       enumeration budget (default 10000000, or
+                        $STRINGCHASE_BUDGET)
+  --record RECORD       write a JSON record with provenance
+"""
+
+
+def test_solve_help_is_pinned(capsys, monkeypatch):
+    # the same bytes on CPython 3.10 to 3.13, before and after SolveConfig
+    # became a Record
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli_or_exit(capsys, ["solve", "-h"]) == (0, SOLVE_HELP, "")
+
+
 @pytest.fixture
 def handled(monkeypatch):
     """The Namespaces that main hands to the command handlers, in call order.
