@@ -176,9 +176,6 @@ class MapSpec(Record):
     """A parsed map: one expression tree per output component."""
 
     __slots__ = ("n", "components")
-    def __init__(self, n: int, components: tuple[ExprNode, ...]) -> None:
-        _set(self, "n", n)
-        _set(self, "components", components)
 
     def as_map_fn(self, name: str = "expr") -> MapFn:
         """The map compiled once, behind the clamp kernel for n (``CompiledMap``)."""

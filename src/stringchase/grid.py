@@ -27,10 +27,24 @@ class BoundaryFace(ValueError):
 
 
 class Record:
-    """A frozen value, equal, hashed and printed as a frozen dataclass over the ``__slots__``
-    its subclass's ``__init__`` sets through ``_set``, but with no methods ``exec``d at import."""
+    """A frozen value, equal, hashed and printed as a frozen dataclass over its fields, but
+    with no methods ``exec``d at import.  A subclass declares its fields once, in order, as
+    its ``__slots__``; the shared ``__init__`` fills them from positional and keyword values
+    and raises TypeError for a missing, extra, repeated or unknown field.  A subclass writes
+    its own ``__init__`` only to check its fields or give them defaults, or when a hot loop
+    builds it."""
 
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__slots__
+        if kwargs:  # append the keyword values in field order, taking each out of kwargs
+            args += tuple([kwargs.pop(name) for name in names[len(args):] if name in kwargs])
+        if len(args) != len(names) or kwargs:
+            raise TypeError(f"{type(self).__name__}() takes each of its fields "
+                            f"({', '.join(names)}) once, by position or keyword")
+        for name, value in zip(names, args):
+            _set(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, f) for f in self.__slots__])
@@ -67,10 +81,11 @@ class GridSpec(Record):
     def __init__(self, n: int, m: int) -> None:
         _set(self, "n", n)
         _set(self, "m", m)
-        if self.n < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.n}")
-        if self.m < 1:
-            raise ValueError(f"resolution must be >= 1, got {self.m}")
+        for what, size in (("dimension", n), ("resolution", m)):
+            if not isinstance(size, int):
+                raise ValueError(f"{what} must be an integer, got {size!r}")
+            if size < 1:
+                raise ValueError(f"{what} must be >= 1, got {size}")
 
     @property
     def point_count(self) -> int:

@@ -18,7 +18,6 @@ at a fully labeled n-string, without enumerating anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, permutations
 from operator import mul
 
@@ -83,13 +82,6 @@ class LevelParity(Record):
     """
 
     __slots__ = ("k", "s1", "s2", "t1", "t2", "fully_labeled")
-    def __init__(self, k: int, s1: int, s2: int, t1: int, t2: int, fully_labeled: int) -> None:
-        _set(self, "k", k)
-        _set(self, "s1", s1)
-        _set(self, "s2", s2)
-        _set(self, "t1", t1)
-        _set(self, "t2", t2)
-        _set(self, "fully_labeled", fully_labeled)
 
     @property
     def identity_ok(self) -> bool:
@@ -102,16 +94,13 @@ class LevelParity(Record):
 
 class ParityReport(Record):
     __slots__ = ("levels",)
-    def __init__(self, levels: tuple[LevelParity, ...]) -> None:
-        _set(self, "levels", levels)
 
     @property
     def ok(self) -> bool:
         return all(lv.identity_ok and lv.odd_ok for lv in self.levels)
 
 
-@dataclass(frozen=True, slots=True)
-class TraceStep:
+class TraceStep(Record):
     """One visited string.
 
     ``entry``/``exit`` are omitted-vertex indices of the faces used to come
@@ -121,17 +110,11 @@ class TraceStep:
     string; on an earlier step it marks a lift to the level above.
     """
 
-    level: int
-    string: StringK
-    entry: int | None
-    exit: int | None
+    __slots__ = ("level", "string", "entry", "exit")
 
 
 class PathTrace(Record):
     __slots__ = ("steps", "outcome")
-    def __init__(self, steps: tuple[TraceStep, ...], outcome: str) -> None:
-        _set(self, "steps", steps)
-        _set(self, "outcome", outcome)
 
 
 def exhaustive_fully_labeled(
@@ -293,7 +276,7 @@ def path_follow(spec: GridSpec, lab) -> tuple[StringK, PathTrace]:
         if entry not in links:
             raise LabelingInvalid(f"entry {entry} of {current} is not one of its links {links}")
         exit_h = links[1] if links[0] == entry else links[0]
-        step = _new(TraceStep)  # skips the dataclass __init__, as StringK._derived does
+        step = _new(TraceStep)  # built unchecked, as StringK._derived builds strings
         _set(step, "level", k)
         _set(step, "string", current)
         _set(step, "entry", entry)

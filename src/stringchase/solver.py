@@ -49,7 +49,7 @@ from __future__ import annotations
 import math
 from operator import mul, sub
 
-from .grid import GridSpec, Record, StringK, _set, vertices
+from .grid import GridSpec, Record, StringK, vertices
 from .labeling import Labeling, MapFn
 from .search import DEFAULT_BUDGET, LabelingInvalid, exhaustive_fully_labeled, path_follow
 
@@ -82,14 +82,15 @@ class SolveConfig(Record):
     __slots__ = ("max_m", "tol", "engine", "budget")
     def __init__(self, max_m: int = MAX_M, tol: float = DEFAULT_TOL, engine: str = ENGINE_PATH,
                  budget: int = DEFAULT_BUDGET) -> None:
-        _set(self, "max_m", max_m)
-        _set(self, "tol", tol)
-        _set(self, "engine", engine)
-        _set(self, "budget", budget)
+        super().__init__(max_m, tol, engine, budget)
+        if not isinstance(self.max_m, int):
+            raise ConfigInvalid(f"max_m must be an integer, got {self.max_m!r}")
         if self.max_m < 2:
             raise ConfigInvalid(f"max_m must be >= 2, got {self.max_m}")
         if self.max_m > MAX_M:
             raise ConfigInvalid(f"max_m must be <= 2^52, got {self.max_m}")
+        if not isinstance(self.tol, (int, float)):
+            raise ConfigInvalid(f"tol must be a number, got {self.tol!r}")
         if not self.tol > 0:
             raise ConfigInvalid(f"tol must be positive, got {self.tol}")
         if self.engine not in (ENGINE_PATH, ENGINE_ORACLE):
@@ -100,33 +101,18 @@ class Certificate(Record):
     """A fully labeled n-string at resolution m, with its vertex labels."""
 
     __slots__ = ("m", "string", "labels")
-    def __init__(self, m: int, string: StringK, labels: tuple[int, ...]) -> None:
-        _set(self, "m", m)
-        _set(self, "string", string)
-        _set(self, "labels", labels)
 
 
 class ResolutionRecord(Record):
+    """One resolution of a solve: ``diameter`` is sqrt(n)/m, the certificate string's
+    diameter; ``evals`` the fresh map evaluations at this resolution; ``boxes`` the boxes
+    searched at this resolution, of which the last is kept."""
+
     __slots__ = ("m", "residual", "diameter", "evals", "boxes")
-    def __init__(self, m: int, residual: float, diameter: float, evals: int, boxes: int) -> None:
-        _set(self, "m", m)
-        _set(self, "residual", residual)
-        _set(self, "diameter", diameter)  # sqrt(n)/m, the certificate string's diameter
-        _set(self, "evals", evals)        # fresh map evaluations at this resolution
-        _set(self, "boxes", boxes)        # boxes searched at this resolution; the last is kept
 
 
 class SolveReport(Record):
     __slots__ = ("n", "z", "residual", "m_final", "converged", "certificate", "history")
-    def __init__(self, n: int, z: tuple[float, ...], residual: float, m_final: int, converged: bool,
-                 certificate: Certificate, history: tuple[ResolutionRecord, ...]) -> None:
-        _set(self, "n", n)
-        _set(self, "z", z)
-        _set(self, "residual", residual)
-        _set(self, "m_final", m_final)
-        _set(self, "converged", converged)
-        _set(self, "certificate", certificate)
-        _set(self, "history", history)
 
 
 def residual(g: MapFn, p) -> float:

@@ -2,13 +2,16 @@
 
 Each record behaves as the frozen dataclass it replaced: the same repr,
 equality within one class, equal hashes for equal records, no assignment
-or deletion, and the same validation messages.
+or deletion, and the same validation messages.  Its fields are its
+``__slots__``, filled by position or keyword through the one shared
+``Record.__init__`` unless the class checks them or gives them defaults.
 """
 
 import dataclasses
 import importlib
 import inspect
 import pkgutil
+import re
 
 import pytest
 
@@ -43,6 +46,8 @@ RECORDS = [
     (_LEVEL, "LevelParity(k=1, s1=1, s2=2, t1=1, t2=2, fully_labeled=1)"),
     (ParityReport((_LEVEL,)),
      "ParityReport(levels=(LevelParity(k=1, s1=1, s2=2, t1=1, t2=2, fully_labeled=1),))"),
+    (TraceStep(0, StringK(0, (0,), ()), None, None),
+     "TraceStep(level=0, string=StringK(k=0, base=(0,), perm=()), entry=None, exit=None)"),
     (PathTrace((TraceStep(0, StringK(0, (0,), ()), None, None),), "found_fully_labeled"),
      "PathTrace(steps=(TraceStep(level=0, string=StringK(k=0, base=(0,), perm=()), "
      "entry=None, exit=None),), outcome='found_fully_labeled')"),
@@ -98,6 +103,41 @@ def test_records_that_differ_are_unequal():
 
 
 @pytest.mark.parametrize("record, _", RECORDS, ids=_IDS)
+def test_keyword_and_mixed_construction_equal_positional(record, _):
+    cls, names, values = type(record), type(record).__slots__, _fields(record)
+    assert cls(**dict(zip(names, values))) == record
+    assert cls(**dict(reversed(list(zip(names, values))))) == record
+    for i in range(len(names)):
+        assert cls(*values[:i], **dict(zip(names[i:], values[i:]))) == record
+
+
+_SHARED_INIT = [(record, text) for record, text in RECORDS
+                if "__init__" not in vars(type(record))]
+
+
+@pytest.mark.parametrize("record, _", _SHARED_INIT,
+                         ids=[type(record).__name__ for record, _ in _SHARED_INIT])
+def test_shared_constructor_rejects_a_misfit_field(record, _):
+    cls, names, values = type(record), type(record).__slots__, _fields(record)
+    misfits = [
+        ((), {}),                                        # every field missing
+        (values[:-1], {}),                               # the last field missing
+        (values[:1], dict(zip(names, values))),          # the first by position and keyword
+        (values + [0], {}),                              # an extra positional value
+        (values, {names[0]: values[0]}),                 # repeated by keyword
+        (values, {"extra": 0}),                          # an unknown keyword
+        (values[:-1], {names[-1]: values[-1], "extra": 0}),  # complete, and one unknown
+        ((), dict(zip(names[1:], values[1:]))),         # the first missing, the rest by keyword
+    ]
+    if len(names) > 2:  # a middle field missing between a positional and a keyword one
+        misfits.append(((values[0],), {names[-1]: values[-1]}))
+    message = re.escape(f"{cls.__name__}() takes each of its fields ({', '.join(names)}) once")
+    for args, kwargs in misfits:
+        with pytest.raises(TypeError, match=message):
+            cls(*args, **kwargs)
+
+
+@pytest.mark.parametrize("record, _", RECORDS, ids=_IDS)
 def test_records_are_frozen(record, _):
     before = _fields(record)
     for name in type(record).__slots__ + ("extra",):
@@ -111,11 +151,15 @@ def test_records_are_frozen(record, _):
 @pytest.mark.parametrize("build, error, message", [
     (lambda: GridSpec(0, 3), ValueError, "dimension must be >= 1, got 0"),
     (lambda: GridSpec(2, 0), ValueError, "resolution must be >= 1, got 0"),
+    (lambda: GridSpec(2, 4.0), ValueError, "resolution must be an integer, got 4.0"),
+    (lambda: GridSpec(2.0, 4), ValueError, "dimension must be an integer, got 2.0"),
+    (lambda: SolveConfig(max_m=64.0), ConfigInvalid, "max_m must be an integer, got 64.0"),
     (lambda: SolveConfig(max_m=1), ConfigInvalid, "max_m must be >= 2, got 1"),
     (lambda: SolveConfig(max_m=2 ** 52 + 1), ConfigInvalid,
      "max_m must be <= 2^52, got 4503599627370497"),
     (lambda: SolveConfig(tol=0.0), ConfigInvalid, "tol must be positive, got 0.0"),
     (lambda: SolveConfig(tol=float("nan")), ConfigInvalid, "tol must be positive, got nan"),
+    (lambda: SolveConfig(tol="1e-3"), ConfigInvalid, "tol must be a number, got '1e-3'"),
     (lambda: SolveConfig(engine="magic"), ConfigInvalid,
      "engine must be 'path' or 'oracle', got 'magic'"),
 ])
@@ -136,11 +180,22 @@ def _classes(module):
             if obj.__module__ == module.__name__]
 
 
-def test_only_three_classes_are_dataclasses():
-    # MapFn (and so CompiledMap) and TraceStep stay dataclasses, since
-    # dataclasses.replace on them is used; any other value class is a Record
+def test_only_map_fns_are_dataclasses():
+    # MapFn (and so CompiledMap) stays a dataclass, since dataclasses.replace
+    # on it is used; any other value class is a Record
     dataclass_names = {cls.__name__ for module in _package_modules()
                        for cls in _classes(module) if dataclasses.is_dataclass(cls)}
-    assert dataclass_names == {"MapFn", "CompiledMap", "TraceStep"}, (
+    assert dataclass_names == {"MapFn", "CompiledMap"}, (
         "each @dataclass execs its generated methods when the package is imported, "
         "about 0.6-0.9 ms of import time per class; subclass grid.Record instead")
+
+
+def test_only_checked_defaulted_or_hot_records_define_init():
+    # GridSpec, StringK and SolveConfig check their fields (SolveConfig also
+    # gives defaults); the expression nodes are built about 16 times a refine
+    # task.  Every other record fills its __slots__ through Record.__init__
+    own_init = {cls.__name__ for module in _package_modules() for cls in _classes(module)
+                if issubclass(cls, Record) and cls is not Record and "__init__" in vars(cls)}
+    assert own_init == {"GridSpec", "StringK", "SolveConfig",
+                        "Const", "Var", "Unary", "Binary", "Pow"}, (
+        "declare a record's fields once, as its __slots__, and let Record.__init__ fill them")

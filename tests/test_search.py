@@ -239,7 +239,7 @@ def test_verify_trace_rejects_tampering():
     spec, lab = induced(builtin("rot90"), 3)
     _, trace = path_follow(spec, lab)
     last = trace.steps[-1]
-    moved = dataclasses.replace(last, string=StringK(2, (3, 3), last.string.perm))
+    moved = TraceStep(last.level, StringK(2, (3, 3), last.string.perm), last.entry, last.exit)
     broken = type(trace)(steps=trace.steps[:-1] + (moved,), outcome=trace.outcome)
     with pytest.raises(TraceInvalid, match="leaves the grid"):
         verify_trace(lab, broken)
@@ -248,12 +248,14 @@ def test_verify_trace_rejects_tampering():
     _, trace = path_follow(spec, lab)
     i = next(i for i, s in enumerate(trace.steps)
              if i and s.entry == 1 and trace.steps[i - 1].level == s.level)
+    step = trace.steps[i]
     for entry, message in ((0, "recorded entry face"), (None, "descent recorded")):
-        tampered = dataclasses.replace(trace.steps[i], entry=entry)
+        tampered = TraceStep(step.level, step.string, entry, step.exit)
         broken = type(trace)(trace.steps[:i] + (tampered,) + trace.steps[i + 1:], trace.outcome)
         with pytest.raises(TraceInvalid, match=message):
             verify_trace(lab, broken)
-    seed = dataclasses.replace(trace.steps[0], entry=0)
+    first = trace.steps[0]
+    seed = TraceStep(first.level, first.string, 0, first.exit)
     with pytest.raises(TraceInvalid, match="first step records an entry face"):
         verify_trace(lab, type(trace)((seed,) + trace.steps[1:], trace.outcome))
 
@@ -263,7 +265,8 @@ def test_verify_trace_rejects_tampering():
     j = next(j for j, s in enumerate(steps) if s.level == 2 and s.exit is not None)
 
     def replaced(i, **changes):
-        return steps[:i] + (dataclasses.replace(steps[i], **changes),) + steps[i + 1:]
+        fields = {name: getattr(steps[i], name) for name in TraceStep.__slots__}
+        return steps[:i] + (TraceStep(**{**fields, **changes}),) + steps[i + 1:]
 
     origin_one = ExplicitLabeling(spec, lambda p: 1 if p == (0, 0) else lab.label(p))
     cases = [
@@ -610,7 +613,6 @@ def test_walk_steps_are_frozen_trace_steps(case):
         built = TraceStep(s.level, s.string, s.entry, s.exit)
         assert type(s) is TraceStep
         assert s == built and hash(s) == hash(built) and repr(s) == repr(built)
-        assert dataclasses.replace(s, exit=0) == TraceStep(s.level, s.string, s.entry, 0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             s.exit = 0
         assert_slotted_record(s)
