@@ -209,6 +209,7 @@ def _compile(n: int, components: tuple[ExprNode, ...], name: str) -> CompiledMap
 # after any whitespace: a NUMBER (ASCII digits only), an identifier or an operator
 _TOKEN = re.compile(r"\s*([0-9]+(?:\.[0-9]+)?|[A-Za-z_][A-Za-z_0-9]*|[-+*^();,])")
 _FUNCS = (UNARY_OPS.keys() | BINARY_OPS.keys()) - _INFIX.keys()
+_BINARY_INFIX = {"+": ("add", 1), "-": ("sub", 1), "*": ("mul", 2)}  # op and precedence
 
 
 class _Parser:
@@ -216,7 +217,11 @@ class _Parser:
     in None, the end of input, and a token's kind is its first character's:
     a digit starts a number, a letter or "_" an identifier.  The parse_*
     methods return (node, depth), the depth counted as MAX_DEPTH describes.
-    Errors carry the position ``where`` finds for their token's index."""
+    The grammar's ``expr`` and ``term`` are one loop by precedence:
+    ``parse_expr(floor)`` reads a factor, then each operator of precedence
+    >= floor with its right operand read at one precedence higher, so both
+    levels stay left-associative.  Errors carry the position ``where``
+    finds for their token's index."""
 
     def __init__(self, text: str, n: int):
         self.text, self.n = text, n
@@ -273,23 +278,13 @@ class _Parser:
                 f"map has {len(components)} components, dimension is {self.n}")
         return MapSpec(self.n, tuple(components))
 
-    def parse_expr(self) -> tuple[ExprNode, int]:
-        node, depth = self.parse_term()
-        while (op := self.toks[self.i]) == "+" or op == "-":
-            at = self.i
-            self.i += 1
-            right, right_depth = self.parse_term()
-            node = Binary("add" if op == "+" else "sub", node, right)
-            depth = self.bounded(max(depth, right_depth) + 1, at)
-        return node, depth
-
-    def parse_term(self) -> tuple[ExprNode, int]:
+    def parse_expr(self, floor: int = 1) -> tuple[ExprNode, int]:
         node, depth = self.parse_factor()
-        while self.toks[self.i] == "*":
+        while (op := _BINARY_INFIX.get(self.toks[self.i])) and op[1] >= floor:
             at = self.i
             self.i += 1
-            right, right_depth = self.parse_factor()
-            node = Binary("mul", node, right)
+            right, right_depth = self.parse_expr(op[1] + 1)
+            node = Binary(op[0], node, right)
             depth = self.bounded(max(depth, right_depth) + 1, at)
         return node, depth
 

@@ -83,10 +83,11 @@ class SolveConfig(Record):
     def __init__(self, max_m: int = MAX_M, tol: float = DEFAULT_TOL, engine: str = ENGINE_PATH,
                  budget: int = DEFAULT_BUDGET) -> None:
         super().__init__(max_m, tol, engine, budget)
-        if not isinstance(self.max_m, int):
-            raise ConfigInvalid(f"max_m must be an integer, got {self.max_m!r}")
-        if self.max_m < 2:
-            raise ConfigInvalid(f"max_m must be >= 2, got {self.max_m}")
+        for name, least in (("max_m", 2), ("budget", 1)):
+            if not isinstance(value := getattr(self, name), int):
+                raise ConfigInvalid(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ConfigInvalid(f"{name} must be >= {least}, got {value}")
         if self.max_m > MAX_M:
             raise ConfigInvalid(f"max_m must be <= 2^52, got {self.max_m}")
         if not isinstance(self.tol, (int, float)):
@@ -183,8 +184,8 @@ def _affine_zero(steps: list[list[float]]) -> list[float] | None:
 
 def solve_at(
     g: MapFn, spec: GridSpec, cfg: SolveConfig, near: tuple[float, ...] | None = None,
-    images: dict | None = None, max_w: int | None = None, known: int | None = None,
-) -> tuple[Certificate, tuple[float, ...], ResolutionRecord] | None:
+    images: dict | None = None, max_w: int | None = None,
+) -> tuple[Certificate, tuple[float, ...], ResolutionRecord]:
     """One resolution: a fully labeled n-string of ``spec`` and its witness.
 
     Given the previous witness ``near``, the box of 2 cells per axis
@@ -192,24 +193,25 @@ def solve_at(
     into grid coordinates, is kept when it is fully labeled in the whole
     grid.  Otherwise the width doubles around the same centre and the box
     is searched again.  At width m the box is the whole grid; without
-    ``near`` that is the first box.  None is returned, with no witness
-    formed, when the box would grow wider than ``max_w`` cells.  The engine
-    decides only how a box is searched: the path engine walks it, the
-    oracle enumerates its n-strings and takes the first fully labeled one.
+    ``near`` that is the first box.  A box that would grow wider than
+    ``max_w`` cells gives the resolution up: it is made at m = ``max_w``
+    instead, from a box of 2 cells, with a fresh whole-grid labelling.  The
+    engine decides only how a box is searched: the path engine walks it,
+    the oracle enumerates its n-strings and takes the first fully labeled one.
     Each box's string is labelled in the whole grid once: those labels
     decide whether it is fully labeled and are the certificate's, and the
     vertices formed for them give the witness its real points.
     Every labelling reads and fills ``images`` (a fresh table if None), and
-    so does the witness.  The record counts the boxes searched and the map
-    evaluations: the table's growth since it held ``known`` images (by
-    default, its size on entry).
+    so does the witness.  The record counts the boxes searched at the
+    certificate's resolution and the map evaluations since entry (the
+    table's growth), those of a resolution given up included.
     """
     n, m = spec.n, spec.m
     w = m if near is None else min(2, m)
     images = {} if images is None else images
-    known, boxes = len(images) if known is None else known, 0
+    known, boxes = len(images), 0
     whole = Labeling(spec, g, images=images)
-    label, full = whole.label, set(range(n + 1))
+    full = set(range(n + 1))
     while True:
         boxes += 1
         lo = None if w == m else tuple([min(max(round(zi * m) - w // 2, 0), m - w) for zi in near])
@@ -224,12 +226,13 @@ def solve_at(
         # a box string moved by lo >= 0 with lo + w <= m stays a string of the grid
         s = StringK._derived(n, lab.grid_point(s.base), s.perm)
         verts = vertices(s)
-        labels = [label(v) for v in verts]
+        labels = [whole.label(v) for v in verts]
         if set(labels) == full:
             break
         w = min(2 * w, m)
-        if max_w is not None and w > max_w:
-            return None
+        if max_w is not None and w > max_w:  # no wider box at max_w = m, so once only
+            spec = GridSpec(n, m := max_w)
+            w, boxes, whole = min(2, m), 0, Labeling(spec, g, images=images)
 
     z, r = select_witness(g, images, [spec.to_real(v) for v in verts])
     return (Certificate(m, s, tuple(labels)), z,
@@ -259,12 +262,8 @@ def solve(g: MapFn, cfg: SolveConfig | None = None) -> SolveReport:
 
     m, max_w = 2, None
     while True:
-        known = len(images)
-        found = solve_at(g, GridSpec(n, m), cfg, z, images, max_w)
-        if found is None:  # the jump's box outgrew 2m: resolve at 2m instead
-            m = max_w
-            found = solve_at(g, GridSpec(n, m), cfg, z, images, known=known)
-        cert, z, record = found
+        cert, z, record = solve_at(g, GridSpec(n, m), cfg, z, images, max_w)
+        m = cert.m  # max_w when the jump's box outgrew it
         history.append(record)
         r = record.residual
         if best is None or r < best[0]:

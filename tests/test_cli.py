@@ -42,6 +42,7 @@ from stringchase.cli import (
     main,
 )
 from stringchase.grid import StringK, vertices
+from stringchase.render import trace_svg
 from stringchase.search import LabelingInvalid, PathTrace, StepLimitExceeded, TraceStep
 
 
@@ -204,6 +205,16 @@ def test_trace_svg_rejects_wrong_dimension(capsys, tmp_path):
     assert "n=2" in err
 
 
+@pytest.mark.parametrize("name, n", [("dottie", 1), ("const-0.5,0.5,0.5", 3)])
+def test_trace_svg_itself_rejects_wrong_dimension(name, n):
+    g = builtin(name)
+    lab = Labeling(GridSpec(n, 2), g)
+    _, trace = path_follow(lab.spec, lab)
+    with pytest.raises(ValueError) as err:
+        trace_svg(lab.spec, lab, trace)
+    assert str(err.value) == f"SVG rendering needs a 2-D grid, got n={n}"
+
+
 def test_labels_csv_reflect(capsys):
     code, out, _ = run_cli(capsys, "labels", "--builtin", "reflect1d", "--m", "4")
     assert code == EXIT_OK
@@ -360,6 +371,14 @@ def test_walk_failure_is_internal_error(capsys, monkeypatch, owner, argv, exc):
     assert err == "error: internal: walk broke\n"
 
 
+def test_an_oracle_box_without_a_fully_labeled_string_is_internal_error(capsys, monkeypatch):
+    monkeypatch.setattr(solver, "exhaustive_fully_labeled", lambda spec, lab, k, budget: [])
+    code, out, err = run_cli(capsys, "solve", "--builtin", "dottie", "--engine", "oracle")
+    assert code == EXIT_INTERNAL == 4
+    assert out == ""
+    assert err == "error: internal: no fully labeled string at m=2\n"
+
+
 def test_labels_budget(capsys):
     code, _, _ = run_cli(
         capsys, "labels", "--builtin", "rot90", "--m", "2000", "--budget", "1000"
@@ -444,6 +463,14 @@ def test_nonpositive_budget_is_usage_error(capsys, monkeypatch, budget, via_env)
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "positive" in err
+
+
+@pytest.mark.parametrize("budget", ["abc", "1.5", ""])
+def test_a_budget_from_the_environment_must_be_an_integer(capsys, monkeypatch, budget):
+    monkeypatch.setenv("STRINGCHASE_BUDGET", budget)
+    code, out, err = run_cli(capsys, "verify-parity", "--builtin", "avg-0.5", "--m", "4")
+    assert (code, out) == (EXIT_USAGE, "") and EXIT_USAGE == 1
+    assert err == f"error: $STRINGCHASE_BUDGET must be an integer, got {budget!r}\n"
 
 
 @pytest.mark.parametrize(

@@ -120,6 +120,13 @@ def test_syntax_error_reports_position():
         assert err.value.position == position
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_parse_rejects_a_dimension_below_1(n):
+    with pytest.raises(ValueError) as err:
+        parse("x1", n)
+    assert type(err.value) is ValueError and str(err.value) == f"dimension must be >= 1, got {n}"
+
+
 def nested_value(fn, x, d):
     """``fn`` applied ``d`` times to ``x``."""
     for _ in range(d):
@@ -738,6 +745,8 @@ def _edge_texts():
             "1" + " - x1" * d, " + ".join(["0.1*x1"] * d), "(" * d + "x1" + ")" * (d - 1),
             "(" * d, "-" * d + "x1", "sin(" * d + "x1" + ")" * d + "^2",
         ]
+    # a sum over a product in every group: three levels a group, mixing precedences
+    texts += ["(x1+0.5*" * k + "x1" + ")" * k for k in range(31, 37)]
     big = "9" * 5000
     texts += [big, big + "." + big, "x1^" + big, "x" + big, "x" + big + " + 1", "x1^" + big + ".5",
               big + "*x1 - " + big + "*x1", "x1^" + "0" * 4999 + "7", "x" + "0" * 4999 + "1"]

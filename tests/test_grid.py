@@ -186,6 +186,21 @@ def test_pivot_floor_door_is_boundary():
         pivot(spec, StringK(2, (0, 0), (1, 2)), 2)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: pivot(GridSpec(1, 4), StringK(0, (0,), ()), 0),
+     "a 0-string has no faces to pivot through"),
+    (lambda: pivot(GridSpec(1, 4), StringK(1, (0,), (1,)), 2), "omitted index 2 outside 0..1"),
+    (lambda: pivot(GridSpec(2, 4), StringK(2, (0, 0), (1, 2)), -1),
+     "omitted index -1 outside 0..2"),
+    (lambda: next(enumerate_strings(GridSpec(2, 3), 3)), "k=3 outside 0..2"),
+    (lambda: next(enumerate_strings(GridSpec(2, 3), -1)), "k=-1 outside 0..2"),
+])
+def test_pivot_and_enumeration_reject_arguments_out_of_range(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is ValueError and str(err.value) == message
+
+
 def _pivot_cases(spec):
     for k in range(1, spec.n + 1):
         for b in enumerate_strings(spec, k):

@@ -102,6 +102,13 @@ def test_label_rejects_points_outside_grid():
         Labeling(GridSpec(1, 8), REFLECT, GridSpec(1, 64), (57,))
 
 
+def test_labeling_rejects_a_map_of_another_dimension():
+    for spec, g in ((GridSpec(2, 3), builtin("dottie")), (GridSpec(1, 3), CONST_HALF)):
+        with pytest.raises(ValueError) as err:
+            Labeling(spec, g)
+        assert str(err.value) == f"grid dimension {spec.n} != map dimension {g.n}"
+
+
 def test_a_box_fits_when_every_offset_is_between_0_and_m_minus_w():
     rot90, box, grid = builtin("rot90"), GridSpec(2, 8), GridSpec(2, 64)
     # lo_i = M - w is the last offset that fits, on either axis

@@ -162,6 +162,10 @@ def test_records_are_frozen(record, _):
     (lambda: SolveConfig(tol="1e-3"), ConfigInvalid, "tol must be a number, got '1e-3'"),
     (lambda: SolveConfig(engine="magic"), ConfigInvalid,
      "engine must be 'path' or 'oracle', got 'magic'"),
+    (lambda: SolveConfig(budget="x"), ConfigInvalid, "budget must be an integer, got 'x'"),
+    (lambda: SolveConfig(budget=1.5), ConfigInvalid, "budget must be an integer, got 1.5"),
+    (lambda: SolveConfig(budget=-3), ConfigInvalid, "budget must be >= 1, got -3"),
+    (lambda: SolveConfig(budget=0), ConfigInvalid, "budget must be >= 1, got 0"),
 ])
 def test_invalid_records_raise_as_before(build, error, message):
     # StringK's messages are pinned in test_grid.py::test_string_validation
@@ -199,3 +203,14 @@ def test_only_checked_defaulted_or_hot_records_define_init():
     assert own_init == {"GridSpec", "StringK", "SolveConfig",
                         "Const", "Var", "Unary", "Binary", "Pow"}, (
         "declare a record's fields once, as its __slots__, and let Record.__init__ fill them")
+
+
+def test_records_share_the_base_equality_and_hash():
+    # Record's __eq__ and __hash__ compare and hash the field tuple; a
+    # second copy in a subclass would have to be kept equal to them
+    own = {cls.__name__ for module in _package_modules() for cls in _classes(module)
+           if issubclass(cls, Record) and cls is not Record
+           and {"__eq__", "__hash__"} & vars(cls).keys()}
+    assert own == set(), "let Record give equality and the hash"
+    for k, base, perm in ((0, (0,), ()), (2, (1, 0), (2, 1)), (3, (4, 0, 2), (3, 1, 2))):
+        assert hash(StringK(k, base, perm)) == hash((k, base, perm))

@@ -619,6 +619,35 @@ def test_a_jump_whose_box_outgrows_twice_the_last_grid_resolves_there_instead(mo
         assert all(w <= 2 * h.m for _, w in after)
 
 
+@pytest.mark.parametrize("engine", ["path", "oracle"])
+def test_solve_at_gives_a_jump_up_and_resolves_at_max_w(monkeypatch, engine):
+    # the jump above, made by hand: from the m = 2 witness, m = 16's box
+    # outgrows max_w = 4, so solve_at itself resolves at m = 4
+    g, calls = _counted(parse("1.5*x1^2 + 0.1", 1).as_map_fn())
+    cfg = SolveConfig(tol=1e-6, engine=engine)
+    images = {}
+    _, z, _ = solve_at(g, GridSpec(1, 2), cfg, images=images)
+    direct = solve_at(g, GridSpec(1, 4), cfg, near=z, images=dict(images))
+    calls[0] = 0
+    cert, z4, record = solve_at(g, GridSpec(1, 16), cfg, near=z, images=images, max_w=4)
+    assert cert.m == record.m == 4 and record.diameter == 0.25
+    assert record.evals == calls[0] > direct[2].evals  # the attempt given up included
+    # at m = 4 the search starts afresh: the same boxes, certificate and witness
+    assert (cert, z4, record.residual, record.boxes) == (
+        direct[0], direct[1], direct[2].residual, direct[2].boxes)
+    # and solve makes that one call for the resolution, its record the same
+    made = []
+
+    def recorded(g, spec, *args):
+        made.append(solve_at(g, spec, *args))
+        return made[-1]
+
+    monkeypatch.setattr(solver, "solve_at", recorded)
+    report = solve(g, cfg)
+    assert [found[2] for found in made] == list(report.history)
+    assert report.history[1] == record
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(smooth_contractions(), clamped_sums()),
        st.sampled_from([64, 100, 2 ** 20 + 1, MAX_M]))
