@@ -34,7 +34,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .functions import MapParseError, UnknownBuiltin, _quote, builtin, parse
-from .grid import GridSpec
+from .grid import GridSpec, check_size
 from .labeling import Labeling, MapEvaluationFailed, MapFn
 from .search import (
     DEFAULT_BUDGET,
@@ -249,14 +249,12 @@ def _resolve_map(args) -> MapFn:
         return g
     if args.n is None:
         raise UsageError("--n is required with --map")
-    if args.n < 1:
-        raise UsageError(f"--n: dimension must be >= 1, got {args.n}")
+    check_size("--n: dimension", args.n, 1, UsageError)
     return parse(args.map, args.n).as_map_fn(name=args.map)
 
 
 def _grid(args, g: MapFn) -> GridSpec:
-    if args.m < 1:
-        raise UsageError(f"--m: resolution must be >= 1, got {args.m}")
+    check_size("--m: resolution", args.m, 1, UsageError)
     return GridSpec(g.n, args.m)
 
 
@@ -327,8 +325,7 @@ def cmd_labels(args) -> int:
     g = _resolve_map(args)
     spec = _grid(args, g)
     budget = _resolve_budget(args)
-    if spec.point_count > budget:
-        raise BudgetExceeded(spec.point_count, budget, "points")
+    BudgetExceeded.check(spec.point_count, budget, "points")
     n, m = spec.n, spec.m
     header = [f"i{j}" for j in range(1, n + 1)] + [f"x{j}" for j in range(1, n + 1)] + ["label"]
     # each axis value's index and real text, formatted once, not per point

@@ -33,7 +33,7 @@ import math
 import operator
 import re
 
-from .grid import Record, _set
+from .grid import Record, _set, check_size
 from .labeling import MapFn, clamp_kernel
 
 
@@ -177,6 +177,11 @@ class MapSpec(Record):
 
     __slots__ = ("n", "components")
 
+    def __post_init__(self) -> None:
+        if len(self.components) != self.n:
+            raise ComponentCountMismatch(
+                f"map has {len(self.components)} components, dimension is {self.n}")
+
     def as_map_fn(self, name: str = "expr") -> MapFn:
         """The map compiled once, behind the clamp kernel for n (``CompiledMap``)."""
         return _compile(self.n, self.components, name)
@@ -273,9 +278,6 @@ class _Parser:
             components.append(self.parse_expr()[0])
         if (tok := self.toks[self.i]) is not None:
             raise ExprSyntaxError(f"trailing input {_quote(tok)}", self.where(self.i))
-        if len(components) != self.n:
-            raise ComponentCountMismatch(
-                f"map has {len(components)} components, dimension is {self.n}")
         return MapSpec(self.n, tuple(components))
 
     def parse_expr(self, floor: int = 1) -> tuple[ExprNode, int]:
@@ -353,8 +355,7 @@ class _Parser:
 
 def parse(text: str, n: int) -> MapSpec:
     """Parse ``n`` semicolon-separated component expressions."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    check_size("dimension", n, 1)
     return _Parser(text, n).parse_map()
 
 

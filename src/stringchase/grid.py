@@ -27,13 +27,21 @@ class BoundaryFace(ValueError):
     """The requested pivot step would leave the grid."""
 
 
+def check_size(what: str, value, least: int, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` unless ``value`` is an ``int``, not a ``bool``, of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise error(f"{what} must be >= {least}, got {value}")
+
+
 class Record:
     """A frozen value, equal, hashed and printed as a frozen dataclass over its fields, but
     with no methods ``exec``d at import.  A subclass declares its fields once, in order, as
-    its ``__slots__``; the shared ``__init__`` fills them from positional and keyword values
-    and raises TypeError for a missing, extra, repeated or unknown field.  A subclass writes
-    its own ``__init__`` only to check its fields or give them defaults, or when a hot loop
-    builds it."""
+    its ``__slots__``; the shared ``__init__`` fills them from positional and keyword values,
+    raises TypeError for a missing, extra, repeated or unknown field, then calls
+    ``__post_init__``, where a subclass checks its fields, as on a dataclass.  A subclass
+    writes its own ``__init__`` only to give defaults, or when a hot loop builds it."""
 
     __slots__ = ()
 
@@ -46,6 +54,10 @@ class Record:
                             f"({', '.join(names)}) once, by position or keyword")
         for name, value in zip(names, args):
             _set(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, f) for f in self.__slots__])
@@ -79,14 +91,9 @@ class GridSpec(Record):
     """
 
     __slots__ = ("n", "m")
-    def __init__(self, n: int, m: int) -> None:
-        _set(self, "n", n)
-        _set(self, "m", m)
-        for what, size in (("dimension", n), ("resolution", m)):
-            if not isinstance(size, int):
-                raise ValueError(f"{what} must be an integer, got {size!r}")
-            if size < 1:
-                raise ValueError(f"{what} must be >= 1, got {size}")
+    def __post_init__(self) -> None:
+        check_size("dimension", self.n, 1)
+        check_size("resolution", self.m, 1)
 
     @property
     def point_count(self) -> int:
@@ -111,20 +118,14 @@ class StringK(Record):
     vertex; it is a permutation of 1..k.  All vertices keep coordinate 0 on
     every axis beyond k.
 
-    Calling ``StringK(...)`` validates all of this.  ``pivot``, ``lift`` and
-    the solver, which moves a box's string into its grid, derive strings
-    from one already valid and build them through ``_derived`` without
-    checking again, as the walk builds its origin; ``search.verify_trace``
+    Calling ``StringK(...)`` validates all of this.  ``pivot``, ``lift``,
+    ``enumerate_strings``, the walk (its origin and floor-door descents) and
+    the solver, which moves a box's string into its grid, build strings valid
+    by construction through ``_derived``, unchecked; ``search.verify_trace``
     checks a walk's strings apart.
     """
 
     __slots__ = ("k", "base", "perm")
-    def __init__(self, k: int, base: GridPoint, perm: tuple[int, ...]) -> None:
-        _set(self, "k", k)
-        _set(self, "base", base)
-        _set(self, "perm", perm)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         if self.k != len(self.perm):
             raise ValueError(f"k={self.k} but perm has {len(self.perm)} entries")
@@ -136,10 +137,6 @@ class StringK(Record):
             raise ValueError(f"negative coordinate in base {self.base}")
         if any(self.base[self.k:]):
             raise ValueError(f"base {self.base} has nonzero coordinate beyond axis {self.k}")
-
-    @property
-    def n(self) -> int:
-        return len(self.base)
 
     @classmethod
     def _derived(cls, k: int, base: GridPoint, perm: tuple[int, ...]) -> StringK:
@@ -234,7 +231,7 @@ def enumerate_strings(spec: GridSpec, k: int) -> Iterator[StringK]:
     for head in itertools.product(range(spec.m), repeat=k):
         base = head + tail
         for perm in itertools.permutations(range(1, k + 1)):
-            yield StringK(k, base, perm)
+            yield StringK._derived(k, base, perm)
 
 
 def string_count(spec: GridSpec, k: int) -> int:

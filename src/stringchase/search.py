@@ -58,6 +58,11 @@ class BudgetExceeded(RuntimeError):
         self.required = required
         self.budget = budget
 
+    @classmethod
+    def check(cls, required: int, budget: int, unit: str = "strings") -> None:
+        if required > budget:
+            raise cls(required, budget, unit)
+
 
 class StepLimitExceeded(RuntimeError):
     """The walk visited more strings than can exist; an internal bug."""
@@ -121,9 +126,7 @@ def exhaustive_fully_labeled(
     spec: GridSpec, lab, k: int, budget: int = DEFAULT_BUDGET
 ) -> list[StringK]:
     """All k-fully-labeled k-strings, lexicographic by base then perm."""
-    required = string_count(spec, k)
-    if required > budget:
-        raise BudgetExceeded(required, budget, "strings")
+    BudgetExceeded.check(string_count(spec, k), budget)
     return [s for s in enumerate_strings(spec, k) if is_fully_labeled(lab, s)]
 
 
@@ -164,9 +167,7 @@ def parity_check(spec: GridSpec, lab, budget: int = DEFAULT_BUDGET) -> ParityRep
     both the double-count identity and the oddness check; a failed level
     is reported, not raised.
     """
-    required = sum(string_count(spec, k) for k in range(1, spec.n + 1))
-    if required > budget:
-        raise BudgetExceeded(required, budget, "strings")
+    BudgetExceeded.check(sum(string_count(spec, k) for k in range(1, spec.n + 1)), budget)
 
     # the exact type: a subclass may label otherwise than the sweep does
     if type(lab) is Labeling and lab.spec == spec:
@@ -303,7 +304,7 @@ def path_follow(spec: GridSpec, lab) -> tuple[StringK, PathTrace]:
                     raise LabelingInvalid(
                         "walk descended back to the origin; labeling is not Brouwer"
                     ) from None
-                current, entry = StringK(k - 1, current.base, current.perm[:-1]), None
+                current, entry = StringK._derived(k - 1, current.base, current.perm[:-1]), None
                 labels.pop()
                 verts.pop()
                 continue

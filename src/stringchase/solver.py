@@ -49,7 +49,7 @@ from __future__ import annotations
 import math
 from operator import mul, sub
 
-from .grid import GridSpec, Record, StringK, vertices
+from .grid import GridSpec, Record, StringK, check_size, vertices
 from .labeling import Labeling, MapFn
 from .search import DEFAULT_BUDGET, LabelingInvalid, exhaustive_fully_labeled, path_follow
 
@@ -83,14 +83,13 @@ class SolveConfig(Record):
     def __init__(self, max_m: int = MAX_M, tol: float = DEFAULT_TOL, engine: str = ENGINE_PATH,
                  budget: int = DEFAULT_BUDGET) -> None:
         super().__init__(max_m, tol, engine, budget)
-        for name, least in (("max_m", 2), ("budget", 1)):
-            if not isinstance(value := getattr(self, name), int):
-                raise ConfigInvalid(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ConfigInvalid(f"{name} must be >= {least}, got {value}")
+
+    def __post_init__(self) -> None:
+        check_size("max_m", self.max_m, 2, ConfigInvalid)
+        check_size("budget", self.budget, 1, ConfigInvalid)
         if self.max_m > MAX_M:
             raise ConfigInvalid(f"max_m must be <= 2^52, got {self.max_m}")
-        if not isinstance(self.tol, (int, float)):
+        if isinstance(self.tol, bool) or not isinstance(self.tol, (int, float)):
             raise ConfigInvalid(f"tol must be a number, got {self.tol!r}")
         if not self.tol > 0:
             raise ConfigInvalid(f"tol must be positive, got {self.tol}")
@@ -266,14 +265,12 @@ def solve(g: MapFn, cfg: SolveConfig | None = None) -> SolveReport:
         m = cert.m  # max_w when the jump's box outgrew it
         history.append(record)
         r = record.residual
-        if best is None or r < best[0]:
+        if best is None or r < best[0]:  # a converged r is below every earlier one
             best = (r, z, cert)
-        if r <= cfg.tol:
-            return SolveReport(n, z, r, m, True, cert, tuple(history))
-        if m == cap:
+        if r <= cfg.tol or m == cap:
             break
         # 0 < tol < r <= 1, so the exponent is finite
         m, max_w = min(max(2 * m, 1 << max(math.ceil(-math.log2(JUMP * r)), 0)), cap), 2 * m
 
     r, z, cert = best
-    return SolveReport(n, z, r, cert.m, False, cert, tuple(history))
+    return SolveReport(n, z, r, cert.m, r <= cfg.tol, cert, tuple(history))

@@ -123,6 +123,16 @@ def recipe_maps(count: int = N_RECIPE_MAPS, seed: int = RECIPE_SEED) -> list[Map
     return maps
 
 
+# a labelling of GridSpec(2, 3) whose walk leaves the square level through
+# the floor, goes on along the bottom edge and climbs back up
+FLOOR_DOOR_TABLE = {
+    (0, 0): 0, (1, 0): 1, (2, 0): 0, (3, 0): 1,
+    (0, 1): 0, (1, 1): 0, (2, 1): 0, (3, 1): 2,
+    (0, 2): 0, (1, 2): 0, (2, 2): 0, (3, 2): 1,
+    (0, 3): 2, (1, 3): 2, (2, 3): 2, (3, 3): 2,
+}
+
+
 class ExplicitLabeling:
     """A labeling given directly as a table or function.
 

@@ -283,6 +283,10 @@ def test_bad_grid_resolution_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "labels", "--builtin", "rot90", "--m", "0")
     assert code == EXIT_USAGE
     assert "resolution" in err
+    assert err == "error: --m: resolution must be >= 1, got 0\n"
+    # a dimension below 1 reads the same way, from the same size check
+    code, _, err = run_cli(capsys, "trace", "--map", "x1", "--n", "0", "--m", "3")
+    assert (code, err) == (EXIT_USAGE, "error: --n: dimension must be >= 1, got 0\n")
 
 
 @pytest.mark.parametrize(
@@ -394,6 +398,10 @@ def test_budget_errors_name_what_is_counted(capsys):
         capsys, "verify-parity", "--builtin", "rot90", "--m", "2", "--budget", "8"
     )
     assert (code, out, err) == (EXIT_BUDGET, "", "error: enumeration needs 10 strings, budget is 8\n")
+    # a budget of exactly what is needed is enough
+    for command, budget in (("labels", "9"), ("verify-parity", "10")):
+        code, _, err = run_cli(capsys, command, "--builtin", "rot90", "--m", "2", "--budget", budget)
+        assert (code, err) == (EXIT_OK, "")
 
 
 @pytest.mark.parametrize("argv", [

@@ -92,6 +92,11 @@ def test_parse_errors():
         parse("x1; x1", 1)
     with pytest.raises(ComponentCountMismatch):
         parse("x1", 2)
+    # a spec built by hand is held to the same count, with the same message
+    for components, n in (((Var(1), Var(1)), 1), ((Var(1),), 2)):
+        with pytest.raises(ComponentCountMismatch) as built:
+            MapSpec(n, components)
+        assert str(built.value) == f"map has {len(components)} components, dimension is {n}"
     with pytest.raises(ArityError):
         parse("sin(x1, x1)", 1)
     with pytest.raises(ArityError):
@@ -120,11 +125,19 @@ def test_syntax_error_reports_position():
         assert err.value.position == position
 
 
-@pytest.mark.parametrize("n", [0, -1])
-def test_parse_rejects_a_dimension_below_1(n):
+@pytest.mark.parametrize("n, message", [
+    pytest.param(n, message, id=str(n)) for n, message in (
+        (0, "dimension must be >= 1, got 0"),
+        (-1, "dimension must be >= 1, got -1"),
+        (2.0, "dimension must be an integer, got 2.0"),
+        (True, "dimension must be an integer, got True"),
+        ("1", "dimension must be an integer, got '1'"))])
+def test_parse_rejects_a_dimension_below_1(n, message):
+    # a bool or a float is no dimension, even one equal to an int: True, 1.0
+    # and 1 are one key of the clamp kernel cache
     with pytest.raises(ValueError) as err:
-        parse("x1", n)
-    assert type(err.value) is ValueError and str(err.value) == f"dimension must be >= 1, got {n}"
+        parse("x1; x2", n)
+    assert type(err.value) is ValueError and str(err.value) == message
 
 
 def nested_value(fn, x, d):

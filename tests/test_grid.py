@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import assert_slotted_record
+from conftest import FLOOR_DOOR_TABLE, ExplicitLabeling, assert_slotted_record
 from stringchase import (
     BoundaryFace,
     GridSpec,
@@ -13,6 +13,7 @@ from stringchase import (
     enumerate_strings,
     face_vertices,
     lift,
+    path_follow,
     pivot,
     string_count,
     vertices,
@@ -116,6 +117,7 @@ def test_enumeration_counts():
             listed = list(enumerate_strings(spec, k))
             assert len(listed) == string_count(spec, k)
             assert len(set(listed)) == len(listed)
+            assert listed == sorted(listed, key=lambda s: (s.base, s.perm))
             assert all(spec.contains(v) for s in listed for v in vertices(s))
 
 
@@ -246,17 +248,23 @@ def test_pivot_involution_random(sp, h):
 
 
 def test_derived_strings_pass_the_checked_constructor():
-    # pivot and lift skip StringK's checks; what they build must be exactly
-    # what the checked constructor accepts, with the same slotted layout
+    # pivot, lift, enumerate_strings and the walk's descent through a floor
+    # door skip StringK's checks; what they build must be exactly what the
+    # checked constructor accepts, with the same slotted layout
+    derived = []
     for spec in all_small_specs():
         strings = [s for k in range(spec.n + 1) for s in enumerate_strings(spec, k)]
-        derived = [other for _, _, other, _ in _pivot_cases(spec)]
+        derived += strings + [other for _, _, other, _ in _pivot_cases(spec)]
         derived += [lift(c) for c in strings if c.k < spec.n]
-        for s in derived:
-            checked = StringK(s.k, s.base, s.perm)
-            assert checked == s and hash(checked) == hash(s)
-            assert_slotted_record(s)
-            assert_slotted_record(checked)
+    spec = GridSpec(2, 3)
+    steps = path_follow(spec, ExplicitLabeling(spec, FLOOR_DOOR_TABLE))[1].steps
+    descended = [b.string for a, b in zip(steps, steps[1:]) if b.level < a.level]
+    assert len(descended) == 1
+    for s in derived + descended:
+        checked = StringK(s.k, s.base, s.perm)
+        assert checked == s and hash(checked) == hash(s)
+        assert_slotted_record(s)
+        assert_slotted_record(checked)
 
 
 def test_pivot_exactly_two_strings_share_interior_face():

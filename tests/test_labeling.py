@@ -431,7 +431,7 @@ def test_zero_string_is_fully_labeled():
 
 
 def _explicit_for_string(s, labels):
-    spec = GridSpec(s.n, 8)
+    spec = GridSpec(len(s.base), 8)
     return ExplicitLabeling(spec, dict(zip(vertices(s), labels)))
 
 

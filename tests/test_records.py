@@ -4,7 +4,8 @@ Each record behaves as the frozen dataclass it replaced: the same repr,
 equality within one class, equal hashes for equal records, no assignment
 or deletion, and the same validation messages.  Its fields are its
 ``__slots__``, filled by position or keyword through the one shared
-``Record.__init__`` unless the class checks them or gives them defaults.
+``Record.__init__`` unless the class gives them defaults, and checked in
+its ``__post_init__``.
 """
 
 import dataclasses
@@ -166,6 +167,11 @@ def test_records_are_frozen(record, _):
     (lambda: SolveConfig(budget=1.5), ConfigInvalid, "budget must be an integer, got 1.5"),
     (lambda: SolveConfig(budget=-3), ConfigInvalid, "budget must be >= 1, got -3"),
     (lambda: SolveConfig(budget=0), ConfigInvalid, "budget must be >= 1, got 0"),
+    (lambda: GridSpec(1, True), ValueError, "resolution must be an integer, got True"),
+    (lambda: GridSpec(True, 3), ValueError, "dimension must be an integer, got True"),
+    (lambda: SolveConfig(max_m=True), ConfigInvalid, "max_m must be an integer, got True"),
+    (lambda: SolveConfig(budget=True), ConfigInvalid, "budget must be an integer, got True"),
+    (lambda: SolveConfig(tol=True), ConfigInvalid, "tol must be a number, got True"),
 ])
 def test_invalid_records_raise_as_before(build, error, message):
     # StringK's messages are pinned in test_grid.py::test_string_validation
@@ -195,13 +201,12 @@ def test_only_map_fns_are_dataclasses():
 
 
 def test_only_checked_defaulted_or_hot_records_define_init():
-    # GridSpec, StringK and SolveConfig check their fields (SolveConfig also
-    # gives defaults); the expression nodes are built about 16 times a refine
-    # task.  Every other record fills its __slots__ through Record.__init__
+    # SolveConfig gives defaults; the expression nodes are built about 16
+    # times a refine task.  Every other record fills its __slots__ through
+    # Record.__init__, which calls the record's __post_init__ to check them
     own_init = {cls.__name__ for module in _package_modules() for cls in _classes(module)
                 if issubclass(cls, Record) and cls is not Record and "__init__" in vars(cls)}
-    assert own_init == {"GridSpec", "StringK", "SolveConfig",
-                        "Const", "Var", "Unary", "Binary", "Pow"}, (
+    assert own_init == {"SolveConfig", "Const", "Var", "Unary", "Binary", "Pow"}, (
         "declare a record's fields once, as its __slots__, and let Record.__init__ fill them")
 
 

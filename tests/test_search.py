@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    FLOOR_DOOR_TABLE,
     ExplicitLabeling,
     assert_slotted_record,
     forced_label,
@@ -36,7 +37,13 @@ from stringchase import (
     vertices,
 )
 from stringchase.labeling import doors_of
-from stringchase.search import OUTCOME_FOUND, PathTrace, TraceInvalid, TraceStep
+from stringchase.search import (
+    OUTCOME_FOUND,
+    PathTrace,
+    StepLimitExceeded,
+    TraceInvalid,
+    TraceStep,
+)
 
 
 def induced(g, m):
@@ -190,6 +197,15 @@ def test_path_rejects_a_labeling_that_changes_its_answer():
     spec = GridSpec(1, 4)
     with pytest.raises(LabelingInvalid, match=r"entry 1 of .* is not one of its links \[0, None\]"):
         path_follow(spec, ExplicitLabeling(spec, fickle))
+    # with fixed labels the walk is a simple path, so only such a labelling
+    # can take it over more strings of a level than the level has.  Drawing
+    # each read afresh from the labels the boundary rules allow, seed 77
+    # reads (1, 0) as 0 and later as 1: the walk crosses the bottom edge,
+    # lifts, comes back down to the edge and crosses it again
+    spec, rnd = GridSpec(2, 3), random.Random(77)
+    lab = ExplicitLabeling(spec, lambda p: rnd.choice(_legal_labels(p, 3, 2)))
+    with pytest.raises(StepLimitExceeded, match="^more than 4 strings visited at level 1$"):
+        path_follow(spec, lab)
 
 
 def test_path_rejects_labels_above_level():
@@ -288,12 +304,6 @@ def test_verify_trace_rejects_tampering():
         verify_trace(lab, type(trace)(steps, "lost"))
 
 
-FLOOR_DOOR_TABLE = {
-    (0, 0): 0, (1, 0): 1, (2, 0): 0, (3, 0): 1,
-    (0, 1): 0, (1, 1): 0, (2, 1): 0, (3, 1): 2,
-    (0, 2): 0, (1, 2): 0, (2, 2): 0, (3, 2): 1,
-    (0, 3): 2, (1, 3): 2, (2, 3): 2, (3, 3): 2,
-}
 
 
 def test_path_descends_through_floor_door():
