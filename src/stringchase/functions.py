@@ -178,6 +178,7 @@ class MapSpec(Record):
     __slots__ = ("n", "components")
 
     def __post_init__(self) -> None:
+        check_size("dimension", self.n, 1)
         if len(self.components) != self.n:
             raise ComponentCountMismatch(
                 f"map has {len(self.components)} components, dimension is {self.n}")
@@ -197,6 +198,7 @@ class CompiledMap(MapFn):
     """
 
     def __post_init__(self):
+        super().__post_init__()  # checks n
         object.__setattr__(self, "image", clamp_kernel(self.n)(self.fn))
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import product
 
-from .grid import GridPoint, GridSpec, StringK, vertices
+from .grid import GridPoint, GridSpec, StringK, check_size, vertices
 
 
 class MapEvaluationFailed(RuntimeError):
@@ -56,9 +56,10 @@ class MapFn:
     not numbers, wrong component counts and NaNs are reported as
     MapEvaluationFailed together with the input point.
 
-    ``image``, set from ``fn`` and n on construction, is that clamp and
-    those checks on a tuple of floats: ``_image`` bound to ``fn`` here, the
-    clamp kernel for n in ``functions.CompiledMap``.  Calling the MapFn and
+    n is checked as a ``GridSpec`` dimension is.  ``image``, set from ``fn``
+    and n on construction, is that clamp and those checks on a tuple of
+    floats: ``_image`` bound to ``fn`` here, the clamp kernel for n in
+    ``functions.CompiledMap``.  Calling the MapFn and
     ``Labeling`` both evaluate through it, so a map made by
     ``dataclasses.replace(g, fn=...)`` evaluates its new ``fn`` everywhere.
     """
@@ -70,6 +71,7 @@ class MapFn:
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        check_size("dimension", self.n, 1)
         object.__setattr__(self, "image", partial(_image, self.fn, self.n))
 
     def __call__(self, p: Sequence[float]) -> tuple[float, ...]:

@@ -142,13 +142,10 @@ def parity_check(spec: GridSpec, lab, budget: int = DEFAULT_BUDGET) -> ParityRep
     the label (each row's c_n = m point, and its c_n = 0 point when the
     rest of the row fixes it), and skips ``label``'s bounds check, since
     every point comes from the grid; any other labeling is read point by
-    point through ``label``.  A k-string is its flat base plus
-    one of k! offset rows, and its doors follow from its labels in O(k)
-    (``doors_of``).  Within a level, strings with equal label vectors have
-    equal doors, and there are at most (n+1)^(k+1) distinct vectors under
-    the boundary rules, so each level keeps a door table keyed by the
-    vector.  A door is counted under its flat vertices in string order,
-    which is canonical because coordinate sums rise along a string.
+    point through ``label``.  A k-string is its flat base plus one of k!
+    offset rows, and its doors follow from its labels in O(k)
+    (``doors_of``).  A door is counted under its flat vertices in string
+    order, which is canonical because coordinate sums rise along a string.
 
     Only the strings of some cells are read.  A string with a door holds
     every label 0..k-1, and its k+1 vertices are corners of the unit cell
@@ -189,14 +186,11 @@ def parity_check(spec: GridSpec, lab, budget: int = DEFAULT_BUDGET) -> ParityRep
         live = [b for b in bases if corners[b] & low == low]
         s1 = s2 = fully = 0
         containment: dict[tuple[int, ...], int] = {}
-        door_table: dict[tuple[int, ...], list[int]] = {}
         for axes in permutations(strides[:k]):
             row = tuple(accumulate(axes, initial=0))
             columns = [[labels[b + o] for b in live] for o in row]
             for base, vector in zip(live, zip(*columns)):
-                doors = door_table.get(vector)
-                if doors is None:
-                    doors = door_table[vector] = doors_of(vector, k)
+                doors = doors_of(vector, k)
                 if len(doors) == 1:
                     s1 += 1
                     fully += vector[doors[0]] == k

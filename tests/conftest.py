@@ -96,31 +96,40 @@ RECIPE_TEMPLATES = ("x{i}", "x{i}^2", "sin(3*x{i})", "cos(5*x{j})", "x{i}*x{j}",
                     "abs(x{i}-0.5)", "max2(x{i},x{j})", "expneg(4*x{j})")
 
 
+def _recipe_map(rng: random.Random, n: int) -> MapFn:
+    """One map of dimension n, drawn as the recipe family's are: per
+    component the term count, then per term i, j, the coefficient and the
+    template; the component's constant comes last and is kept even when it
+    is 0.  The map is named by its expression text."""
+    components = []
+    for _ in range(n):
+        terms = []
+        for _ in range(rng.randint(1, 3)):
+            i, j = rng.randint(1, n), rng.randint(1, n)
+            coef = rng.choice([0.3, 0.5, 0.9, 1.5, 2])
+            terms.append(f"{coef}*" + rng.choice(RECIPE_TEMPLATES).format(i=i, j=j))
+        terms.append(str(rng.choice([0, 0.1, 0.2])))
+        components.append(" + ".join(terms))
+    text = "; ".join(components)
+    return parse(text, n).as_map_fn(name=text)
+
+
 def recipe_maps(count: int = N_RECIPE_MAPS, seed: int = RECIPE_SEED) -> list[MapFn]:
     """The recipe family: clamped sums of 1-3 weighted terms per component,
     mostly not contractions, in dimensions 1..4.
 
-    The draw order is fixed (ROADMAP, "The recipe family"): n, then per
-    component the term count, then per term i, j, the coefficient and the
-    template; the component's constant comes last and is kept even when it
-    is 0.  Each map is named by its expression text.
+    The draw order is fixed (ROADMAP, "The recipe family"): n, then the
+    map's components (``_recipe_map``).
     """
     rng = random.Random(seed)
-    maps = []
-    for _ in range(count):
-        n = rng.randint(1, 4)
-        components = []
-        for _ in range(n):
-            terms = []
-            for _ in range(rng.randint(1, 3)):
-                i, j = rng.randint(1, n), rng.randint(1, n)
-                coef = rng.choice([0.3, 0.5, 0.9, 1.5, 2])
-                terms.append(f"{coef}*" + rng.choice(RECIPE_TEMPLATES).format(i=i, j=j))
-            terms.append(str(rng.choice([0, 0.1, 0.2])))
-            components.append(" + ".join(terms))
-        text = "; ".join(components)
-        maps.append(parse(text, n).as_map_fn(name=text))
-    return maps
+    return [_recipe_map(rng, rng.randint(1, 4)) for _ in range(count)]
+
+
+def highdim_maps(n: int) -> list[MapFn]:
+    """The high-dimensional draw (ROADMAP): 10 maps of dimension n, each
+    component drawn as in the recipe family, from ``random.Random(n)``."""
+    rng = random.Random(n)
+    return [_recipe_map(rng, n) for _ in range(10)]
 
 
 # a labelling of GridSpec(2, 3) whose walk leaves the square level through

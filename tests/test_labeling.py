@@ -189,6 +189,14 @@ def test_map_clamps_and_rejects_nan():
     g = MapFn(2, lambda p: (0.5,))
     with pytest.raises(MapEvaluationFailed, match="expected 2 components, got 1"):
         g((0.0, 0.0))
+    # n is checked as a grid's dimension is, on a compiled map too
+    for n, message in ((True, "an integer, got True"), (1.0, "an integer, got 1.0"),
+                       (0, ">= 1, got 0")):
+        for build in (lambda: MapFn(n, lambda p: (0.5,)),
+                      lambda: dataclasses.replace(builtin("dottie"), n=n)):
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == f"dimension must be {message}"
 
 
 # the whole-box sweep

@@ -172,6 +172,9 @@ def test_records_are_frozen(record, _):
     (lambda: SolveConfig(max_m=True), ConfigInvalid, "max_m must be an integer, got True"),
     (lambda: SolveConfig(budget=True), ConfigInvalid, "budget must be an integer, got True"),
     (lambda: SolveConfig(tol=True), ConfigInvalid, "tol must be a number, got True"),
+    (lambda: MapSpec(True, (Var(1),)), ValueError, "dimension must be an integer, got True"),
+    (lambda: MapSpec(1.0, (Var(1),)), ValueError, "dimension must be an integer, got 1.0"),
+    (lambda: MapSpec(0, ()), ValueError, "dimension must be >= 1, got 0"),
 ])
 def test_invalid_records_raise_as_before(build, error, message):
     # StringK's messages are pinned in test_grid.py::test_string_validation
