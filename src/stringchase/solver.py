@@ -24,11 +24,13 @@ coordinates, is kept when it is fully labeled in the whole grid, the
 paper's certificate.  Otherwise the box doubles in width around the same
 centre (4, 8, ... cells) and is searched again, so the whole grid is
 searched only as the last doubling, where the box labels are the grid's.
-Every resolution, after a jump too, ends with a certificate at the m the
-schedule chose.  Two cells is the smallest box whose labels depend on the
-map: in a box of one cell every coordinate is 0 or the forced top, so
-every label is fixed, and ``Labeling`` labels such a box without a single
-evaluation.  Both engines search the same boxes.
+A box after a jump from m may grow only to 2m cells, the whole grid that
+doubling m would search; past that the jump is given up and the
+resolution is made at 2m from the same witness, so no resolution walks a
+wider box than doubling would.  Two cells is the smallest box whose labels
+depend on the map: in a box of one cell every coordinate is 0 or the
+forced top, so every label is fixed, and ``Labeling`` labels such a box
+without a single evaluation.  Both engines search the same boxes.
 
 The witness is the best of the certificate's vertices and one more point.
 A fully labeled n-string is a Kuhn simplex, and the affine zero of
@@ -58,14 +60,13 @@ MAX_M = 2 ** 52  # (lo + c) / m stays exact in binary64 up to here
 DEFAULT_TOL = 1e-6
 
 # After a residual r the next grid has about 1/(JUMP*r) cells per axis (see
-# ``solve``).  Solving to 1e-6, CPython 3.11, evals:
+# ``solve``).  Solving to 1e-6, box bound included, CPython 3.11, evals:
 #   rule      recipe family  worst map  resolutions  refine seed 1  dottie m
 #   double    22,411         4,949      844          298            2, 4, ..., 256
-#   JUMP = 1  13,963         2,988      415          284            2, 64, 65536
-#   JUMP = 2  14,275         3,002      464          211            2, 32, 8192
-#   JUMP = 4  14,052         2,996      502          205            2, 16, 2048
-# JUMP = 4 is cheapest on refine (205 against JUMP = 1's 284) and within 1%
-# of the cheapest on the recipe family.
+#   JUMP = 1  14,975         2,988      434          306            2, 64, 65536
+#   JUMP = 2  14,776         3,002      475          211            2, 32, 8192
+#   JUMP = 4  14,413         2,996      509          205            2, 16, 2048
+# JUMP = 1 costs more than doubling on refine; JUMP = 4 is cheapest on both.
 JUMP = 4
 
 
@@ -182,7 +183,7 @@ def _affine_zero(steps: list[list[float]]) -> list[float] | None:
 
 def solve_at(
     g: MapFn, spec: GridSpec, cfg: SolveConfig, near: tuple[float, ...] | None = None,
-    images: dict | None = None,
+    images: dict | None = None, max_w: int | None = None,
 ) -> tuple[Certificate, tuple[float, ...], ResolutionRecord]:
     """One resolution: a fully labeled n-string of ``spec`` and its witness.
 
@@ -191,15 +192,18 @@ def solve_at(
     into grid coordinates, is kept when it is fully labeled in the whole
     grid.  Otherwise the width doubles around the same centre and the box
     is searched again.  At width m the box is the whole grid; without
-    ``near`` that is the first box, so the certificate is always at
-    ``spec.m``.  The engine decides only how a box is searched: the path
-    engine walks it, the oracle enumerates its n-strings and takes the
-    first fully labeled one.  Each box's string is labelled in the whole
-    grid once: those labels decide whether it is fully labeled and are the
-    certificate's, and the vertices formed for them give the witness its
-    real points.  Every labelling reads and fills ``images`` (a fresh table
-    if None), and so does the witness.  The record counts the boxes searched
-    and the map evaluations since entry (the table's growth).
+    ``near`` that is the first box.  A box that would grow wider than
+    ``max_w`` cells gives the resolution up: it is made at m = ``max_w``
+    instead, from a box of 2 cells, with a fresh whole-grid labelling.  The
+    engine decides only how a box is searched: the path engine walks it,
+    the oracle enumerates its n-strings and takes the first fully labeled one.
+    Each box's string is labelled in the whole grid once: those labels
+    decide whether it is fully labeled and are the certificate's, and the
+    vertices formed for them give the witness its real points.
+    Every labelling reads and fills ``images`` (a fresh table if None), and
+    so does the witness.  The record counts the boxes searched at the
+    certificate's resolution and the map evaluations since entry (the
+    table's growth), those of a resolution given up included.
     """
     n, m = spec.n, spec.m
     w = m if near is None else min(2, m)
@@ -225,6 +229,9 @@ def solve_at(
         if set(labels) == full:
             break
         w = min(2 * w, m)
+        if max_w is not None and w > max_w:  # no wider box at max_w = m, so once only
+            spec = GridSpec(n, m := max_w)
+            w, boxes, whole = min(2, m), 0, Labeling(spec, g, images=images)
 
     z, r = select_witness(g, images, [spec.to_real(v) for v in verts])
     return (Certificate(m, s, tuple(labels)), z,
@@ -238,9 +245,14 @@ def solve(g: MapFn, cfg: SolveConfig | None = None) -> SolveReport:
     min(max(2m, 2^ceil(log2(1/(JUMP*r)))), cap), where cap is the largest
     power of two <= max_m; a solve not converged at cap stops there.  Each
     walk after the first starts near the previous witness (see
-    ``solve_at``), and its certificate is at the m chosen here.  Each box
-    gets a fresh labelling, but all share one image table, so no real point
-    is evaluated twice (every point of grid m is one of every finer
+    ``solve_at``).  A box after a jump may grow to 2m cells; one that would
+    grow wider gives the jump up, and the resolution is made at 2m from the
+    same witness, its record counting the evaluations of the attempt given
+    up.  So a witness beside a fixed point that no box around it certifies
+    costs what doubling would, not a search of the whole grid jumped to
+    (``1.5*x1^2 + 0.124998`` jumps from m = 2 to 2^17).  Each box gets a
+    fresh labelling, but all share one image table, so no real point is
+    evaluated twice (every point of grid m is one of every finer
     power-of-two grid).  Engine errors propagate.
     """
     cfg = cfg or SolveConfig()
@@ -248,9 +260,10 @@ def solve(g: MapFn, cfg: SolveConfig | None = None) -> SolveReport:
     cap = 1 << (cfg.max_m.bit_length() - 1)
     history: list[ResolutionRecord] = []
     best: tuple[float, tuple[float, ...], Certificate] | None = None
-    m, z, images = 2, None, {}
+    m, max_w, z, images = 2, None, None, {}
     while True:
-        cert, z, record = solve_at(g, GridSpec(n, m), cfg, z, images)
+        cert, z, record = solve_at(g, GridSpec(n, m), cfg, z, images, max_w)
+        m = cert.m  # max_w when the jump's box outgrew it
         history.append(record)
         r = record.residual
         if best is None or r < best[0]:  # a converged r is below every earlier one
@@ -258,7 +271,7 @@ def solve(g: MapFn, cfg: SolveConfig | None = None) -> SolveReport:
         if r <= cfg.tol or m == cap:
             break
         # 0 < tol < r <= 1, so the exponent is finite
-        m = min(max(2 * m, 1 << max(math.ceil(-math.log2(JUMP * r)), 0)), cap)
+        m, max_w = min(max(2 * m, 1 << max(math.ceil(-math.log2(JUMP * r)), 0)), cap), 2 * m
 
     r, z, cert = best
     return SolveReport(n, z, r, cert.m, r <= cfg.tol, cert, tuple(history))

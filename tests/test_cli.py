@@ -844,7 +844,7 @@ def test_solve_json_writes_dump_json_bytes():
     ("solve", "--builtin", "dottie", "--max-m", "64"),
     ("solve", "--builtin", "reflect1d"),
     ("solve", "--map", "1.5*x1^2 + 0.1", "--n", "1"),
-], ids=["not-converged", "zero-residual", "jump-box-doubles"])
+], ids=["not-converged", "zero-residual", "jump-given-up"])
 def test_solve_record_payload_is_stdout_byte_for_byte(capsys, tmp_path, argv):
     path = tmp_path / "run.json"
     code, out, _ = run_cli(capsys, *argv, "--record", str(path))
@@ -967,10 +967,9 @@ PINNED_STDOUT = [
     (("solve", "--map", "0.5*x1+0.3*x2^2; cos(x1*x3); expneg(x2)", "--n", "3",
       "--tol", "1e-4"),
      "14a17401be9b089e15aec49445c8881c8d695335151b42985bc2c1a54276c197"),
-    # two fixed points: after the jump from m = 2 to 16 the box doubles up to
-    # the whole grid of 16 before its string is a certificate
+    # the jump from m = 2 to 16 is given up, and that resolution made at m = 4
     (("solve", "--map", "1.5*x1^2 + 0.1", "--n", "1"),
-     "4050973d2e0e26626ca9571530b8eca9b0b23e70aab137262299fe582e404151"),
+     "deb580ec49016e1a9dfdde96a96ed8096e1f4cc0de83024cc568093a0d9ff1c2"),
     # not converged at the cap: exit 2 with the best witness
     (("solve", "--builtin", "dottie", "--max-m", "64"),
      "6d3c4f6a8406e128b86febedde5a2dbd986b25321dcfbbfbe425024f47bd14c3"),
