@@ -33,7 +33,7 @@ import math
 import operator
 import re
 
-from .grid import Record, _set, check_size
+from .grid import Record, check_size
 from .labeling import MapFn, clamp_kernel
 
 
@@ -86,35 +86,38 @@ def _quote(token: str | None) -> str:
 class Const(Record):
     __slots__ = ("value",)
     def __init__(self, value: float) -> None:
-        _set(self, "value", value)
+        self._setters[0](self, value)
 
 
 class Var(Record):
     __slots__ = ("index",)  # 1-based
     def __init__(self, index: int) -> None:
-        _set(self, "index", index)
+        self._setters[0](self, index)
 
 
 class Unary(Record):
     __slots__ = ("op", "arg")  # op: a key of UNARY_OPS
     def __init__(self, op: str, arg: ExprNode) -> None:
-        _set(self, "op", op)
-        _set(self, "arg", arg)
+        set_op, set_arg = self._setters
+        set_op(self, op)
+        set_arg(self, arg)
 
 
 class Binary(Record):
     __slots__ = ("op", "left", "right")  # op: a key of BINARY_OPS
     def __init__(self, op: str, left: ExprNode, right: ExprNode) -> None:
-        _set(self, "op", op)
-        _set(self, "left", left)
-        _set(self, "right", right)
+        set_op, set_left, set_right = self._setters
+        set_op(self, op)
+        set_left(self, left)
+        set_right(self, right)
 
 
 class Pow(Record):
     __slots__ = ("base", "exponent")  # exponent nonnegative
     def __init__(self, base: ExprNode, exponent: int) -> None:
-        _set(self, "base", base)
-        _set(self, "exponent", exponent)
+        set_base, set_exponent = self._setters
+        set_base(self, base)
+        set_exponent(self, exponent)
 
 
 ExprNode = Const | Var | Unary | Binary | Pow

@@ -20,7 +20,7 @@ from dataclasses import FrozenInstanceError
 
 GridPoint = tuple[int, ...]
 
-_new, _set = object.__new__, object.__setattr__
+_new = object.__new__
 
 
 class BoundaryFace(ValueError):
@@ -41,9 +41,18 @@ class Record:
     its ``__slots__``; the shared ``__init__`` fills them from positional and keyword values,
     raises TypeError for a missing, extra, repeated or unknown field, then calls
     ``__post_init__``, where a subclass checks its fields, as on a dataclass.  A subclass
-    writes its own ``__init__`` only to give defaults, or when a hot loop builds it."""
+    writes its own ``__init__`` only to give defaults, or when a hot loop builds it.
+
+    Fields are filled through ``_setters``, each subclass's slot-descriptor setters in
+    ``__slots__`` order, found once when the subclass is made: a setter called as
+    ``setter(record, value)`` skips the frozen ``__setattr__`` and the lookup by name."""
 
     __slots__ = ()
+    _setters: tuple = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._setters = tuple([cls.__dict__[name].__set__ for name in cls.__slots__])
 
     def __init__(self, *args, **kwargs) -> None:
         names = self.__slots__
@@ -52,8 +61,8 @@ class Record:
         if len(args) != len(names) or kwargs:
             raise TypeError(f"{type(self).__name__}() takes each of its fields "
                             f"({', '.join(names)}) once, by position or keyword")
-        for name, value in zip(names, args):
-            _set(self, name, value)
+        for setter, value in zip(self._setters, args):
+            setter(self, value)
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -119,10 +128,10 @@ class StringK(Record):
     every axis beyond k.
 
     Calling ``StringK(...)`` validates all of this.  ``pivot``, ``lift``,
-    ``enumerate_strings``, the walk (its origin and floor-door descents) and
-    the solver, which moves a box's string into its grid, build strings valid
-    by construction through ``_derived``, unchecked; ``search.verify_trace``
-    checks a walk's strings apart.
+    ``enumerate_strings``, the walk (its origin, moves and floor-door
+    descents) and the solver, which moves a box's string into its grid, build
+    strings valid by construction through ``_derived``, unchecked;
+    ``search.verify_trace`` checks a walk's strings apart.
     """
 
     __slots__ = ("k", "base", "perm")
@@ -142,9 +151,10 @@ class StringK(Record):
     def _derived(cls, k: int, base: GridPoint, perm: tuple[int, ...]) -> StringK:
         """A string that is valid by construction, built without checks."""
         s = _new(cls)
-        _set(s, "k", k)
-        _set(s, "base", base)
-        _set(s, "perm", perm)
+        set_k, set_base, set_perm = cls._setters
+        set_k(s, k)
+        set_base(s, base)
+        set_perm(s, perm)
         return s
 
 
@@ -197,6 +207,9 @@ def pivot(spec: GridSpec, b: StringK, h: int) -> tuple[StringK, int]:
     with perm ending in k and a base on the floor of axis k, that face is
     the downward door into the dimension below.  A pivot of a valid string
     is valid, so the result is not checked again (see StringK).
+    ``search.path_follow`` makes the same moves from the vertices it
+    carries, without calling this; it stays the public move and the one
+    the tests' reference walk makes.
     """
     k = b.k
     if k < 1:

@@ -14,7 +14,11 @@ cannot break the one-face rule.  The comparison itself is an exact float
 ``<=`` with no tolerance band.  Every reading of g goes through the map's
 ``MapFn.image``: the generic clamp and checks (``_image``) for any
 evaluator, or for a compiled map the clamp kernel written out for its n
-(``clamp_kernel``), with the same results and errors.
+(``clamp_kernel``), with the same results and errors.  A label that is not
+cached is found by the label kernel for n (``label_kernel``), the miss
+path of ``Labeling.label`` written out with the rule unrolled.  One source
+per n holds both kernels and is compiled once, when the first map or
+labeling of that n is made.
 
 A labeling may also cover a box of w cells per axis inside a finer grid,
 as the solver's restarts do.  The rule (``induced_label``) then forces the
@@ -120,10 +124,64 @@ def bind(fn):
         except Exception as exc:
             raise MapEvaluationFailed(p, f"evaluator raised {{exc!r}}") from exc
     return image
+
+def bind_label(image, cache, forced, spec, lo, m, w, images):
+    {los}, = lo
+    def label(c):
+        try:
+            {cs}, = c
+        except ValueError:
+            inside = False
+        else:
+            inside = {bounds}
+        if not inside:
+            raise ValueError(f"{{c}} is not a point of {{spec}}")
+        k = {highest}
+        if not k or c[k - 1] == w:
+            forced[0] += 1
+            cache[c] = k
+            return k
+        {xs}
+        x = ({xt},)
+        if images is None:
+            gx = image(x)
+        else:
+            gx = images.get(x)
+            if gx is None:
+                gx = images[x] = image(x)
+        {gs}, = gx
+        {rule}
+        else:
+            lab = 0
+        cache[c] = lab
+        return lab
+    return label
 """
 
 
 @lru_cache(maxsize=64)
+def _kernels(n: int) -> dict:
+    """``bind`` (the clamp) and ``bind_label`` (a label miss) for n, compiled from one source."""
+    axes, down = range(n), range(n - 1, -1, -1)
+
+    def names(a: str) -> str:
+        return ", ".join(f"{a}{i}" for i in axes)
+
+    src = _KERNEL.format(
+        n=n, vs=names("v"), los=names("lo"), cs=names("c"), xt=names("x"), gs=names("g"),
+        inside=" and ".join(f"0.0 <= v{i} <= 1.0" for i in axes),
+        bounds=" and ".join(f"0 <= c{i} <= w" for i in axes),
+        # the axis of c's highest nonzero coordinate, the label when that
+        # coordinate is on the top face (or c is the origin)
+        highest=" else ".join([f"{i + 1} if c{i}" for i in down] + ["0"]),
+        xs="\n        ".join(f"x{i} = (lo{i} + c{i}) / m" for i in axes),
+        rule="\n        el".join(
+            f"if c{i} and (c{i} == w or g{i} <= x{i}):\n            lab = {i + 1}" for i in down))
+    names = {"MapEvaluationFailed": MapEvaluationFailed, "clamped": _clamped}
+    exec(compile(src, f"<kernel n={n}>", "exec"), names)
+    return names
+
+
 def clamp_kernel(n: int) -> Callable[[Callable], Callable[[tuple[float, ...]], tuple[float, ...]]]:
     """``_image`` written out for an ``fn`` that returns a tuple of n floats.
 
@@ -132,15 +190,26 @@ def clamp_kernel(n: int) -> Callable[[Callable], Callable[[tuple[float, ...]], t
     floats, as every map that ``functions`` compiles does.  It unpacks the
     n components and, when each lies in [0,1] (so none is NaN), returns
     ``fn``'s tuple as it is, with no loop, ``float``, ``len`` or ``sum``;
-    any other output goes through ``_image``'s own clamp and checks.  The
-    source is compiled once per n and bound to each map's ``fn``.
+    any other output goes through ``_image``'s own clamp and checks.  Its
+    source for n also holds ``label_kernel(n)``; the one source is compiled
+    once per n and bound to each map's ``fn``.
     """
-    vs = [f"v{i}" for i in range(n)]
-    src = _KERNEL.format(vs=", ".join(vs), n=n,
-                         inside=" and ".join(f"0.0 <= {v} <= 1.0" for v in vs))
-    names = {"MapEvaluationFailed": MapEvaluationFailed, "clamped": _clamped}
-    exec(compile(src, f"<clamp kernel n={n}>", "exec"), names)
-    return names["bind"]
+    return _kernels(n)["bind"]
+
+
+def label_kernel(n: int) -> Callable[..., Callable[[GridPoint], int]]:
+    """``Labeling.label``'s miss path written out for n, from the clamp kernel's source.
+
+    ``label_kernel(n)(image, cache, forced, spec, lo, m, w, images)`` labels
+    a tuple ``c`` not in ``cache`` as ``Labeling.label`` describes: it
+    unpacks c, checks 0 <= c_i <= w on every axis (else the ValueError that
+    ``label`` raises), gives a forced point its label and counts it in
+    ``forced[0]``, forms x = ((lo_i + c_i) / m, ...), reads g(x) from
+    ``images`` or evaluates it through ``image`` (storing it there), and
+    applies ``induced_label``'s rule, unrolled from axis n down.  It stores
+    the label in ``cache``.
+    """
+    return _kernels(n)["bind_label"]
 
 
 def induced_label(c: GridPoint, top: int, x: Sequence[float], gx: Sequence[float]) -> int:
@@ -173,19 +242,23 @@ class Labeling:
     The forced points, the origin and the points whose highest nonzero
     coordinate is w, get their label without reading g; every other point
     is evaluated.  Points are labeled one at a time by ``label``, which
-    bounds-checks its argument and caches.  Given ``images``, a table from
-    the real point x to the clamped g(x), it reads g(x) there and stores
-    every image it evaluates, so the labellings of one table (a solve's
-    boxes) evaluate g once per real point.  The whole box is labeled in
-    flat order, the order of ``GridSpec.points()``, by ``sweep``, which
-    caches nothing.  Neither goes through ``MapFn.__call__``: both form the
-    real point as (lo_i + c_i) / M, the floats ``grid.to_real`` gives (a
-    correctly rounded quotient, so one rational is one key at every m),
-    evaluate it through ``source.image``, the map's clamp and checks around
-    its ``fn``, and label it by ``induced_label``'s rule.
+    reads the cache and, on a miss, runs the label kernel for n
+    (``label_kernel``): it bounds-checks the point, labels it and caches
+    it.  Given ``images``, a table from the real point x to the clamped
+    g(x), it reads g(x) there and stores every image it evaluates, so the
+    labellings of one table (a solve's boxes) evaluate g once per real
+    point.  The whole box is labeled in flat order, the order of
+    ``GridSpec.points()``, by ``sweep``, which caches nothing.  Neither
+    goes through ``MapFn.__call__``: both form the real point as
+    (lo_i + c_i) / M, the floats ``grid.to_real`` gives (a correctly
+    rounded quotient, so one rational is one key at every m), evaluate it
+    through ``source.image``, the map's clamp and checks around its
+    ``fn``, and label it by ``induced_label``'s rule.
 
-    w, n, M and ``source.image`` are bound at construction.  At ``lo`` = 0
-    ``label`` forms c_i / M, the same float as (0 + c_i) / M.
+    The kernel is bound at construction to w, M, ``lo``, ``images``,
+    ``source.image`` and the cache.  It counts the forced points in a
+    one-item list it shares with the labeling, and holds no reference to
+    the labeling itself, so no reference cycle keeps a labeling alive.
     """
 
     def __init__(
@@ -207,9 +280,10 @@ class Labeling:
             raise ValueError(f"box {spec} at {self.lo} does not fit in {self.grid}")
         self.images = images
         self._cache: dict[GridPoint, int] = {}
-        self._forced = 0  # cached points whose label was forced
+        self._forced = [0]  # cached points whose label was forced, counted by the kernel
         self._w, self._n, self._m, self._image = w, n, self.grid.m, source.image
-        self._offset = any(self.lo)
+        self._miss = label_kernel(n)(
+            source.image, self._cache, self._forced, spec, self.lo, self._m, w, images)
 
     def grid_point(self, c: GridPoint) -> GridPoint:
         """The grid point that box point ``c`` stands for."""
@@ -219,26 +293,7 @@ class Labeling:
         c = tuple(c)
         lab = self._cache.get(c)
         if lab is None:
-            n, w, m = self._n, self._w, self._m
-            if len(c) != n or min(c) < 0 or (top := max(c)) > w:
-                raise ValueError(f"{c} is not a point of {self.spec}")
-            if top == w or not top:  # the origin, or maybe on a top face
-                k = n
-                while k and not c[k - 1]:
-                    k -= 1
-                if not k or c[k - 1] == w:
-                    self._forced += 1
-                    lab = self._cache[c] = k
-                    return lab
-            if self._offset:
-                x = tuple([(lo + a) / m for lo, a in zip(self.lo, c)])
-            else:
-                x = tuple([a / m for a in c])
-            if (images := self.images) is None:
-                gx = self._image(x)
-            elif (gx := images.get(x)) is None:
-                gx = images[x] = self._image(x)
-            lab = self._cache[c] = induced_label(c, w, x, gx)
+            lab = self._miss(c)
         return lab
 
     def sweep(self) -> Iterator[int]:
@@ -295,7 +350,7 @@ class Labeling:
         """Distinct points labeled through ``label`` so far whose label read
         g(x), not a sweep's and not the forced ones: its map evaluations,
         unless a shared ``images`` table saved some."""
-        return len(self._cache) - self._forced
+        return len(self._cache) - self._forced[0]
 
 
 def labels_of(lab, s: StringK) -> list[int]:

@@ -21,13 +21,15 @@ from __future__ import annotations
 from itertools import accumulate, permutations
 from operator import mul
 
-from .grid import (
-    BoundaryFace,
+# pivot and count_fully_labeled_faces are not called here (the walk moves
+# from the vertices it carries, and the walk and the parity check take
+# doors from the label vector they hold), but bench/tracer.py looks them
+# up in this module.
+from .grid import (  # noqa: F401
     GridSpec,
     Record,
     StringK,
     _new,
-    _set,
     enumerate_strings,
     face_vertices,
     lift,
@@ -35,9 +37,6 @@ from .grid import (
     string_count,
     vertices,
 )
-# count_fully_labeled_faces is not called here (the walk and the parity
-# check take doors from the label vector they hold), but bench/tracer.py
-# looks it up in this module.
 from .labeling import (  # noqa: F401
     Labeling,
     count_fully_labeled_faces,
@@ -220,21 +219,29 @@ def path_follow(spec: GridSpec, lab) -> tuple[StringK, PathTrace]:
     a fully labeled n-string.  The vertices and their labels are carried
     from string to string, in two lists beside the current string: a lift
     or pivot forms and labels only the vertex it brings in, a descent none.
-    The new vertex at entry 0 is the new base; at any other entry e it is
-    vertex e - 1 plus one step on axis ``perm[e - 1]`` of the new string
-    (after a lift, the old top plus a step on axis k + 1), so no vertex is
-    rebuilt from the base.  A string's links depend on its label vector
-    alone, so the walk keeps a link table keyed by the vector, filled from
-    ``doors_of`` (and the one-door check) the first time a vector occurs.
-    Long walks repeat few vectors: over the 40 ``avg-`` walks of a
-    benchmark seed (n = 4..8, about 65,000 steps) 1,120 are distinct, so
-    98% of lookups hit; the short box walks of a solve hit about 22% of
-    the time.
+    Each move is made from the carried vertices as ``pivot`` makes it, but
+    without calling it: exit 0 takes vertex 1 as the new base and brings in
+    the old top one step on along ``perm[0]``, 0 < h < k swaps the steps
+    around vertex h, and exit k brings in the base one step back along
+    ``perm[-1]``.  Exit 0 from a top at m on that axis, or exit k from a
+    base at 0 on an axis other than k, is refused; at 0 on axis k it is the
+    floor door.  The new vertex at entry 0 is the new base; at any other
+    entry e it is vertex e - 1 plus one step on axis ``perm[e - 1]`` of the
+    new string (after a lift, the old top plus a step on axis k + 1), so no
+    vertex is rebuilt from the base.  Each string and ``TraceStep`` is
+    built unchecked, through its class's slot setters.  A string's links
+    depend on its label vector alone, so the walk keeps a link table keyed
+    by the vector, filled from ``doors_of`` (and the one-door check) the
+    first time a vector occurs.  Long walks repeat few vectors: over the 40
+    ``avg-`` walks of a benchmark seed (n = 4..8, about 65,000 steps) 1,120
+    are distinct, so 98% of lookups hit; the short box walks of a solve hit
+    about 22% of the time.
 
     Raises LabelingInvalid as soon as the labeling breaks one of the
-    boundary rules the walk relies on, and StepLimitExceeded if more
-    strings are visited at some level than exist there (a bug guard;
-    cycles are impossible when the degree bound holds).
+    boundary rules the walk relies on (a door pinned to the grid boundary
+    is refused before its outside vertex is read), and StepLimitExceeded
+    if more strings are visited at some level than exist there (a bug
+    guard; cycles are impossible when the degree bound holds).
     """
     n, m = spec.n, spec.m
     label = lab.label
@@ -249,6 +256,8 @@ def path_follow(spec: GridSpec, lab) -> tuple[StringK, PathTrace]:
     verts = vertices(current)
     labels = [label(v) for v in verts]
     link_table: dict[tuple[int, ...], list[int | None]] = {}
+    derived = StringK._derived
+    set_level, set_string, set_entry, set_exit = TraceStep._setters
 
     while True:
         k = current.k
@@ -272,10 +281,10 @@ def path_follow(spec: GridSpec, lab) -> tuple[StringK, PathTrace]:
             raise LabelingInvalid(f"entry {entry} of {current} is not one of its links {links}")
         exit_h = links[1] if links[0] == entry else links[0]
         step = _new(TraceStep)  # built unchecked, as StringK._derived builds strings
-        _set(step, "level", k)
-        _set(step, "string", current)
-        _set(step, "entry", entry)
-        _set(step, "exit", exit_h)
+        set_level(step, k)
+        set_string(step, current)
+        set_entry(step, entry)
+        set_exit(step, exit_h)
         steps.append(step)
 
         if exit_h is None:
@@ -283,25 +292,32 @@ def path_follow(spec: GridSpec, lab) -> tuple[StringK, PathTrace]:
                 return current, PathTrace(tuple(steps), OUTCOME_FOUND)
             current, entry = lift(current), k + 1
         else:
-            try:
-                current, entry = pivot(spec, current, exit_h)
-            except BoundaryFace:
-                floor_door = (
-                    exit_h == k and current.perm[-1] == k and current.base[k - 1] == 0
-                )
-                if not floor_door:
-                    raise LabelingInvalid(
-                        f"door {exit_h} of {current} is pinned to the grid boundary, "
-                        "which the boundary rules forbid"
-                    ) from None
-                if k == 1:
-                    raise LabelingInvalid(
-                        "walk descended back to the origin; labeling is not Brouwer"
-                    ) from None
-                current, entry = StringK._derived(k - 1, current.base, current.perm[:-1]), None
-                labels.pop()
-                verts.pop()
-                continue
+            base, perm = current.base, current.perm
+            if exit_h == k:  # drop the top, step below the base on perm's last axis
+                axis = perm[-1]
+                if not base[axis - 1]:
+                    if axis != k:
+                        raise _pinned(exit_h, current)
+                    # the floor door into the dimension below
+                    if k == 1:
+                        raise LabelingInvalid(
+                            "walk descended back to the origin; labeling is not Brouwer")
+                    current, entry = derived(k - 1, base, perm[:-1]), None
+                    labels.pop()
+                    verts.pop()
+                    continue
+                v = list(base)
+                v[axis - 1] -= 1
+                current, entry = derived(k, tuple(v), (axis,) + perm[:-1]), 0
+            elif exit_h:  # swap the two steps around vertex exit_h
+                swapped = list(perm)
+                swapped[exit_h - 1], swapped[exit_h] = perm[exit_h], perm[exit_h - 1]
+                current, entry = derived(k, base, tuple(swapped)), exit_h
+            else:  # drop the base, step past the top on perm's first axis
+                axis = perm[0]
+                if verts[k][axis - 1] == m:
+                    raise _pinned(exit_h, current)
+                current, entry = derived(k, verts[1], perm[1:] + (axis,)), k
             del labels[exit_h], verts[exit_h]
         # the vertex brought in is the base, or its neighbour below it in
         # the string plus one step on the axis between them
@@ -313,6 +329,11 @@ def path_follow(spec: GridSpec, lab) -> tuple[StringK, PathTrace]:
             v = current.base
         verts.insert(entry, v)
         labels.insert(entry, label(v))
+
+
+def _pinned(exit_h: int, s: StringK) -> LabelingInvalid:
+    return LabelingInvalid(
+        f"door {exit_h} of {s} is pinned to the grid boundary, which the boundary rules forbid")
 
 
 def verify_trace(lab, trace: PathTrace) -> None:

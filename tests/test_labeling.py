@@ -1,8 +1,12 @@
 """Induced labelings, boundary rules, fully labeled queries."""
 
 import dataclasses
+import gc
 import itertools
+import random
+import weakref
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +26,8 @@ from stringchase import (
     parse,
     vertices,
 )
-from stringchase.labeling import induced_label
+from stringchase import labeling
+from stringchase.labeling import _image, induced_label
 
 REFLECT = builtin("reflect1d")
 CONST_HALF = builtin("const-0.5,0.5")
@@ -414,6 +419,118 @@ def test_labellings_sharing_an_image_table_evaluate_each_real_point_once(data):
                         if forced_label(c, box.m) is None)
     assert set(calls) == set(images) == unforced and max(calls.values(), default=1) == 1
     assert all(images[x] == g(x) for x in calls)
+
+
+def _affine_text(n, rnd):
+    """An affine map of n components as ``parse`` text, compiled behind the
+    clamp kernel; its coefficients in [-1, 1] push some images out of the
+    cube, so the kernel's clamp is read too."""
+    def component():
+        terms = [f"{rnd.randint(0, 100) / 100}"]
+        for i in rnd.sample(range(1, n + 1), min(n, 3)):
+            terms.append(f"{rnd.choice('+-')} {rnd.randint(0, 100) / 100}*x{i}")
+        return " ".join(terms)
+    return "; ".join(component() for _ in range(n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_the_label_kernel_follows_the_reference_rule_at_every_n(data):
+    # a label miss runs the kernel written out for n (labeling.label_kernel).
+    # At n = 1..12 it must give induced_label's label over _image at the
+    # point to_real gives, on whole grids and offset boxes, with and without
+    # an image table, for tuple and list points; refuse a point of the wrong
+    # length or with a coordinate outside 0..w with label's message; and
+    # count in evals, and evaluate, each unforced point once.  The map
+    # raises at the forced points, which must label without reading it
+    rnd = data.draw(st.randoms(use_true_random=False))
+    n, w = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 4))
+    if data.draw(st.booleans()):
+        spec = grid = GridSpec(n, w)
+        lo = (0,) * n
+    else:
+        spec, grid = GridSpec(n, w), GridSpec(n, w + data.draw(st.integers(1, 4)))
+        lo = tuple(rnd.randint(0, grid.m - w) for _ in range(n))
+    if data.draw(st.booleans()):
+        g = parse(_affine_text(n, rnd), n).as_map_fn()
+    else:
+        g = random_affine_map(n, rnd)
+    points = [tuple(rnd.choice((0, w, rnd.randint(0, w))) for _ in range(n))
+              for _ in range(30)]
+    forced = {grid.to_real(tuple(a + b for a, b in zip(lo, c)))
+              for c in points if forced_label(c, w) is not None}
+    calls = Counter()
+
+    def faulting_at_forced(x):
+        calls[x] += 1
+        if x in forced:
+            raise ZeroDivisionError("a forced point was evaluated")
+        return g.fn(x)
+
+    images = {} if data.draw(st.booleans()) else None
+    lab = Labeling(spec, dataclasses.replace(g, fn=faulting_at_forced), grid, lo, images)
+    bad = [(0,) * (n + 1), (w,) * (n - 1)] if n > 1 else [(0, 0), ()]
+    for _ in range(4):
+        c, i = list(rnd.choice(points)), rnd.randrange(n)
+        c[i] = rnd.choice((-1, w + 1))
+        bad.append(tuple(c))
+    unforced = set()
+    for c in rnd.sample(points + bad, len(points + bad)):
+        arg = list(c) if rnd.random() < 0.5 else c
+        if c in bad:
+            with pytest.raises(ValueError) as err:
+                lab.label(arg)
+            assert str(err.value) == f"{c} is not a point of {spec}"
+            continue
+        x = grid.to_real(tuple(a + b for a, b in zip(lo, c)))
+        assert lab.label(arg) == induced_label(c, w, x, _image(g.fn, n, x)), (c, x)
+        if forced_label(c, w) is None:
+            unforced.add(x)
+    assert lab.evals == len(unforced)
+    assert set(calls) == unforced and max(calls.values(), default=1) == 1
+    if images is not None:
+        assert images == {x: _image(g.fn, n, x) for x in unforced}
+
+
+def test_a_labeling_is_freed_without_the_cycle_collector():
+    # the label kernel holds the cache and the forced count, not the
+    # labeling, so dropping the last reference frees it at once
+    gc.disable()
+    try:
+        for g in (builtin("rot90"), random_affine_map(2, random.Random(3))):
+            lab = Labeling(GridSpec(2, 4), g, GridSpec(2, 8), (1, 2), {})
+            assert [lab.label(c) for c in ((0, 0), (4, 1), (1, 1), (2, 3))]
+            freed = weakref.ref(lab)
+            del lab
+            assert freed() is None
+    finally:
+        gc.enable()
+
+
+def test_the_kernel_source_is_compiled_once_per_n(monkeypatch):
+    # the clamp kernel and the label kernel of n come from one source,
+    # compiled when the first map or labelling of n needs it: more maps,
+    # labellings and boxes of that n compile nothing more
+    compiled = []
+
+    def counting(source, filename, mode):
+        compiled.append(filename)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(labeling, "compile", counting, raising=False)
+    # an empty cache for this test alone: the session's maps keep theirs
+    monkeypatch.setattr(labeling, "_kernels", lru_cache(labeling._kernels.__wrapped__))
+    rnd = random.Random(5)
+    maps = [builtin("avg-0.1,0.2,0.3,0.4,0.5"), builtin("const-0.9,0.8,0.7,0.6,0.5"),
+            parse(_affine_text(5, rnd), 5).as_map_fn(), random_affine_map(5, rnd)]
+    for g in maps:
+        for lab in (Labeling(GridSpec(5, 3), g), Labeling(GridSpec(5, 8), g),
+                    Labeling(GridSpec(5, 2), g, GridSpec(5, 16), (3, 1, 4, 1, 5), {})):
+            assert [lab.label(c) for c in ((1, 1, 1, 1, 1), (2, 0, 1, 0, 1))]
+    assert compiled == ["<kernel n=5>"]
+    assert labeling.clamp_kernel(5) is labeling._kernels(5)["bind"]
+    assert labeling.label_kernel(5) is labeling._kernels(5)["bind_label"]
+    assert compiled == ["<kernel n=5>"]
 
 
 # fully labeled queries

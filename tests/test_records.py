@@ -193,6 +193,31 @@ def _classes(module):
             if obj.__module__ == module.__name__]
 
 
+def _record_subclasses():
+    found, todo = [], [Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            found.append(cls)
+            todo.append(cls)
+    return found
+
+
+def test_every_record_sets_its_fields_through_its_slot_setters_in_order():
+    # Record.__init__, StringK._derived, the walk's TraceStep and the
+    # expression nodes fill a record's fields through its class's _setters:
+    # setter i must be the __set__ of the slot named by __slots__[i]
+    classes = _record_subclasses()
+    assert {type(record) for record, _ in RECORDS} <= set(classes)
+    for cls in classes:
+        names = cls.__slots__
+        assert len(cls._setters) == len(names), cls
+        for name, setter in zip(names, cls._setters):
+            assert setter.__self__ is vars(cls)[name], (cls, name)
+            blank, value = object.__new__(cls), object()
+            setter(blank, value)
+            assert getattr(blank, name) is value
+
+
 def test_only_map_fns_are_dataclasses():
     # MapFn (and so CompiledMap) stays a dataclass, since dataclasses.replace
     # on it is used; any other value class is a Record

@@ -183,6 +183,32 @@ def test_path_rejects_invalid_labeling():
         path_follow(spec, lab)
 
 
+@pytest.mark.parametrize("n, m, table, message", [
+    # exit 0 past the top face: the bottom edge labelled 0 up to x = m
+    (2, 2, {}, "door 0 of StringK(k=1, base=(1, 0), perm=(1,))"),
+    (2, 1, {(1, 0): 1}, "door 0 of StringK(k=2, base=(0, 0), perm=(1, 2))"),
+    (3, 1, {(1, 0, 0): 1, (1, 1, 0): 2},
+     "door 0 of StringK(k=3, base=(0, 0, 0), perm=(1, 2, 3))"),
+    # exit k below the floor of an axis other than k: not the floor door
+    (2, 3, {(1, 0): 1, (1, 1): 1, (0, 1): 1}, "door 2 of StringK(k=2, base=(0, 0), perm=(2, 1))"),
+    (3, 2, {(1, 0, 0): 1, (1, 1, 0): 2, (1, 1, 1): 2, (1, 0, 1): 2},
+     "door 3 of StringK(k=3, base=(0, 0, 0), perm=(1, 3, 2))"),
+])
+def test_walk_refuses_a_door_pinned_to_the_grid_boundary(n, m, table, message):
+    # the walk moves from the vertices it carries, not through pivot, so it
+    # checks the grid's faces itself: a door whose pivot would bring in a
+    # vertex outside the grid raises, as the reference walk's BoundaryFace
+    # does, before any such vertex is read.  Every point missing from the
+    # table is labelled 0
+    spec = GridSpec(n, m)
+    labels = dict.fromkeys(spec.points(), 0) | table
+    for walk in (path_follow, reference_walk):
+        with pytest.raises(LabelingInvalid) as err:
+            walk(spec, ExplicitLabeling(spec, labels))
+        assert str(err.value) == f"{message} is pinned to the grid boundary, " \
+            "which the boundary rules forbid"
+
+
 def test_path_rejects_a_labeling_that_changes_its_answer():
     # with fixed labels the face a walk enters by is a door of both strings,
     # so only a labelling that answers a second read differently can break
