@@ -198,7 +198,10 @@ class CompiledMap(MapFn):
     bound to ``fn``, in place of the generic ``_image``.  The kernel calls
     ``fn``, so ``dataclasses.replace(g, fn=...)``, which keeps the class,
     binds it to the new ``fn``, which must return a tuple of n floats too.
+    ``Labeling.sweep`` calls ``fn`` itself, through the same checks.
     """
+
+    fn_gives_floats = True
 
     def __post_init__(self):
         super().__post_init__()  # checks n

@@ -11,14 +11,17 @@ Brouwer boundary rules that the string search relies on:
 Map outputs are clamped componentwise into [0,1] before comparison, so a
 map that drifts epsilon outside the cube through floating-point roundoff
 cannot break the one-face rule.  The comparison itself is an exact float
-``<=`` with no tolerance band.  Every reading of g goes through the map's
+``<=`` with no tolerance band.  A reading of g goes through the map's
 ``MapFn.image``: the generic clamp and checks (``_image``) for any
 evaluator, or for a compiled map the clamp kernel written out for its n
 (``clamp_kernel``), with the same results and errors.  A label that is not
 cached is found by the label kernel for n (``label_kernel``), the miss
 path of ``Labeling.label`` written out with the rule unrolled.  One source
 per n holds both kernels and is compiled once, when the first map or
-labeling of that n is made.
+labeling of that n is made.  A whole box is labeled by the sweep kernel
+for n (``Labeling.sweep``), from its own source, compiled on the first
+sweep of that n: it calls a compiled map's ``fn`` itself, with the clamp
+kernel's checks inline, and reads any other map through ``image``.
 
 A labeling may also cover a box of w cells per axis inside a finer grid,
 as the solver's restarts do.  The rule (``induced_label``) then forces the
@@ -37,7 +40,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import product
+from itertools import chain, product
 
 from .grid import GridPoint, GridSpec, StringK, check_size, vertices
 
@@ -64,7 +67,8 @@ class MapFn:
     and n on construction, is that clamp and those checks on a tuple of
     floats: ``_image`` bound to ``fn`` here, the clamp kernel for n in
     ``functions.CompiledMap``.  Calling the MapFn and
-    ``Labeling`` both evaluate through it, so a map made by
+    ``Labeling`` both evaluate through it (a sweep of a ``CompiledMap``
+    calls ``fn`` itself, with the clamp kernel's checks), so a map made by
     ``dataclasses.replace(g, fn=...)`` evaluates its new ``fn`` everywhere.
     """
 
@@ -73,6 +77,10 @@ class MapFn:
     name: str = "map"
     image: Callable[[tuple[float, ...]], tuple[float, ...]] = field(
         init=False, repr=False, compare=False)
+
+    # whether ``fn`` returns a tuple of n floats, as ``functions.CompiledMap``'s
+    # does, so that a sweep can call it and check its tuple inline
+    fn_gives_floats = False
 
     def __post_init__(self):
         check_size("dimension", self.n, 1)
@@ -115,7 +123,7 @@ def bind(fn):
     def image(p):
         try:
             out = fn(p)
-            {vs}, = out
+            {gs}, = out
             if {inside}:
                 return out
             return clamped(p, {n}, out)
@@ -158,28 +166,101 @@ def bind_label(image, cache, forced, spec, lo, m, w, images):
     return label
 """
 
+# Rows along axis n, c_n = w forced to n.  A row whose head leaves c_n = 0
+# to the boundary rules starts with that label and walks the rest.  A row
+# that fails yields the labels before the failing point, then raises.
+_SWEEP = """\
+def sweep(f, cache, lo, m, w):
+    def rows():
+        {los}, = lo
+        {heads}
+        row_n = [(c, (lo{t} + c) / m) for c in range(w)]
+        rest = row_n[1:]
+        for {pairs} in product({hs}):
+            if {free}:
+                row, points = [], row_n
+            else:
+                row, points = [{low}], rest
+            try:
+                for c{t}, x{t} in points:
+                    if cache and (lab := cache.get(({cs},))) is not None:
+                        row.append(lab)
+                        continue
+                    x = ({xt},)
+                    out = f(x)
+                    {gs}, = out
+                    if not ({inside}):
+                        {gs}, = clamped(x, {n}, out)
+                    {sweep_rule}
+                    else:
+                        lab = 0
+                    row.append(lab)
+            except Exception as exc:
+                yield row
+                if isinstance(exc, MapEvaluationFailed):
+                    raise
+                raise MapEvaluationFailed(x, f"evaluator raised {{exc!r}}") from exc
+            row.append({n})
+            yield row
+    return chain.from_iterable(rows())
+"""
+
+
+def _source(template: str, n: int) -> str:
+    """``template`` written out for n, with its tests unrolled over the axes."""
+    t = n - 1
+
+    def names(a: str, k: int = n) -> str:
+        return ", ".join(f"{a}{i}" for i in range(k))
+
+    def highest(k: int) -> str:
+        # the axis of the highest nonzero of c_1..c_k, the label when that
+        # coordinate is on the top face (or all k are 0)
+        return " else ".join([f"{i + 1} if c{i}" for i in reversed(range(k))] + ["0"])
+
+    def rule(indent: str, top: str) -> str:
+        # induced_label's rule from axis n down; ``top`` is axis n's test
+        tests = [top] + [f"c{i} and (c{i} == w or g{i} <= x{i})" for i in reversed(range(t))]
+        return f"\n{indent}el".join(
+            f"if {test}:\n{indent}    lab = {n - j}" for j, test in enumerate(tests))
+
+    return template.format(
+        n=n, t=t, los=names("lo"), cs=names("c"), xt=names("x"), gs=names("g"),
+        inside=" and ".join(f"0.0 <= g{i} <= 1.0" for i in range(n)),
+        bounds=" and ".join(f"0 <= c{i} <= w" for i in range(n)),
+        highest=highest(n),
+        xs="\n        ".join(f"x{i} = (lo{i} + c{i}) / m" for i in range(n)),
+        rule=rule(" " * 8, f"c{t} and (c{t} == w or g{t} <= x{t})"),
+        # a sweep row's head: the (c_i, x_i) pairs of each axis before n, and
+        # whether its highest nonzero axis leaves c_n = 0 to g; else the
+        # boundary rules give that point the axis as its label (``low``)
+        heads="\n        ".join(
+            f"h{i} = [(c, (lo{i} + c) / m) for c in range(w + 1)]" for i in range(t)),
+        pairs="".join(f"(c{i}, x{i}), " for i in range(t)).rstrip() or "()",
+        hs=names("h", t),
+        free=" else ".join([f"c{i} != w if c{i}" for i in reversed(range(t))] + ["False"]),
+        low=highest(t),
+        sweep_rule=rule(" " * 20, f"c{t} and g{t} <= x{t}"))
+
+
+def _run(src: str, filename: str) -> dict:
+    """The names that ``src``, compiled as ``filename``, defines."""
+    names = {"MapEvaluationFailed": MapEvaluationFailed, "clamped": _clamped,
+             "chain": chain, "product": product}
+    exec(compile(src, filename, "exec"), names)
+    return names
+
 
 @lru_cache(maxsize=64)
 def _kernels(n: int) -> dict:
     """``bind`` (the clamp) and ``bind_label`` (a label miss) for n, compiled from one source."""
-    axes, down = range(n), range(n - 1, -1, -1)
+    return _run(_source(_KERNEL, n), f"<kernel n={n}>")
 
-    def names(a: str) -> str:
-        return ", ".join(f"{a}{i}" for i in axes)
 
-    src = _KERNEL.format(
-        n=n, vs=names("v"), los=names("lo"), cs=names("c"), xt=names("x"), gs=names("g"),
-        inside=" and ".join(f"0.0 <= v{i} <= 1.0" for i in axes),
-        bounds=" and ".join(f"0 <= c{i} <= w" for i in axes),
-        # the axis of c's highest nonzero coordinate, the label when that
-        # coordinate is on the top face (or c is the origin)
-        highest=" else ".join([f"{i + 1} if c{i}" for i in down] + ["0"]),
-        xs="\n        ".join(f"x{i} = (lo{i} + c{i}) / m" for i in axes),
-        rule="\n        el".join(
-            f"if c{i} and (c{i} == w or g{i} <= x{i}):\n            lab = {i + 1}" for i in down))
-    names = {"MapEvaluationFailed": MapEvaluationFailed, "clamped": _clamped}
-    exec(compile(src, f"<kernel n={n}>", "exec"), names)
-    return names
+@lru_cache(maxsize=64)
+def _sweep_kernel(n: int) -> Callable[..., Iterator[int]]:
+    """``Labeling.sweep`` written out for n, compiled from its own source on the first sweep of n."""
+    return _run(_source(_SWEEP, n), f"<sweep n={n}>")["sweep"]
 
 
 def clamp_kernel(n: int) -> Callable[[Callable], Callable[[tuple[float, ...]], tuple[float, ...]]]:
@@ -248,12 +329,13 @@ class Labeling:
     g(x), it reads g(x) there and stores every image it evaluates, so the
     labellings of one table (a solve's boxes) evaluate g once per real
     point.  The whole box is labeled in flat order, the order of
-    ``GridSpec.points()``, by ``sweep``, which caches nothing.  Neither
-    goes through ``MapFn.__call__``: both form the real point as
-    (lo_i + c_i) / M, the floats ``grid.to_real`` gives (a correctly
-    rounded quotient, so one rational is one key at every m), evaluate it
-    through ``source.image``, the map's clamp and checks around its
-    ``fn``, and label it by ``induced_label``'s rule.
+    ``GridSpec.points()``, by ``sweep``, which runs the sweep kernel for n
+    and caches nothing.  Neither goes through ``MapFn.__call__``: both form
+    the real point as (lo_i + c_i) / M, the floats ``grid.to_real`` gives
+    (a correctly rounded quotient, so one rational is one key at every m),
+    evaluate it with the map's clamp and checks around its ``fn`` (the
+    sweep calls a compiled map's ``fn`` and checks it inline, one call a
+    point), and label it by ``induced_label``'s rule.
 
     The kernel is bound at construction to w, M, ``lo``, ``images``,
     ``source.image`` and the cache.  It counts the forced points in a
@@ -281,7 +363,7 @@ class Labeling:
         self.images = images
         self._cache: dict[GridPoint, int] = {}
         self._forced = [0]  # cached points whose label was forced, counted by the kernel
-        self._w, self._n, self._m, self._image = w, n, self.grid.m, source.image
+        self._w, self._n, self._m, self._source = w, n, self.grid.m, source
         self._miss = label_kernel(n)(
             source.image, self._cache, self._forced, spec, self.lo, self._m, w, images)
 
@@ -299,51 +381,27 @@ class Labeling:
     def sweep(self) -> Iterator[int]:
         """The label of every box point, in flat order: ``spec.points()`` order.
 
-        The box is read as rows along axis n, the last, fastest axis: one row
-        per head, the first n-1 coordinates in flat order.  A head's highest
-        nonzero axis f and its real coordinates, (lo_i + c) / M as
-        ``to_real`` gives them, are found once per row.  c_n = w is forced
-        to label n, cached or not.  Below it, a point in the cache is read,
-        the cache only when it is non-empty, and c_n = 0 is forced to label
-        f when f = 0 or head_f = w.  Every other point is evaluated through
-        ``source.image`` and gets ``induced_label``'s label: n when c_n > 0
-        and g_n(x) <= x_n, else the largest k <= f with head_k > 0 and
-        (head_k = w or g_k(x) <= x_k), else 0.  A sweep, which visits each
-        point once, neither caches nor uses ``images``.  A failing map
-        raises MapEvaluationFailed at its first failing point in flat order
-        that is neither cached nor forced, with the message ``MapFn`` gives.
+        The sweep kernel for n (``_sweep_kernel``), compiled on the first
+        sweep of n, reads the box as rows along axis n, the last, fastest
+        axis: one row per head, the first n-1 coordinates in flat order, in
+        one loop over the heads.  c_n = w is forced to label n, and c_n = 0
+        to the head's highest nonzero axis f when f = 0 or head_f = w; a
+        point in the cache is read, the cache only when it is non-empty.
+        Every other point is x = ((lo_i + c_i) / M, ...), as ``to_real``
+        gives it, evaluated once, and gets ``induced_label``'s label, the
+        rule unrolled from axis n down.  A ``CompiledMap``'s ``fn`` is
+        called directly and its tuple checked in [0,1] inline, as the clamp
+        kernel does; any other map is read through ``source.image``.  Rows
+        are built as lists and flattened by ``chain.from_iterable``, so the
+        sweep stays lazy a row at a time.  A sweep, which visits each point
+        once, neither caches nor uses ``images``.  A failing map raises
+        MapEvaluationFailed at its first failing point in flat order that
+        is neither cached nor forced, with the message ``MapFn`` gives,
+        after the labels before it.
         """
-        cache, image, n, w, m = self._cache, self._image, self._n, self._w, self._m
-        reals = [[(lo + c) / m for c in range(w + 1)] for lo in self.lo]
-        row = list(enumerate(reals[-1][:w]))  # (c_n, x_n) for c_n < w
-        for head, prefix in zip(product(range(w + 1), repeat=n - 1), product(*reals[:-1])):
-            # the axes k <= f that g decides, from f down to the first on
-            # the top face, whose label k is then the row's fallback
-            checks, low = [], 0
-            for i in range(n - 2, -1, -1):
-                if head[i] == w:
-                    low = i + 1
-                    break
-                if head[i]:
-                    checks.append((i, prefix[i]))
-            for cn, xn in row:
-                if cache and (lab := cache.get(head + (cn,))) is not None:
-                    yield lab
-                    continue
-                if not checks and not cn:  # forced: f = 0 or head_f = w
-                    yield low
-                    continue
-                gx = image(prefix + (xn,))
-                if cn and gx[-1] <= xn:
-                    yield n
-                    continue
-                for i, xi in checks:
-                    if gx[i] <= xi:
-                        yield i + 1
-                        break
-                else:
-                    yield low
-            yield n
+        source = self._source
+        f = source.fn if source.fn_gives_floats else source.image
+        return _sweep_kernel(self._n)(f, self._cache, self.lo, self._m, self._w)
 
     @property
     def evals(self) -> int:

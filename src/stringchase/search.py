@@ -135,16 +135,18 @@ def parity_check(spec: GridSpec, lab, budget: int = DEFAULT_BUDGET) -> ParityRep
     Each grid point's label is read once, into a list in flat order, the
     order of ``GridSpec.points()``, so axis i has stride (m+1)^(n-i).  A
     ``Labeling`` of ``spec`` fills the list in one sweep
-    (``Labeling.sweep``), row by row along axis n.  It reads the points it
-    has cached (only when it has any), labels the rest without caching
-    them, evaluating the map only where the boundary rules do not force
-    the label (each row's c_n = m point, and its c_n = 0 point when the
-    rest of the row fixes it), and skips ``label``'s bounds check, since
-    every point comes from the grid; any other labeling is read point by
-    point through ``label``.  A k-string is its flat base plus one of k!
-    offset rows, and its doors follow from its labels in O(k)
-    (``doors_of``).  A door is counted under its flat vertices in string
-    order, which is canonical because coordinate sums rise along a string.
+    (``Labeling.sweep``), the sweep kernel compiled for n, row by row
+    along axis n.  It reads the points it has cached (only when it has
+    any), labels the rest without caching them, evaluating the map once
+    (one call of a compiled map's ``fn``) only where the boundary rules do
+    not force the label (each row's c_n = m point, and its c_n = 0 point
+    when the rest of the row fixes it), and skips ``label``'s bounds
+    check, since every point comes from the grid; any other labeling is
+    read point by point through ``label``.  A k-string is its flat base
+    plus one of k! offset rows, and its doors follow from its labels in
+    O(k) (``doors_of``).  A door is counted under its flat vertices in
+    string order, which is canonical because coordinate sums rise along a
+    string.
 
     Only the strings of some cells are read.  A string with a door holds
     every label 0..k-1, and its k+1 vertices are corners of the unit cell

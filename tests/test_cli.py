@@ -248,6 +248,15 @@ def test_labels_stop_at_the_first_failing_point(capsys, monkeypatch):
     assert out == "i1,i2,x1,x2,label\n0,0,0,0,0\n0,1,0,0.5,2\n0,2,0,1,2\n1,0,0.5,0,0\n"
     assert err == ("error: map evaluation failed at (0.5, 0.5): "
                    "evaluator raised ZeroDivisionError('boom')\n")
+    # a compiled map, whose fn the sweep calls itself, overflows mid-row
+    code, out, err = run_cli(capsys, "labels", "--map", "0.5*(x1+x2)^1500; 0.5",
+                             "--n", "2", "--m", "4")
+    assert code == EXIT_USAGE
+    assert out.endswith("\n4,1,1,0.25,1\n4,2,1,0.5,2\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8406a0e30203dbe2601f24ee3740b71e982e685aed2f04d2875ab8e844bf2e06")
+    assert err.startswith("error: map evaluation failed at (1.0, 0.75): "
+                          "evaluator raised OverflowError(") and err.count("\n") == 1
 
 
 def test_solve_oracle_engine_respects_budget(capsys):

@@ -17,6 +17,7 @@ from stringchase import (
     Labeling,
     MapEvaluationFailed,
     MapFn,
+    SolveConfig,
     StringK,
     builtin,
     count_fully_labeled_faces,
@@ -24,6 +25,8 @@ from stringchase import (
     is_fully_labeled,
     labels_of,
     parse,
+    path_follow,
+    solve,
     vertices,
 )
 from stringchase import labeling
@@ -210,9 +213,10 @@ SWEEP_CATALOG = ("reflect1d", "dottie", "squeeze", "rot90", "const-0.5,0.25",
                  "avg-0.3,0.6,0.9", "avg-0.2,0.9,0.4,0.7", "const-0,1,0.5,0.25")
 
 
-def random_box(data, n):
-    """A box of at most 6 cells per axis: a whole grid or shifted in one."""
-    w = data.draw(st.integers(1, 6))
+def random_box(data, n, points=1024):
+    """A box of at most 6 cells per axis and about ``points`` points: a
+    whole grid or shifted in one."""
+    w = data.draw(st.integers(1, max(1, min(6, round(points ** (1 / n)) - 1))))
     if not data.draw(st.booleans()):
         return GridSpec(n, w), None, None
     grid = GridSpec(n, w + data.draw(st.integers(1, 6)))
@@ -220,18 +224,30 @@ def random_box(data, n):
     return GridSpec(n, w), grid, lo
 
 
-@settings(max_examples=80, deadline=None)
+def sweep_map(data, n, rnd):
+    """A compiled map (a builtin or a parsed affine map) or a generic one of n."""
+    kind = data.draw(st.sampled_from(["builtin", "compiled", "generic"]))
+    if kind == "builtin":
+        names = [name for name in SWEEP_CATALOG if builtin(name).n == n]
+        if names:
+            return builtin(data.draw(st.sampled_from(names)))
+        kind = "compiled"
+    if kind == "compiled":
+        return parse(_affine_text(n, rnd), n).as_map_fn()
+    return random_affine_map(n, rnd)
+
+
+@settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_sweep_equals_per_point_labels(data):
     # on top of any earlier label calls, the sweep reads the cached points,
     # gives the forced ones their label without evaluating, evaluates
     # exactly the others, matches a fresh labelling point by point and
-    # leaves the cache, the image table and evals as they were
+    # leaves the cache, the image table and evals as they were: at every
+    # n = 1..12 the sweep kernel of n is written out, for compiled maps
+    # (whose fn it calls itself) and generic ones (read through image)
     rnd = data.draw(st.randoms(use_true_random=False))
-    if data.draw(st.booleans()):
-        g = builtin(data.draw(st.sampled_from(SWEEP_CATALOG)))
-    else:
-        g = random_affine_map(data.draw(st.integers(1, 4)), rnd)
+    g = sweep_map(data, data.draw(st.integers(1, 12)), rnd)
     spec, grid, lo = random_box(data, g.n)
     calls = Counter()
 
@@ -259,12 +275,33 @@ def test_sweep_equals_per_point_labels(data):
     assert calls == uncached
 
 
+@pytest.mark.parametrize("n", [20, 24])
+def test_the_sweep_is_one_loop_over_the_rows_at_high_n(n):
+    # a kernel nested one loop per axis would not compile from n = 20 on
+    # (too many statically nested blocks); the sweep is lazy, so its first
+    # 2,000 labels are read alone, on a whole grid and on an offset box
+    rnd = random.Random(n)
+    for g in (parse(_affine_text(n, rnd), n).as_map_fn(), random_affine_map(n, rnd)):
+        for spec, grid, lo in ((GridSpec(n, 2), None, None),
+                               (GridSpec(n, 2), GridSpec(n, 5),
+                                tuple(rnd.randint(0, 3) for _ in range(n)))):
+            lab = Labeling(spec, g, grid, lo)
+            lab.label((0,) * (n - 1) + (1,))  # one cached point
+            fresh = Labeling(spec, g, grid, lo)
+            head = [fresh.label(c) for c in itertools.islice(spec.points(), 2000)]
+            assert list(itertools.islice(lab.sweep(), 2000)) == head
+            assert len(set(head)) > 2
+
+
+@pytest.mark.parametrize("compiled", [False, True], ids=["generic", "compiled"])
 @settings(max_examples=80, deadline=None)
-@given(st.data(), st.sampled_from(["raise", "nan", "count", "text", "bytes"]))
-def test_sweep_fails_at_the_first_bad_point_in_flat_order(data, fault):
+@given(st.data(), st.sampled_from(["raise", "nan", "count", "text", "bytes", "range"]))
+def test_sweep_fails_at_the_first_bad_point_in_flat_order(compiled, data, fault):
     # bad points are drawn from the whole box; the sweep fails at the first
     # one in flat order whose label is not forced, or not at all when every
-    # bad point is forced, since a forced label reads no g(x)
+    # bad point is forced, since a forced label reads no g(x).  A compiled
+    # map's fn is called by the sweep kernel itself, which must fail as its
+    # clamp kernel does; values out of [0, 1] clamp and fail nowhere
     rnd = data.draw(st.randoms(use_true_random=False))
     n = data.draw(st.integers(1, 3))
     spec, grid, lo = random_box(data, n)
@@ -276,15 +313,19 @@ def test_sweep_fails_at_the_first_bad_point_in_flat_order(data, fault):
         if fault == "raise":
             raise ZeroDivisionError("boom")
         return {"nan": (0.5,) * (n - 1) + (float("nan"),), "count": (0.5,) * (n + 1),
-                "text": ("0.25",) * n, "bytes": (b"0.3",) * n}[fault]
+                "text": ("0.25",) * n, "bytes": (b"0.3",) * n,
+                "range": (1.5,) + (-0.25,) * (n - 1)}[fault]
 
-    g = MapFn(n, fn)
+    if compiled:
+        g = dataclasses.replace(parse("; ".join(["0.5"] * n), n).as_map_fn(), fn=fn)
+    else:
+        g = MapFn(n, fn)
     lab = Labeling(spec, g, grid, lo)
     points = list(spec.points())
     real = [lab.grid.to_real(lab.grid_point(c)) for c in points]
     bad.update(rnd.sample(real, rnd.randint(1, min(4, len(real)))))
     failing = [i for i, (c, x) in enumerate(zip(points, real))
-               if x in bad and forced_label(c, spec.m) is None]
+               if x in bad and forced_label(c, spec.m) is None and fault != "range"]
     first = failing[0] if failing else len(points)
     before = rnd.sample(points[:first], rnd.randint(0, first))
     for c in before:
@@ -510,7 +551,9 @@ def test_a_labeling_is_freed_without_the_cycle_collector():
 def test_the_kernel_source_is_compiled_once_per_n(monkeypatch):
     # the clamp kernel and the label kernel of n come from one source,
     # compiled when the first map or labelling of n needs it: more maps,
-    # labellings and boxes of that n compile nothing more
+    # labellings, walks, solves and boxes of that n compile nothing more.
+    # The sweep kernel of n has its own source, compiled on the first sweep
+    # of n and on no later sweep
     compiled = []
 
     def counting(source, filename, mode):
@@ -518,22 +561,34 @@ def test_the_kernel_source_is_compiled_once_per_n(monkeypatch):
         return compile(source, filename, mode)
 
     monkeypatch.setattr(labeling, "compile", counting, raising=False)
-    # an empty cache for this test alone: the session's maps keep theirs
+    # empty caches for this test alone: maps made by other tests keep theirs
     monkeypatch.setattr(labeling, "_kernels", lru_cache(labeling._kernels.__wrapped__))
+    monkeypatch.setattr(labeling, "_sweep_kernel",
+                        lru_cache(labeling._sweep_kernel.__wrapped__))
     rnd = random.Random(5)
     maps = [builtin("avg-0.1,0.2,0.3,0.4,0.5"), builtin("const-0.9,0.8,0.7,0.6,0.5"),
             parse(_affine_text(5, rnd), 5).as_map_fn(), random_affine_map(5, rnd)]
+
+    def labellings(g):
+        return (Labeling(GridSpec(5, 3), g), Labeling(GridSpec(5, 8), g),
+                Labeling(GridSpec(5, 2), g, GridSpec(5, 16), (3, 1, 4, 1, 5), {}))
+
     for g in maps:
-        for lab in (Labeling(GridSpec(5, 3), g), Labeling(GridSpec(5, 8), g),
-                    Labeling(GridSpec(5, 2), g, GridSpec(5, 16), (3, 1, 4, 1, 5), {})):
+        for lab in labellings(g):
             assert [lab.label(c) for c in ((1, 1, 1, 1, 1), (2, 0, 1, 0, 1))]
+        spec = GridSpec(5, 4)
+        assert path_follow(spec, Labeling(spec, g))[1].outcome == "found_fully_labeled"
+    assert solve(maps[0], SolveConfig(tol=1e-3)).converged
     assert compiled == ["<kernel n=5>"]
     assert labeling.clamp_kernel(5) is labeling._kernels(5)["bind"]
     assert labeling.label_kernel(5) is labeling._kernels(5)["bind_label"]
     assert compiled == ["<kernel n=5>"]
+    for g in maps:
+        for lab in labellings(g):
+            assert len(list(lab.sweep())) == lab.spec.point_count
+    assert compiled == ["<kernel n=5>", "<sweep n=5>"]
 
 
-# fully labeled queries
 # fully labeled queries
 
 def test_labels_of_and_fully_labeled():
