@@ -363,7 +363,7 @@ class Labeling:
         self.images = images
         self._cache: dict[GridPoint, int] = {}
         self._forced = [0]  # cached points whose label was forced, counted by the kernel
-        self._w, self._n, self._m, self._source = w, n, self.grid.m, source
+        self._w, self._n, self._m, self._map = w, n, self.grid.m, source
         self._miss = label_kernel(n)(
             source.image, self._cache, self._forced, spec, self.lo, self._m, w, images)
 
@@ -391,7 +391,7 @@ class Labeling:
         gives it, evaluated once, and gets ``induced_label``'s label, the
         rule unrolled from axis n down.  A ``CompiledMap``'s ``fn`` is
         called directly and its tuple checked in [0,1] inline, as the clamp
-        kernel does; any other map is read through ``source.image``.  Rows
+        kernel does; any other map is read through its ``image``.  Rows
         are built as lists and flattened by ``chain.from_iterable``, so the
         sweep stays lazy a row at a time.  A sweep, which visits each point
         once, neither caches nor uses ``images``.  A failing map raises
@@ -399,8 +399,8 @@ class Labeling:
         is neither cached nor forced, with the message ``MapFn`` gives,
         after the labels before it.
         """
-        source = self._source
-        f = source.fn if source.fn_gives_floats else source.image
+        g = self._map
+        f = g.fn if g.fn_gives_floats else g.image
         return _sweep_kernel(self._n)(f, self._cache, self.lo, self._m, self._w)
 
     @property

@@ -213,10 +213,11 @@ SWEEP_CATALOG = ("reflect1d", "dottie", "squeeze", "rot90", "const-0.5,0.25",
                  "avg-0.3,0.6,0.9", "avg-0.2,0.9,0.4,0.7", "const-0,1,0.5,0.25")
 
 
-def random_box(data, n, points=1024):
-    """A box of at most 6 cells per axis and about ``points`` points: a
-    whole grid or shifted in one."""
-    w = data.draw(st.integers(1, max(1, min(6, round(points ** (1 / n)) - 1))))
+def random_box(data, n, points=None):
+    """A box of at most 6 cells per axis, and of about ``points`` points at
+    most when given: a whole grid or shifted in one."""
+    top = 6 if points is None else max(1, min(6, round(points ** (1 / n)) - 1))
+    w = data.draw(st.integers(1, top))
     if not data.draw(st.booleans()):
         return GridSpec(n, w), None, None
     grid = GridSpec(n, w + data.draw(st.integers(1, 6)))
@@ -224,20 +225,25 @@ def random_box(data, n, points=1024):
     return GridSpec(n, w), grid, lo
 
 
-def sweep_map(data, n, rnd):
-    """A compiled map (a builtin or a parsed affine map) or a generic one of n."""
-    kind = data.draw(st.sampled_from(["builtin", "compiled", "generic"]))
-    if kind == "builtin":
-        names = [name for name in SWEEP_CATALOG if builtin(name).n == n]
-        if names:
-            return builtin(data.draw(st.sampled_from(names)))
-        kind = "compiled"
-    if kind == "compiled":
-        return parse(_affine_text(n, rnd), n).as_map_fn()
-    return random_affine_map(n, rnd)
+def sweep_map(data, rnd):
+    """A map and its box: half the draws a builtin or a generic affine map
+    of n = 1..4 in a box of up to 6 cells per axis, half a compiled or a
+    generic affine map of n = 1..12 in a box of about 1,024 points at most."""
+    if data.draw(st.booleans()):
+        if data.draw(st.booleans()):
+            g = builtin(data.draw(st.sampled_from(SWEEP_CATALOG)))
+        else:
+            g = random_affine_map(data.draw(st.integers(1, 4)), rnd)
+        return g, random_box(data, g.n)
+    n = data.draw(st.integers(1, 12))
+    if data.draw(st.booleans()):
+        g = parse(_affine_text(n, rnd), n).as_map_fn()
+    else:
+        g = random_affine_map(n, rnd)
+    return g, random_box(data, n, points=1024 if n > 4 else None)
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=160, deadline=None)
 @given(st.data())
 def test_sweep_equals_per_point_labels(data):
     # on top of any earlier label calls, the sweep reads the cached points,
@@ -247,8 +253,7 @@ def test_sweep_equals_per_point_labels(data):
     # n = 1..12 the sweep kernel of n is written out, for compiled maps
     # (whose fn it calls itself) and generic ones (read through image)
     rnd = data.draw(st.randoms(use_true_random=False))
-    g = sweep_map(data, data.draw(st.integers(1, 12)), rnd)
-    spec, grid, lo = random_box(data, g.n)
+    g, (spec, grid, lo) = sweep_map(data, rnd)
     calls = Counter()
 
     def counted(x):
