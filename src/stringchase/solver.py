@@ -22,12 +22,8 @@ restart), with the box's own top faces forced into the labels so that the
 walk's boundary rules hold inside it.  The box's string, moved into grid
 coordinates, is kept when it is fully labeled in the whole grid, the
 paper's certificate.  Otherwise the box doubles in width around the same
-centre (4, 8, ... cells) and is searched again, so the whole grid is
-searched only as the last doubling, where the box labels are the grid's.
-A box after a jump from m may grow only to 2m cells, the whole grid that
-doubling m would search; past that the jump is given up and the
-resolution is made at 2m from the same witness, so no resolution walks a
-wider box than doubling would.  Two cells is the smallest box whose labels
+centre (4, 8, ... cells) and is searched again, up to a bound after a jump
+(see ``solve_at``).  Two cells is the smallest box whose labels
 depend on the map: in a box of one cell every coordinate is 0 or the
 forced top, so every label is fixed, and ``Labeling`` labels such a box
 without a single evaluation.  Both engines search the same boxes.
@@ -111,6 +107,13 @@ class ResolutionRecord(Record):
     __slots__ = ("m", "residual", "diameter", "evals", "boxes")
 
 
+class Resolution(Record):
+    """One resolution's certificate, its witness ``z`` and its ``record``: the
+    state the next resolution of a solve restarts from (see ``solve_at``)."""
+
+    __slots__ = ("certificate", "z", "record")
+
+
 class SolveReport(Record):
     __slots__ = ("n", "z", "residual", "m_final", "converged", "certificate", "history")
 
@@ -181,39 +184,42 @@ def _affine_zero(steps: list[list[float]]) -> list[float] | None:
     return weights if all(map(math.isfinite, weights)) else None
 
 
-def solve_at(
-    g: MapFn, spec: GridSpec, cfg: SolveConfig, near: tuple[float, ...] | None = None,
-    images: dict | None = None, max_w: int | None = None,
-) -> tuple[Certificate, tuple[float, ...], ResolutionRecord]:
+def solve_at(g: MapFn, spec: GridSpec, cfg: SolveConfig, prev: Resolution | None = None,
+             images: dict | None = None) -> Resolution:
     """One resolution: a fully labeled n-string of ``spec`` and its witness.
 
-    Given the previous witness ``near``, the box of 2 cells per axis
-    around it, clamped into the grid, is searched, and its string, moved
+    The first resolution (``prev`` None) searches the whole grid.  After
+    ``prev``, with witness z, the box of 2 cells per axis centred on
+    round(z_i m), clamped into the grid, is searched, and its string, moved
     into grid coordinates, is kept when it is fully labeled in the whole
     grid.  Otherwise the width doubles around the same centre and the box
-    is searched again.  At width m the box is the whole grid; without
-    ``near`` that is the first box.  A box that would grow wider than
-    ``max_w`` cells gives the resolution up: it is made at m = ``max_w``
-    instead, from a box of 2 cells, with a fresh whole-grid labelling.  The
-    engine decides only how a box is searched: the path engine walks it,
-    the oracle enumerates its n-strings and takes the first fully labeled one.
-    Each box's string is labelled in the whole grid once: those labels
-    decide whether it is fully labeled and are the certificate's, and the
-    vertices formed for them give the witness its real points.
-    Every labelling reads and fills ``images`` (a fresh table if None), and
-    so does the witness.  The record counts the boxes searched at the
-    certificate's resolution and the map evaluations since entry (the
-    table's growth), those of a resolution given up included.
+    is searched again; at width m it is the whole grid.  A box may grow
+    only to 2m' cells, for ``prev``'s resolution m': the whole grid that
+    doubling m' would search.  One that would grow wider gives the jump up:
+    the resolution is made at 2m' instead, from a box of 2 cells around the
+    same witness, with a fresh whole-grid labelling.  So a witness beside a
+    fixed point that no box around it certifies costs what doubling would,
+    not a search of the whole grid jumped to (``1.5*x1^2 + 0.124998``
+    jumps from m = 2 to 2^17).  The engine decides only how a box is
+    searched: the path engine walks it, the oracle enumerates its n-strings
+    and takes the first fully labeled one.  Each box's string is labelled
+    in the whole grid once: those labels decide whether it is fully labeled
+    and are the certificate's, and the vertices formed for them give the
+    witness its real points.  Every labelling reads and fills ``images`` (a
+    fresh table if None), and so does the witness.  The record counts the
+    boxes searched at the certificate's resolution and the map evaluations
+    since entry (the table's growth), those of a resolution given up
+    included.
     """
     n, m = spec.n, spec.m
-    w = m if near is None else min(2, m)
+    w = m if prev is None else min(2, m)
     images = {} if images is None else images
     known, boxes = len(images), 0
     whole = Labeling(spec, g, images=images)
     full = set(range(n + 1))
     while True:
         boxes += 1
-        lo = None if w == m else tuple([min(max(round(zi * m) - w // 2, 0), m - w) for zi in near])
+        lo = None if w == m else tuple([min(max(round(x * m) - w // 2, 0), m - w) for x in prev.z])
         lab = whole if lo is None else Labeling(GridSpec(n, w), g, spec, lo, images)
         if cfg.engine == ENGINE_ORACLE:
             found = exhaustive_fully_labeled(lab.spec, lab, n, budget=cfg.budget)
@@ -229,13 +235,13 @@ def solve_at(
         if set(labels) == full:
             break
         w = min(2 * w, m)
-        if max_w is not None and w > max_w:  # no wider box at max_w = m, so once only
-            spec = GridSpec(n, m := max_w)
+        if prev is not None and w > 2 * prev.certificate.m:  # no wider box at m = 2m', so once only
+            spec = GridSpec(n, m := 2 * prev.certificate.m)
             w, boxes, whole = min(2, m), 0, Labeling(spec, g, images=images)
 
     z, r = select_witness(g, images, [spec.to_real(v) for v in verts])
-    return (Certificate(m, s, tuple(labels)), z,
-            ResolutionRecord(m, r, math.sqrt(n) / m, len(images) - known, boxes))
+    return Resolution(Certificate(m, s, tuple(labels)), z,
+                      ResolutionRecord(m, r, math.sqrt(n) / m, len(images) - known, boxes))
 
 
 def solve(g: MapFn, cfg: SolveConfig | None = None) -> SolveReport:
@@ -243,35 +249,29 @@ def solve(g: MapFn, cfg: SolveConfig | None = None) -> SolveReport:
 
     After a resolution at m with residual r > tol the next is at
     min(max(2m, 2^ceil(log2(1/(JUMP*r)))), cap), where cap is the largest
-    power of two <= max_m; a solve not converged at cap stops there.  Each
-    walk after the first starts near the previous witness (see
-    ``solve_at``).  A box after a jump may grow to 2m cells; one that would
-    grow wider gives the jump up, and the resolution is made at 2m from the
-    same witness, its record counting the evaluations of the attempt given
-    up.  So a witness beside a fixed point that no box around it certifies
-    costs what doubling would, not a search of the whole grid jumped to
-    (``1.5*x1^2 + 0.124998`` jumps from m = 2 to 2^17).  Each box gets a
-    fresh labelling, but all share one image table, so no real point is
-    evaluated twice (every point of grid m is one of every finer
-    power-of-two grid).  Engine errors propagate.
+    power of two <= max_m; a solve not converged at cap stops there and
+    reports its best resolution.  Each resolution after the first restarts
+    from the one before, and a jump whose box outgrows 2m cells is made at
+    2m instead (see ``solve_at``).  Each box gets a fresh labelling, but all
+    share one image table, so no real point is evaluated twice (every point
+    of grid m is one of every finer power-of-two grid).  Engine errors
+    propagate.
     """
     cfg = cfg or SolveConfig()
     n = g.n
     cap = 1 << (cfg.max_m.bit_length() - 1)
     history: list[ResolutionRecord] = []
-    best: tuple[float, tuple[float, ...], Certificate] | None = None
-    m, max_w, z, images = 2, None, None, {}
+    m, prev, images, best = 2, None, {}, None
     while True:
-        cert, z, record = solve_at(g, GridSpec(n, m), cfg, z, images, max_w)
-        m = cert.m  # max_w when the jump's box outgrew it
-        history.append(record)
-        r = record.residual
-        if best is None or r < best[0]:  # a converged r is below every earlier one
-            best = (r, z, cert)
-        if r <= cfg.tol or m == cap:
+        prev = solve_at(g, GridSpec(n, m), cfg, prev, images)
+        r = prev.record.residual
+        history.append(prev.record)
+        if best is None or r < best.record.residual:  # a converged r is below every earlier one
+            best = prev
+        if r <= cfg.tol or prev.record.m == cap:
             break
         # 0 < tol < r <= 1, so the exponent is finite
-        m, max_w = min(max(2 * m, 1 << max(math.ceil(-math.log2(JUMP * r)), 0)), cap), 2 * m
+        m = min(max(2 * prev.record.m, 1 << max(math.ceil(-math.log2(JUMP * r)), 0)), cap)
 
-    r, z, cert = best
-    return SolveReport(n, z, r, cert.m, r <= cfg.tol, cert, tuple(history))
+    r = best.record.residual
+    return SolveReport(n, best.z, r, best.record.m, r <= cfg.tol, best.certificate, tuple(history))

@@ -90,6 +90,22 @@ def test_solve_not_converged_exit_code(capsys):
     assert payload["converged"] is False
 
 
+def test_an_unconverged_solve_reports_its_best_resolution_not_its_last(capsys):
+    # stopped at --max-m 4: m = 2 leaves residual 0.0748, m = 4 leaves 0.4,
+    # and the report is m = 2's
+    text = "2*cos(5*x1) + 1.5*abs(x1-0.5) + 0.2"
+    code, out, _ = run_cli(capsys, "solve", "--map", text, "--n", "1", "--max-m", "4",
+                           "--tol", "1e-12")
+    assert code == EXIT_CHECK_FAILED
+    payload = json.loads(out)
+    history = payload["history"]
+    assert [h["m"] for h in history] == [2, 4]
+    assert history[0]["residual"] < history[1]["residual"]
+    assert payload["converged"] is False and payload["m_final"] == 2
+    g = parse(text, 1).as_map_fn()
+    assert payload["residual"] == history[0]["residual"] == solver.residual(g, payload["z"])
+
+
 def test_solve_requires_map_or_builtin(capsys):
     code, _, err = run_cli(capsys, "solve", "--tol", "1e-3")
     assert code == EXIT_USAGE

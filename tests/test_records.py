@@ -24,6 +24,7 @@ from stringchase.search import LevelParity, ParityReport, PathTrace, TraceStep
 from stringchase.solver import (
     Certificate,
     ConfigInvalid,
+    Resolution,
     ResolutionRecord,
     SolveConfig,
     SolveReport,
@@ -56,6 +57,10 @@ RECORDS = [
      "SolveConfig(max_m=4503599627370496, tol=1e-06, engine='path', budget=10000000)"),
     (_CERT, "Certificate(m=16, string=StringK(k=1, base=(11,), perm=(1,)), labels=(0, 1))"),
     (_HISTORY[0], "ResolutionRecord(m=2, residual=0.25, diameter=0.5, evals=3, boxes=1)"),
+    (Resolution(_CERT, (0.75,), _HISTORY[0]),
+     "Resolution(certificate=Certificate(m=16, string=StringK(k=1, base=(11,), perm=(1,)), "
+     "labels=(0, 1)), z=(0.75,), record=ResolutionRecord(m=2, residual=0.25, diameter=0.5, "
+     "evals=3, boxes=1))"),
     (SolveReport(1, (0.75,), 0.25, 2, False, _CERT, _HISTORY),
      "SolveReport(n=1, z=(0.75,), residual=0.25, m_final=2, converged=False, "
      "certificate=Certificate(m=16, string=StringK(k=1, base=(11,), perm=(1,)), "

@@ -33,7 +33,7 @@ from stringchase import (
     vertices,
 )
 from stringchase import solver
-from stringchase.solver import MAX_M, solve_at
+from stringchase.solver import MAX_M, Resolution, solve_at
 
 
 def test_residual_examples():
@@ -417,8 +417,13 @@ def test_box_walk_falls_back_to_the_full_walk():
     assert box.label((8,)) == 1 and whole.label((8,)) == 0
     assert not is_fully_labeled(whole, StringK(1, box.grid_point(s.base), s.perm))
 
+    # a restart from the m = 32 resolution, its witness moved to 0: at m = 64
+    # its box may grow to 2 * 32 cells, the whole grid
+    found = solve_at(g, GridSpec(1, 32), SolveConfig())
+    prev = Resolution(found.certificate, (0.0,), found.record)
     calls[0] = 0
-    cert, z, record = solve_at(g, spec, SolveConfig(), near=(0.0,))
+    res = solve_at(g, spec, SolveConfig(), prev)
+    cert, z, record = res.certificate, res.z, res.record
     assert record.boxes == 6  # widths 2, 4, 8, 16, 32, 64
     assert calls[0] == record.evals
     assert labels_of(whole, cert.string) == list(cert.labels) == [0, 1]
@@ -532,11 +537,12 @@ def test_witness_beats_its_vertices_and_every_map_call_is_in_the_history(g, engi
     g, calls = _counted(g)
     cfg = SolveConfig(tol=1e-6, max_m=16 if engine == "oracle" else MAX_M, engine=engine)
     for images in (None, {}):
-        z, m = None, 2
+        prev, m = None, 2
         while m <= cfg.max_m:
             spec = GridSpec(g.n, m)
             calls[0] = 0
-            cert, z, record = solve_at(g, spec, cfg, z, images)
+            prev = solve_at(g, spec, cfg, prev, images)
+            cert, z, record = prev.certificate, prev.z, prev.record
             assert calls[0] == record.evals
             assert list(cert.labels) == labels_of(Labeling(spec, g), cert.string)
             vertex_residuals = [residual(g, spec.to_real(v)) for v in vertices(cert.string)]
@@ -634,21 +640,22 @@ def test_a_jump_whose_box_outgrows_twice_the_last_grid_resolves_there_instead(mo
 
 
 @pytest.mark.parametrize("engine", ["path", "oracle"])
-def test_solve_at_gives_a_jump_up_and_resolves_at_max_w(monkeypatch, engine):
-    # the jump above, made by hand: from the m = 2 witness, m = 16's box
-    # outgrows max_w = 4, so solve_at itself resolves at m = 4
+def test_solve_at_gives_a_jump_up_and_resolves_at_twice_the_last_grid(monkeypatch, engine):
+    # the jump above, made by hand: from the m = 2 resolution, m = 16's box
+    # outgrows 2 * 2 = 4 cells, so solve_at itself resolves at m = 4
     g, calls = _counted(parse("1.5*x1^2 + 0.1", 1).as_map_fn())
     cfg = SolveConfig(tol=1e-6, engine=engine)
     images = {}
-    _, z, _ = solve_at(g, GridSpec(1, 2), cfg, images=images)
-    direct = solve_at(g, GridSpec(1, 4), cfg, near=z, images=dict(images))
+    first = solve_at(g, GridSpec(1, 2), cfg, images=images)
+    direct = solve_at(g, GridSpec(1, 4), cfg, first, dict(images))
     calls[0] = 0
-    cert, z4, record = solve_at(g, GridSpec(1, 16), cfg, near=z, images=images, max_w=4)
+    jumped = solve_at(g, GridSpec(1, 16), cfg, first, images)
+    cert, record = jumped.certificate, jumped.record
     assert cert.m == record.m == 4 and record.diameter == 0.25
-    assert record.evals == calls[0] > direct[2].evals  # the attempt given up included
+    assert record.evals == calls[0] > direct.record.evals  # the attempt given up included
     # at m = 4 the search starts afresh: the same boxes, certificate and witness
-    assert (cert, z4, record.residual, record.boxes) == (
-        direct[0], direct[1], direct[2].residual, direct[2].boxes)
+    assert (cert, jumped.z, record.residual, record.boxes) == (
+        direct.certificate, direct.z, direct.record.residual, direct.record.boxes)
     # and solve makes that one call for the resolution, its record the same
     made = []
 
@@ -658,7 +665,7 @@ def test_solve_at_gives_a_jump_up_and_resolves_at_max_w(monkeypatch, engine):
 
     monkeypatch.setattr(solver, "solve_at", recorded)
     report = solve(g, cfg)
-    assert [found[2] for found in made] == list(report.history)
+    assert [found.record for found in made] == list(report.history)
     assert report.history[1] == record
 
 
@@ -698,6 +705,8 @@ def test_a_jump_near_a_fixed_point_it_cannot_certify_costs_what_doubling_would(
 @given(st.one_of(smooth_contractions(), clamped_sums()),
        st.sampled_from([64, 100, 2 ** 20 + 1, MAX_M]))
 @example(builtin("dottie"), 100)  # m = 2, 16, then 64, not 100 or 2048
+# residual 0.0748 at m = 2, then 0.4 at m = 4: the report is m = 2's, not the last
+@example(parse("2*cos(5*x1) + 1.5*abs(x1-0.5) + 0.2", 1).as_map_fn(), 4)
 def test_resolutions_are_powers_of_two_at_least_doubling_up_to_max_m(g, max_m):
     report = solve(g, SolveConfig(tol=1e-6, max_m=max_m))
     ms = [h.m for h in report.history]
