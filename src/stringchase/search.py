@@ -6,7 +6,15 @@ structure that makes the fast route work.  Its count reads only the
 strings that can count: a string with a door carries every label
 0..k-1, all on corners of the unit cell at its base, so the strings of a
 cell whose corners miss one of those labels are skipped unread and the
-counts stay exhaustive.  The fast route walks a single
+counts stay exhaustive.  It finds those cells on byte-lane bitsets, one
+Python int per label with one byte per grid point, so each level costs a
+few big-int shifts, ORs and ANDs rather than a Python pass per point.  The
+bitset of a level's cells is built by repeating bytes, which is linear in
+the grid's size: CPython multiplies and divides big ints in superlinear
+time, and a product of geometric-series quotients for the same bitset
+made the check at n = 3, m = 90 (753,571 points) take 2.5 s, against
+0.27 s with repetition and 0.48 s for the per-point passes it replaces
+(CPython 3.11.7, shared 2-core machine).  The fast route walks a single
 door-in/door-out path.  A k-string's links are its doors (faces labeled
 {0, ..., k-1}) plus, when it is fully labeled, the lift to the level
 above.  Under the boundary rules every string has two links except the
@@ -152,14 +160,25 @@ def parity_check(spec: GridSpec, lab, budget: int = DEFAULT_BUDGET) -> ParityRep
     every label 0..k-1, and its k+1 vertices are corners of the unit cell
     at its base, so a cell whose 2^k corners lack one of those labels
     holds no string with a door, and its k! strings add nothing to any
-    count.  So each level first gives every cell the OR of ``1 << label``
-    over its corners (labels outside 0..n-1 give 0) and reads only the
-    bases whose mask has bits 0..k-1.  The masks grow axis by axis: at
-    level k every point's mask takes in that of the point one step on
-    along axis k, one OR per point.  Under an induced labelling few cells
-    qualify: over the parity benchmark's seed 1 the check reads 2,390 of
-    391,720 strings, 1,613 of which have a door, so the per-string work
-    follows the strings that count and not the size of the grid.
+    count.  The cells are found on byte lanes: ``bytes(labels)``, with
+    each label outside 0..255 written as 255, is translated once per label
+    l < n into one int, byte p of which (little-endian) is 1 where point p
+    is labelled l.  The lanes grow axis by axis: at level k each takes in
+    the point one step on along axis k, ``c | c >> 8 * stride``, so byte p
+    then says whether a corner of the cell at p carries l.  The level's
+    bases (c_1..c_k below m, the other coordinates 0) are a byte block
+    built by repetition: one base byte and stride_k - 1 zeros, then, for
+    each axis i from k down to 1, the block m times and a zero row of
+    stride_i bytes for c_i = m.  It is ANDed with the lanes of labels
+    0..k-1, and ``bytes.find`` reads the live bases back.  Each step is
+    linear in the grid's size; building the block by big-int division or
+    multiplication, whose CPython cost is superlinear, is what the module
+    docstring warns against.  Labels outside 0..n-1 take part in no lane,
+    and the string loop reads the original labels.  Under an induced
+    labelling few cells qualify: over the parity benchmark's seed 1 the
+    check reads 2,390 of 391,720 strings, 1,613 of which have a door, so
+    the per-string work follows the strings that count and not the size
+    of the grid.
 
     For a labeling obeying the Brouwer boundary rules every level passes
     both the double-count identity and the oddness check; a failed level
@@ -172,19 +191,36 @@ def parity_check(spec: GridSpec, lab, budget: int = DEFAULT_BUDGET) -> ParityRep
         labels = list(lab.sweep())
     else:
         labels = [lab.label(p) for p in spec.points()]
-    n = spec.n
-    strides = [(spec.m + 1) ** (n - i) for i in range(1, n + 1)]
-    # at level k, corners[p] is the mask of the 2^k corners of the cell at
-    # p, wherever p's first k coordinates are below m
-    corners = [1 << v if 0 <= v < n else 0 for v in labels]
-    bases = [0]
+    n, m = spec.n, spec.m
+    strides = [(m + 1) ** (n - i) for i in range(1, n + 1)]
+    # one byte lane a point; a label outside 0..255 is written as 255,
+    # which is no lane's label, since n < 255 on any grid that fits in memory
+    try:
+        buf = bytes(labels)
+    except ValueError:
+        buf = bytes(v if 0 <= v < 256 else 255 for v in labels)
+    # lanes[l] holds byte 1 at p where point p is labelled l; after level
+    # k's shift, where a corner of the cell at p is (wherever p's first k
+    # coordinates are below m)
+    lanes = [int.from_bytes(buf.translate(bytes(l) + b"\x01" + bytes(255 - l)), "little")
+             for l in range(n)]
     levels = []
     for k in range(1, n + 1):
         stride = strides[k - 1]
-        corners = [a | b for a, b in zip(corners, corners[stride:])]
-        bases = [b + c * stride for c in range(spec.m) for b in bases]
-        low = (1 << k) - 1
-        live = [b for b in bases if corners[b] & low == low]
+        lanes = [c | c >> 8 * stride for c in lanes]
+        # byte 1 at each base: c_1..c_k below m, the other coordinates 0
+        block = b"\x01" + bytes(stride - 1)
+        for s in reversed(strides[:k]):
+            block = block * m + bytes(s)
+        mask = int.from_bytes(block, "little")
+        for c in lanes[:k]:
+            mask &= c
+        cells = mask.to_bytes(len(buf), "little")
+        live = []
+        p = cells.find(1)
+        while p >= 0:
+            live.append(p)
+            p = cells.find(1, p + 1)
         s1 = s2 = fully = 0
         containment: dict[tuple[int, ...], int] = {}
         for axes in permutations(strides[:k]):

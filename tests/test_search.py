@@ -3,6 +3,7 @@
 import dataclasses
 import random
 from collections import Counter
+from itertools import accumulate, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,7 @@ from stringchase import (
     labels_of,
     parity_check,
     path_follow,
+    string_count,
     verify_trace,
     vertices,
 )
@@ -471,16 +473,93 @@ def test_parity_check_matches_the_tuple_keyed_count(n, m, kind, rnd):
     assert parity_check(spec, lab) == tuple_keyed_parity(spec, lab)
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(1, 2), st.integers(6, 40), st.sampled_from(["induced", "steep"]),
-       st.randoms(use_true_random=False))
-def test_parity_check_matches_the_tuple_keyed_count_on_fine_grids(n, m, kind, rnd):
+# the m drawn at each n on a fine grid
+FINE_M = {1: (6, 40), 2: (6, 40), 3: (6, 14), 4: (3, 5)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.integers(*FINE_M[n]))),
+       st.sampled_from(["induced", "steep"]), st.randoms(use_true_random=False))
+def test_parity_check_matches_the_tuple_keyed_count_on_fine_grids(nm, kind, rnd):
     # on a fine grid most cells of an induced labelling lack one of the
-    # labels 0..k-1, so parity_check skips their strings unread
+    # labels 0..k-1, so parity_check skips their strings unread; from n = 3
+    # a level's base lanes repeat over three or more axes
+    n, m = nm
     spec = GridSpec(n, m)
     g = random_affine_map(n, rnd) if kind == "induced" else random_steep_affine_map(n, rnd)
     lab = Labeling(spec, g)
     assert parity_check(spec, lab) == tuple_keyed_parity(spec, lab)
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n in (1, 2, 3) for m in (1, 2, 3, 4)])
+def test_parity_check_counts_labels_that_do_not_fit_a_byte(n, m):
+    # labels outside 0..255 have no byte lane value; they count in no cell
+    # mask but are read as they are by the string loop.  At m = 1 each
+    # level's base block is a single lane
+    spec = GridSpec(n, m)
+    odd = [-300, -1, n, n + 1, 256, 10**6, True]
+    for seed in range(25):
+        rnd = random.Random(seed)
+        share = rnd.choice([0.1, 0.3, 0.6])
+        table = {p: rnd.choice(odd) if rnd.random() < share else rnd.randint(0, n)
+                 for p in spec.points()}
+        lab = ExplicitLabeling(spec, table)
+        assert parity_check(spec, lab) == tuple_keyed_parity(spec, lab)
+
+
+def list_mask_parity(spec, lab, budget=10_000_000):
+    """``parity_check`` as it was before byte lanes: each level ORs the
+    corner masks of every point into a new list and filters a list of every
+    base, in Python."""
+    BudgetExceeded.check(sum(string_count(spec, k) for k in range(1, spec.n + 1)), budget)
+
+    # the exact type: a subclass may label otherwise than the sweep does
+    if type(lab) is Labeling and lab.spec == spec:
+        labels = list(lab.sweep())
+    else:
+        labels = [lab.label(p) for p in spec.points()]
+    n = spec.n
+    strides = [(spec.m + 1) ** (n - i) for i in range(1, n + 1)]
+    # at level k, corners[p] is the mask of the 2^k corners of the cell at
+    # p, wherever p's first k coordinates are below m
+    corners = [1 << v if 0 <= v < n else 0 for v in labels]
+    bases = [0]
+    levels = []
+    for k in range(1, n + 1):
+        stride = strides[k - 1]
+        corners = [a | b for a, b in zip(corners, corners[stride:])]
+        bases = [b + c * stride for c in range(spec.m) for b in bases]
+        low = (1 << k) - 1
+        live = [b for b in bases if corners[b] & low == low]
+        s1 = s2 = fully = 0
+        containment: dict[tuple[int, ...], int] = {}
+        for axes in permutations(strides[:k]):
+            row = tuple(accumulate(axes, initial=0))
+            columns = [[labels[b + o] for b in live] for o in row]
+            for base, vector in zip(live, zip(*columns)):
+                doors = doors_of(vector, k)
+                if len(doors) == 1:
+                    s1 += 1
+                    fully += vector[doors[0]] == k
+                elif doors:
+                    s2 += 1
+                for h in doors:
+                    face = tuple(base + o for o in row[:h] + row[h + 1:])
+                    containment[face] = containment.get(face, 0) + 1
+        t1 = sum(1 for c in containment.values() if c == 1)
+        t2 = sum(1 for c in containment.values() if c == 2)
+        levels.append(LevelParity(k, s1, s2, t1, t2, fully))
+    return ParityReport(tuple(levels))
+
+
+@pytest.mark.parametrize("n, m", [(2, 300), (3, 40)])
+@pytest.mark.parametrize("kind", ["induced", "steep"])
+def test_parity_check_matches_the_list_mask_count_on_large_grids(n, m, kind):
+    # grids too large for the tuple-keyed count: 90,601 and 68,921 points
+    rnd = random.Random(f"{n}-{m}-{kind}")
+    g = random_affine_map(n, rnd) if kind == "induced" else random_steep_affine_map(n, rnd)
+    spec = GridSpec(n, m)
+    assert parity_check(spec, Labeling(spec, g)) == list_mask_parity(spec, Labeling(spec, g))
 
 
 class CountingLabeling:
