@@ -43,6 +43,7 @@ from .search import (
     ParityReport,
     PathTrace,
     StepLimitExceeded,
+    WalkSteps,
     parity_check,
     path_follow,
 )
@@ -100,29 +101,36 @@ def trace_json(trace: PathTrace) -> str:
     The payload is {"steps": [...], "outcome": ...}, each step
     {"level", "base", "perm", "entry", "exit"}.  Every step has the same
     shape and holds only ints and None, so each is formatted directly
-    instead of being built as a dict and walked again.  Most steps keep
-    their predecessor's base object (only a pivot through the first or
-    last vertex makes a new one), so a base is formatted again only when
-    it is a different object; each perm's text is kept by value.
+    instead of being built as a dict and walked again.  A walk's trace
+    keeps its steps as rows of that shape (``WalkSteps``), which are read
+    as they are, so no ``TraceStep`` is built; a hand-built trace's steps
+    are turned into rows first.  Most steps keep their predecessor's base
+    object (only a pivot through the first or last vertex makes a new one),
+    so a base is formatted again only when it is a different object; each
+    perm's text is kept by value.
     """
-    steps = []
+    steps = trace.steps
+    if type(steps) is WalkSteps:
+        rows = steps.rows
+    else:
+        rows = [(s.level, s.string.base, s.string.perm, s.entry, s.exit) for s in steps]
+    out = []
     base = base_text = None
     perm_texts: dict[tuple[int, ...], str] = {}
-    for s in trace.steps:
-        string = s.string
-        if string.base is not base:
-            base = string.base
+    for level, row_base, perm, entry, exit_h in rows:
+        if row_base is not base:
+            base = row_base
             base_text = str(list(base))
-        perm_text = perm_texts.get(string.perm)
+        perm_text = perm_texts.get(perm)
         if perm_text is None:
-            perm_text = perm_texts[string.perm] = str(list(string.perm))
-        steps.append('{"level": %d, "base": %s, "perm": %s, "entry": %s, "exit": %s}' % (
-            s.level, base_text, perm_text,
-            "null" if s.entry is None else s.entry,
-            "null" if s.exit is None else s.exit,
+            perm_text = perm_texts[perm] = str(list(perm))
+        out.append('{"level": %d, "base": %s, "perm": %s, "entry": %s, "exit": %s}' % (
+            level, base_text, perm_text,
+            "null" if entry is None else entry,
+            "null" if exit_h is None else exit_h,
         ))
     return '{"steps": [%s], "outcome": %s}' % (
-        ", ".join(steps), encode_basestring_ascii(trace.outcome))
+        ", ".join(out), encode_basestring_ascii(trace.outcome))
 
 
 def solve_json(report: SolveReport) -> str:

@@ -128,9 +128,9 @@ class StringK(Record):
     every axis beyond k.
 
     Calling ``StringK(...)`` validates all of this.  ``pivot``, ``lift``,
-    ``enumerate_strings``, the walk (its origin, moves and floor-door
-    descents) and the solver, which moves a box's string into its grid, build
-    strings valid by construction through ``_derived``, unchecked;
+    ``enumerate_strings``, the walk (its end string, and its steps' strings
+    when they are read) and the solver, which moves a box's string into its
+    grid, build strings valid by construction through ``_derived``, unchecked;
     ``search.verify_trace`` checks a walk's strings apart.
     """
 

@@ -21,23 +21,27 @@ above.  Under the boundary rules every string has two links except the
 0-string at the origin and the fully labeled strings of the top
 dimension, which have one, so the walk leaves each string by the link it
 did not enter by.  Starting at the origin it therefore always terminates
-at a fully labeled n-string, without enumerating anything.
+at a fully labeled n-string, without enumerating anything.  It records
+each step as a row (level, base, perm, entry, exit), and its trace keeps
+the rows: the ``TraceStep``s are built when the trace's steps are first
+read, so ``trace`` prints the rows and a solve's box walks, which keep
+only the end string, build none.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import accumulate, permutations
 from operator import mul
 
-# pivot and count_fully_labeled_faces are not called here (the walk moves
-# from the vertices it carries, and the walk and the parity check take
-# doors from the label vector they hold), but bench/tracer.py looks them
-# up in this module.
+# lift, pivot and count_fully_labeled_faces are not called here (the walk
+# moves from the vertices it carries, and the walk and the parity check
+# take doors from the label vector they hold), but bench/tracer.py patches
+# them by name in this module and raises if one is missing.
 from .grid import (  # noqa: F401
     GridSpec,
     Record,
     StringK,
-    _new,
     enumerate_strings,
     face_vertices,
     lift,
@@ -120,13 +124,66 @@ class TraceStep(Record):
     step it means the string was entered from the level above (it was that
     walk's downward door).  exit None on the last step marks the found
     string; on an earlier step it marks a lift to the level above.
+    ``path_follow`` records a step as a row and builds its ``TraceStep``
+    only when the trace's steps are first read (``WalkSteps``).
     """
 
     __slots__ = ("level", "string", "entry", "exit")
 
 
 class PathTrace(Record):
+    """A walk's ``steps``, a sequence of ``TraceStep``s, and its ``outcome``.
+
+    A hand-built trace holds its steps as given, a tuple as a rule;
+    ``path_follow``'s holds a ``WalkSteps``, which reads as that tuple.
+    """
+
     __slots__ = ("steps", "outcome")
+
+
+class WalkSteps(Sequence):
+    """A walk's steps as ``path_follow`` records them: one row (level, base,
+    perm, entry, exit) a step, in ``rows``.
+
+    Read as the tuple of ``TraceStep``s the rows stand for: its length comes
+    from the rows, and the steps are built once, their strings unchecked, on
+    the first read of a step.  It equals, hashes, prints, slices (to tuples)
+    and pickles as that tuple.
+    """
+
+    __slots__ = ("rows", "_steps")
+
+    def __init__(self, rows: list[tuple]) -> None:
+        self.rows = rows
+        self._steps = None
+
+    def _built(self) -> tuple[TraceStep, ...]:
+        if self._steps is None:
+            derived = StringK._derived
+            self._steps = tuple([TraceStep(level, derived(level, base, perm), entry, exit_h)
+                                 for level, base, perm, entry, exit_h in self.rows])
+        return self._steps
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        return self._built()[i]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __eq__(self, other):
+        return self._built() == other
+
+    def __hash__(self) -> int:
+        return hash(self._built())
+
+    def __repr__(self) -> str:
+        return repr(self._built())
+
+    def __reduce__(self):
+        return tuple, (self._built(),)
 
 
 def exhaustive_fully_labeled(
@@ -254,26 +311,32 @@ def path_follow(spec: GridSpec, lab) -> tuple[StringK, PathTrace]:
     floor door in the zero slab of level k, where the walk descends to the
     face, which it enters through that face's lift (None).  Since no string
     has more than two links, the walk is a simple path and can only end at
-    a fully labeled n-string.  The vertices and their labels are carried
-    from string to string, in two lists beside the current string: a lift
-    or pivot forms and labels only the vertex it brings in, a descent none.
-    Each move is made from the carried vertices as ``pivot`` makes it, but
-    without calling it: exit 0 takes vertex 1 as the new base and brings in
-    the old top one step on along ``perm[0]``, 0 < h < k swaps the steps
-    around vertex h, and exit k brings in the base one step back along
-    ``perm[-1]``.  Exit 0 from a top at m on that axis, or exit k from a
-    base at 0 on an axis other than k, is refused; at 0 on axis k it is the
-    floor door.  The new vertex at entry 0 is the new base; at any other
-    entry e it is vertex e - 1 plus one step on axis ``perm[e - 1]`` of the
-    new string (after a lift, the old top plus a step on axis k + 1), so no
-    vertex is rebuilt from the base.  Each string and ``TraceStep`` is
-    built unchecked, through its class's slot setters.  A string's links
-    depend on its label vector alone, so the walk keeps a link table keyed
-    by the vector, filled from ``doors_of`` (and the one-door check) the
-    first time a vector occurs.  Long walks repeat few vectors: over the 40
-    ``avg-`` walks of a benchmark seed (n = 4..8, about 65,000 steps) 1,120
-    are distinct, so 98% of lookups hit; the short box walks of a solve hit
-    about 22% of the time.
+    a fully labeled n-string.  The current string is held as three locals,
+    its level k, ``base`` and ``perm``, and its vertices and their labels
+    are carried from string to string in two lists: a lift or pivot forms
+    and labels only the vertex it brings in, a descent none.  Each move is
+    made from the carried vertices as ``lift`` and ``pivot`` make it, but
+    without calling them: a lift appends axis k + 1 to ``perm``, exit 0
+    takes vertex 1 as the new base and brings in the old top one step on
+    along ``perm[0]``, 0 < h < k swaps the steps around vertex h, and exit
+    k brings in the base one step back along ``perm[-1]``.  Exit 0 from a
+    top at m on that axis, or exit k from a base at 0 on an axis other than
+    k, is refused; at 0 on axis k it is the floor door.  The new vertex at
+    entry 0 is the new base; at any other entry e it is vertex e - 1 plus
+    one step on axis ``perm[e - 1]`` of the new string (after a lift, the
+    old top plus a step on axis k + 1), so no vertex is rebuilt from the
+    base.  A string's links depend on its label vector alone, so the walk
+    keeps a link table keyed by the vector, filled from ``doors_of`` (and
+    the one-door check) the first time a vector occurs.  Long walks repeat
+    few vectors: over the 40 ``avg-`` walks of a benchmark seed (n = 4..8,
+    about 65,000 steps) 1,120 are distinct, so 98% of lookups hit; the
+    short box walks of a solve hit about 22% of the time.
+
+    Each step is recorded as one row (level, base, perm, entry, exit), the
+    trace payload's own shape, and the trace keeps the rows (``WalkSteps``):
+    its ``TraceStep``s and their strings are built when ``trace.steps`` is
+    first read, so a walk whose trace is only printed or thrown away builds
+    one ``StringK``, the end string, and no ``TraceStep``.
 
     Raises LabelingInvalid as soon as the labeling breaks one of the
     boundary rules the walk relies on (a door pinned to the grid boundary
@@ -283,22 +346,21 @@ def path_follow(spec: GridSpec, lab) -> tuple[StringK, PathTrace]:
     """
     n, m = spec.n, spec.m
     label = lab.label
-    origin = StringK._derived(0, (0,) * n, ())
-    if label(origin.base) != 0:
+    base = (0,) * n
+    if label(base) != 0:
         raise LabelingInvalid("the origin must carry label 0")
-    steps = [TraceStep(0, origin, None, None)]
+    rows = [(0, base, (), None, None)]
     # string_count(spec, k) + 1 at each level k, m^k * k! = m * 2m * ... * km
     limits = [c + 1 for c in accumulate(range(m, m * n + 1, m), mul, initial=1)]
     visits = [0] * (n + 1)
-    current, entry = lift(origin), 1
-    verts = vertices(current)
+    # the origin's lift, the 1-string from the origin along axis 1
+    k, perm, entry = 1, (1,), 1
+    verts = [base, (1,) + base[1:]]
     labels = [label(v) for v in verts]
     link_table: dict[tuple[int, ...], list[int | None]] = {}
     derived = StringK._derived
-    set_level, set_string, set_entry, set_exit = TraceStep._setters
 
     while True:
-        k = current.k
         visits[k] += 1
         if visits[k] > limits[k]:
             raise StepLimitExceeded(f"more than {limits[k]} strings visited at level {k}")
@@ -310,61 +372,58 @@ def path_follow(spec: GridSpec, lab) -> tuple[StringK, PathTrace]:
             if len(links) == 1:
                 if labels[links[0]] != k:
                     raise LabelingInvalid(
-                        f"{current} has one door but is not fully labeled; "
+                        f"{derived(k, base, perm)} has one door but is not fully labeled; "
                         "labels exceed the level"
                     )
                 links.append(None)
             link_table[vector] = links
         if entry not in links:
-            raise LabelingInvalid(f"entry {entry} of {current} is not one of its links {links}")
+            raise LabelingInvalid(
+                f"entry {entry} of {derived(k, base, perm)} is not one of its links {links}")
         exit_h = links[1] if links[0] == entry else links[0]
-        step = _new(TraceStep)  # built unchecked, as StringK._derived builds strings
-        set_level(step, k)
-        set_string(step, current)
-        set_entry(step, entry)
-        set_exit(step, exit_h)
-        steps.append(step)
+        rows.append((k, base, perm, entry, exit_h))
 
         if exit_h is None:
             if k == n:
-                return current, PathTrace(tuple(steps), OUTCOME_FOUND)
-            current, entry = lift(current), k + 1
+                return derived(k, base, perm), PathTrace(WalkSteps(rows), OUTCOME_FOUND)
+            k += 1
+            perm, entry = perm + (k,), k
         else:
-            base, perm = current.base, current.perm
             if exit_h == k:  # drop the top, step below the base on perm's last axis
                 axis = perm[-1]
                 if not base[axis - 1]:
                     if axis != k:
-                        raise _pinned(exit_h, current)
+                        raise _pinned(exit_h, derived(k, base, perm))
                     # the floor door into the dimension below
                     if k == 1:
                         raise LabelingInvalid(
                             "walk descended back to the origin; labeling is not Brouwer")
-                    current, entry = derived(k - 1, base, perm[:-1]), None
+                    k -= 1
+                    perm, entry = perm[:-1], None
                     labels.pop()
                     verts.pop()
                     continue
                 v = list(base)
                 v[axis - 1] -= 1
-                current, entry = derived(k, tuple(v), (axis,) + perm[:-1]), 0
+                base, perm, entry = tuple(v), (axis,) + perm[:-1], 0
             elif exit_h:  # swap the two steps around vertex exit_h
                 swapped = list(perm)
                 swapped[exit_h - 1], swapped[exit_h] = perm[exit_h], perm[exit_h - 1]
-                current, entry = derived(k, base, tuple(swapped)), exit_h
+                perm, entry = tuple(swapped), exit_h
             else:  # drop the base, step past the top on perm's first axis
                 axis = perm[0]
                 if verts[k][axis - 1] == m:
-                    raise _pinned(exit_h, current)
-                current, entry = derived(k, verts[1], perm[1:] + (axis,)), k
+                    raise _pinned(exit_h, derived(k, base, perm))
+                base, perm, entry = verts[1], perm[1:] + (axis,), k
             del labels[exit_h], verts[exit_h]
         # the vertex brought in is the base, or its neighbour below it in
         # the string plus one step on the axis between them
         if entry:
             v = list(verts[entry - 1])
-            v[current.perm[entry - 1] - 1] += 1
+            v[perm[entry - 1] - 1] += 1
             v = tuple(v)
         else:
-            v = current.base
+            v = base
         verts.insert(entry, v)
         labels.insert(entry, label(v))
 

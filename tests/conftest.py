@@ -12,6 +12,7 @@ import copy
 import math
 import pickle
 import random
+from collections import Counter
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
@@ -217,6 +218,25 @@ def assert_slotted_record(record) -> None:
     for twin in twins + [copy.copy(record), copy.deepcopy(record)]:
         assert type(twin) is type(record)
         assert twin == record and hash(twin) == hash(record)
+
+
+def count_builds(monkeypatch) -> Counter:
+    """From now on, count the calls of ``StringK._derived`` and of
+    ``TraceStep``'s constructor, under those two names."""
+    counts: Counter = Counter()
+    derived, init = StringK._derived.__func__, TraceStep.__init__
+
+    def counted_derived(cls, *args):
+        counts["StringK._derived"] += 1
+        return derived(cls, *args)
+
+    def counted_init(self, *args, **kwargs):
+        counts["TraceStep"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(StringK, "_derived", classmethod(counted_derived))
+    monkeypatch.setattr(TraceStep, "__init__", counted_init)
+    return counts
 
 
 def reference_walk(spec: GridSpec, lab) -> tuple[StringK, PathTrace]:

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     CATALOG_REFERENCE,
+    count_builds,
     forced_label,
     random_affine_map,
     random_steep_affine_map,
@@ -946,6 +947,15 @@ def test_trace_calls_the_counted_evaluator_once_per_unforced_walk_point(capsys, 
     assert code == EXIT_OK
     assert counted_calls == Counter(spec.to_real(c) for c in walked
                                     if forced_label(c, spec.m) is None)
+
+
+def test_trace_builds_the_end_string_and_no_trace_step(capsys, monkeypatch):
+    # the walk keeps its steps as rows and trace_json prints the rows: the
+    # one string built is the end string, and no TraceStep is built at all
+    counts = count_builds(monkeypatch)
+    code, out, _ = run_cli(capsys, "trace", "--builtin", "avg-0.2,0.9,0.4,0.6", "--m", "16")
+    assert code == EXIT_OK and len(json.loads(out)["steps"]) == 90
+    assert counts == Counter({"StringK._derived": 1})
 
 
 def test_solve_calls_the_counted_evaluator_once_per_counted_evaluation(capsys, counted_calls):

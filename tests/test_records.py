@@ -208,9 +208,9 @@ def _record_subclasses():
 
 
 def test_every_record_sets_its_fields_through_its_slot_setters_in_order():
-    # Record.__init__, StringK._derived, the walk's TraceStep and the
-    # expression nodes fill a record's fields through its class's _setters:
-    # setter i must be the __set__ of the slot named by __slots__[i]
+    # Record.__init__, StringK._derived and the expression nodes fill a
+    # record's fields through its class's _setters: setter i must be the
+    # __set__ of the slot named by __slots__[i]
     classes = _record_subclasses()
     assert {type(record) for record, _ in RECORDS} <= set(classes)
     for cls in classes:

@@ -1,6 +1,8 @@
 """Oracle enumeration, parity bookkeeping, and the door-in/door-out walk."""
 
+import copy
 import dataclasses
+import pickle
 import random
 from collections import Counter
 from itertools import accumulate, permutations
@@ -13,6 +15,7 @@ from conftest import (
     FLOOR_DOOR_TABLE,
     ExplicitLabeling,
     assert_slotted_record,
+    count_builds,
     forced_label,
     random_affine_map,
     random_steep_affine_map,
@@ -38,6 +41,7 @@ from stringchase import (
     verify_trace,
     vertices,
 )
+from stringchase.cli import trace_json
 from stringchase.labeling import doors_of
 from stringchase.search import (
     OUTCOME_FOUND,
@@ -732,3 +736,45 @@ def test_walk_steps_are_frozen_trace_steps(case):
             s.exit = 0
         assert_slotted_record(s)
         assert_slotted_record(s.string)
+
+
+@pytest.mark.parametrize("case", [1, 2, 3, 4, "floor-door"])
+def test_walk_trace_reads_as_its_hand_built_twin(case, monkeypatch):
+    # the walk keeps rows (level, base, perm, entry, exit); its steps must
+    # read, compare, hash, print, slice, pickle and serialize as the tuple
+    # of TraceSteps the rows stand for, built through the checked constructors
+    if case == "floor-door":
+        spec = GridSpec(2, 3)
+        lab = ExplicitLabeling(spec, FLOOR_DOOR_TABLE)
+    else:  # a walk at n = case
+        spec, lab = induced(random_steep_affine_map(case, random.Random(case)), 5)
+    counts = count_builds(monkeypatch)
+    trace = path_follow(spec, lab)[1]
+    rows = trace.steps.rows
+    assert len(trace.steps) == len(rows) > 2
+    assert counts == Counter({"StringK._derived": 1})  # the end string alone
+    twin = PathTrace(tuple(TraceStep(level, StringK(level, base, perm), entry, exit_h)
+                           for level, base, perm, entry, exit_h in rows), trace.outcome)
+    if case == "floor-door":
+        assert any(b.level < a.level for a, b in zip(twin.steps, twin.steps[1:]))
+    assert trace_json(trace) == trace_json(twin)
+    assert trace == twin and twin == trace and not trace != twin and not twin != trace
+    assert trace.steps == twin.steps and twin.steps == trace.steps
+    assert trace.steps != twin.steps[:-1] and twin.steps[:-1] != trace.steps
+    assert hash(trace) == hash(twin) and hash(trace.steps) == hash(twin.steps)
+    assert repr(trace) == repr(twin) and str(trace.steps) == str(twin.steps)
+    for cut in (slice(None), slice(1, -1), slice(None, None, -2), slice(len(rows), None)):
+        assert type(trace.steps[cut]) is tuple and trace.steps[cut] == twin.steps[cut]
+    assert trace.steps[-1] == twin.steps[-1] and trace.steps[0] is trace.steps[0]
+    assert list(trace.steps) == list(twin.steps) and trace.steps.index(twin.steps[-1]) == len(rows) - 1
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        for got, want in ((trace, twin), (trace.steps, twin.steps)):
+            loaded = pickle.loads(pickle.dumps(got, protocol))
+            assert loaded == pickle.loads(pickle.dumps(want, protocol)) == want
+            assert type(loaded) is type(want) and repr(loaded) == repr(want)
+    for clone in (copy.copy, copy.deepcopy):
+        assert clone(trace) == twin and hash(clone(trace)) == hash(twin)
+        assert repr(clone(trace)) == repr(twin)
+        assert clone(trace.steps) == twin.steps and type(clone(trace.steps)) is tuple
+    assert_slotted_record(trace)
+    assert not hasattr(trace.steps, "__dict__")
